@@ -36,7 +36,7 @@ from .fields import (
     series_times_field,
 )
 from .linalg import RatMatrix, mat_kernel
-from .resonance import resonance_set, resonant_multiindices
+from .resonance import compositions, resonance_set, resonant_multiindices
 from .spectrum import EigenSpectrum, is_finite_linear_centralizer
 
 
@@ -58,41 +58,27 @@ def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
     def var(i, k):
         return i * n + k
 
-    rows = []
+    columns = [{} for _ in range(nvars)]
     for i in range(n):
         for k in range(n):
-            if s.rows_equal(i, k):
-                continue
             for t in range(s.q):
                 diff = s.lam[k][t] - s.lam[i][t]
                 if diff != 0:
-                    row = [Fraction(0)] * nvars
-                    row[var(i, k)] = diff
-                    rows.append(row)
+                    columns[var(i, k)][("semisimple", i, k, t)] = diff
     if s.has_nilpotent():
         N = s.nilpotent_matrix()
         # (NB - BN) entry (i, j)
         for i in range(n):
             for j in range(n):
-                row = [Fraction(0)] * nvars
-                nonzero = False
+                key = ("nilpotent", i, j)
                 for k in range(n):
                     if N.entry(i, k) != 0:
-                        row[var(k, j)] += N.entry(i, k)
-                        nonzero = True
+                        col = columns[var(k, j)]
+                        col[key] = col.get(key, 0) + N.entry(i, k)
                     if N.entry(k, j) != 0:
-                        row[var(i, k)] -= N.entry(k, j)
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-    if rows:
-        space = mat_kernel(RatMatrix(rows))
-        vecs = space.basis
-    else:
-        vecs = tuple(
-            tuple(Fraction(1) if t == v else Fraction(0) for t in range(nvars))
-            for v in range(nvars)
-        )
+                        col = columns[var(i, k)]
+                        col[key] = col.get(key, 0) - N.entry(k, j)
+    vecs = mat_kernel(RatMatrix.from_columns(columns, nvars)).basis
     mats = []
     for v in vecs:
         mats.append(tuple(tuple(v[var(i, k)] for k in range(n)) for i in range(n)))
@@ -110,28 +96,6 @@ class CentralizerResult:
     graded: tuple[tuple[int, int], ...] | None = None
     block_bounds: tuple[int, int] | None = None
     note: str | None = None
-
-
-def _kernel_of_columns(ncols, columns, row_keys):
-    """Kernel of u -> sum u_t * columns[t] restricted to the given rows."""
-    key_index = {k: i for i, k in enumerate(row_keys)}
-    rows = [[Fraction(0)] * ncols for _ in row_keys]
-    for t, col in enumerate(columns):
-        for key, c in col.terms.items():
-            rows[key_index[key]][t] = c
-    if not rows:
-        return tuple(
-            tuple(Fraction(1) if i == t else Fraction(0) for i in range(ncols))
-            for t in range(ncols)
-        )
-    return mat_kernel(RatMatrix(rows)).basis
-
-
-def _sorted_keys(brackets):
-    keys = set()
-    for br in brackets:
-        keys.update(br.terms)
-    return sorted(keys, key=lambda k: (sum(k[1]), k[0], k[1]))
 
 
 def _block_data(s: EigenSpectrum, rset):
@@ -170,12 +134,12 @@ def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult
         PolyVectorField.monomial(s.n, j, m) for j, m in res_keys
     ]
     brackets = [lie_bracket(g, ftilde) for g in generators]
-    row_keys = _sorted_keys(brackets)
-    for j, m in row_keys:
-        assert sum(m) >= 2 and rset.contains(j, m), (
-            "bracket left the resonant span; the finite system would be incomplete"
-        )
-    kernel = _kernel_of_columns(len(generators), brackets, row_keys)
+    for br in brackets:
+        for j, m in br.terms:
+            assert sum(m) >= 2 and rset.contains(j, m), (
+                "bracket left the resonant span; the finite system would be incomplete"
+            )
+    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets], len(brackets))).basis
 
     basis = []
     for vec in kernel:
@@ -225,8 +189,7 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
     unknown_keys.sort()
     generators = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in unknown_keys]
     brackets = [lie_bracket(g, ftilde).truncated(D) for g in generators]
-    row_keys = _sorted_keys(brackets)
-    kernel = _kernel_of_columns(len(generators), brackets, row_keys)
+    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets], len(brackets))).basis
     basis = []
     graded_count: dict[int, int] = {}
     for vec in kernel:
@@ -260,8 +223,6 @@ class NormalizerResult:
 
 
 def _all_monomials(n, dmin, dmax):
-    from .resonance import compositions
-
     out = []
     for d in range(dmin, dmax + 1):
         out.extend(compositions(d, n))
@@ -296,8 +257,6 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
     g_keys = []
     for deg in range(1, D + 1):
         for j in range(s.n):
-            from .resonance import compositions
-
             for m in compositions(deg, s.n):
                 g_keys.append((deg, j, m))
     g_keys.sort()
@@ -307,8 +266,7 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
         columns.append(lie_bracket(PolyVectorField.monomial(s.n, j, m), fD).truncated(D))
     for m in lam_keys:
         columns.append(series_times_field(PolySeries.monomial(s.n, m), fD).scale(-1).truncated(D))
-    row_keys = _sorted_keys(columns)
-    kernel = _kernel_of_columns(len(columns), columns, row_keys)
+    kernel = mat_kernel(RatMatrix.from_columns([c.terms for c in columns], len(columns))).basis
     ng = len(g_keys)
     basis = []
     for vec in kernel:

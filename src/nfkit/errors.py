@@ -86,6 +86,3 @@ class SearchCapReached(ScopeError):
         super().__init__(message)
         self.partial = partial
 
-
-class UnsupportedSpectrum(ScopeError):
-    code = "unsupported-spectrum"

@@ -22,10 +22,6 @@ INF = math.inf
 Monomial = tuple[int, ...]
 
 
-def _min_trunc(a, b):
-    return min(a, b)
-
-
 class PolySeries:
     """Scalar polynomial / truncated series with exact coefficients."""
 
@@ -68,9 +64,6 @@ class PolySeries:
     def coefficient(self, m) -> Fraction:
         return self.terms.get(tuple(m), Fraction(0))
 
-    def degrees(self):
-        return sorted({sum(m) for m in self.terms})
-
     def min_degree(self):
         return min((sum(m) for m in self.terms), default=None)
 
@@ -80,11 +73,11 @@ class PolySeries:
         )
 
     def truncated(self, trunc):
-        return PolySeries(self.n, self.terms, _min_trunc(self.trunc, trunc))
+        return PolySeries(self.n, self.terms, min(self.trunc, trunc))
 
     def __add__(self, other):
         self._check(other)
-        trunc = _min_trunc(self.trunc, other.trunc)
+        trunc = min(self.trunc, other.trunc)
         data = dict(self.terms)
         for m, c in other.terms.items():
             data[m] = data.get(m, Fraction(0)) + c
@@ -99,7 +92,7 @@ class PolySeries:
 
     def __mul__(self, other):
         self._check(other)
-        trunc = _min_trunc(self.trunc, other.trunc)
+        trunc = min(self.trunc, other.trunc)
         data = {}
         for m1, c1 in self.terms.items():
             d1 = sum(m1)
@@ -186,19 +179,6 @@ class PolyVectorField:
                     terms[(i, m)] = c
         return cls(n, terms, trunc)
 
-    @classmethod
-    def from_components(cls, series_list, trunc=None):
-        n = len(series_list)
-        if trunc is None:
-            trunc = min((s.trunc for s in series_list), default=INF)
-        terms = {}
-        for j, s in enumerate(series_list):
-            if s.n != n:
-                raise DimensionMismatch("component dimension mismatch")
-            for m, c in s.terms.items():
-                terms[(j, m)] = c
-        return cls(n, terms, trunc)
-
     def is_zero(self):
         return not self.terms
 
@@ -229,11 +209,11 @@ class PolyVectorField:
         )
 
     def truncated(self, trunc):
-        return PolyVectorField(self.n, self.terms, _min_trunc(self.trunc, trunc))
+        return PolyVectorField(self.n, self.terms, min(self.trunc, trunc))
 
     def __add__(self, other):
         self._check(other)
-        trunc = _min_trunc(self.trunc, other.trunc)
+        trunc = min(self.trunc, other.trunc)
         data = dict(self.terms)
         for k, c in other.terms.items():
             data[k] = data.get(k, Fraction(0)) + c
@@ -285,7 +265,7 @@ class PolyVectorField:
 def series_times_field(psi: PolySeries, h: PolyVectorField) -> PolyVectorField:
     if psi.n != h.n:
         raise DimensionMismatch("dimension mismatch")
-    trunc = _min_trunc(psi.trunc, h.trunc)
+    trunc = min(psi.trunc, h.trunc)
     data = {}
     for m1, c1 in psi.terms.items():
         d1 = sum(m1)
@@ -303,7 +283,7 @@ def lie_bracket(g: PolyVectorField, h: PolyVectorField) -> PolyVectorField:
     if g.n != h.n:
         raise DimensionMismatch("bracket dimension mismatch")
     n = g.n
-    trunc = _min_trunc(g.trunc, h.trunc)
+    trunc = min(g.trunc, h.trunc)
     data = {}
 
     def accumulate(a: PolyVectorField, b: PolyVectorField, sign):
@@ -332,7 +312,7 @@ def lie_derivative(g: PolyVectorField, phi: PolySeries) -> PolySeries:
     if g.n != phi.n:
         raise DimensionMismatch("lie derivative dimension mismatch")
     n = g.n
-    trunc = _min_trunc(g.trunc, phi.trunc)
+    trunc = min(g.trunc, phi.trunc)
     data = {}
     for m, c in phi.terms.items():
         for i in range(n):
@@ -447,8 +427,9 @@ def pdnf_basis(s: EigenSpectrum, max_degree: int | None = None):
             raise InfiniteResonanceWithoutCap(
                 "resonance set is infinite; pass max_degree explicitly"
             )
+        # a derived bound below 2 means no resonances: the basis is empty
         max_degree = resonance_degree_bound(s)
-    if max_degree < 2:
+    elif max_degree < 2:
         raise DimensionMismatch("max_degree must be at least 2")
     keys = []
     for j in range(s.n):

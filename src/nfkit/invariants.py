@@ -27,8 +27,8 @@ from .fields import (
     lie_bracket,
     lie_derivative,
 )
-from .linalg import RatMatrix, mat_kernel, mat_rank, mat_solve
-from .resonance import commuting_degree_ladder, semiinvariant_degree_ladder
+from .linalg import RatMatrix, integer_rows, mat_kernel, mat_rank, mat_solve
+from .resonance import commuting_degree_ladder, compositions, semiinvariant_degree_ladder
 from .spectrum import (
     DEFAULT_COMPLETION_CAP,
     EigenSpectrum,
@@ -41,13 +41,12 @@ from .spectrum import (
 class InvariantAlgebra:
     """Hilbert-basis generators of the monomial first integrals.
 
-    ``exponent_matrix`` stores one generator exponent row per line (r x n);
-    the generator monomials are algebraically independent exactly when it
-    has full row rank over Q.
+    ``generators`` stores one exponent row per generator (r x n); the
+    generator monomials are algebraically independent exactly when this
+    matrix has full row rank over Q.
     """
 
     generators: tuple[tuple[int, ...], ...]
-    exponent_matrix: tuple[tuple[int, ...], ...]
     independent: bool
 
     @property
@@ -57,11 +56,8 @@ class InvariantAlgebra:
 
 def invariant_generators(s: EigenSpectrum, cap=DEFAULT_COMPLETION_CAP) -> InvariantAlgebra:
     gens = hilbert_basis(s, cap).generators
-    if gens:
-        independent = mat_rank(RatMatrix(gens)) == len(gens)
-    else:
-        independent = True
-    return InvariantAlgebra(generators=gens, exponent_matrix=gens, independent=independent)
+    independent = mat_rank(RatMatrix(gens)) == len(gens)
+    return InvariantAlgebra(generators=gens, independent=independent)
 
 
 @dataclass(frozen=True)
@@ -78,9 +74,6 @@ def _component_witness(s: EigenSpectrum, j, target, cap):
     """
     idx = [i for i in range(s.n) if i != j]
     eqs = []
-    rhs = []
-    from .linalg import integer_rows
-
     for k in range(s.q):
         eqs.append([s.lam[i][k] for i in idx] + [target[k]])
     scaled = integer_rows(eqs)
@@ -153,7 +146,7 @@ def _rewrite_in_generators(inv: InvariantAlgebra, v):
     """Solve M^T k = v over Z_+; unique under independence."""
     r = inv.r
     n = len(v)
-    cols = [[inv.exponent_matrix[a][i] for a in range(r)] for i in range(n)]
+    cols = [[inv.generators[a][i] for a in range(r)] for i in range(n)]
     sol = mat_solve(RatMatrix(cols), list(v))
     if sol is None:
         raise RewriteFailure(f"exponent row {v} is not a combination of the generators")
@@ -213,7 +206,7 @@ def substitute_generators(series: PolySeries, inv: InvariantAlgebra, n: int) -> 
         for a, e in enumerate(k):
             if e:
                 for i in range(n):
-                    m[i] += e * inv.exponent_matrix[a][i]
+                    m[i] += e * inv.generators[a][i]
         key = tuple(m)
         data[key] = data.get(key, Fraction(0)) + c
     return PolySeries(n, data, trunc=INF)
@@ -227,7 +220,7 @@ def reduce_vectorfield(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorFie
     """
     etas = decompose_eta(s, inv, f)
     r = inv.r
-    M = inv.exponent_matrix
+    M = inv.generators
     terms = {}
     for i in range(r):
         for j in range(s.n):
@@ -310,20 +303,9 @@ def triviality_certificate(red: ReducedField, cap=12) -> TrivialityCertificate:
     if set(ladder.degrees) - {2}:
         reasons.append(f"commuting ladder admits degrees {sorted(set(ladder.degrees) - {2})}")
     f2 = quadratic_from_nu(nu)
-    from .resonance import compositions
-
     unknowns = [(i, m) for i in range(r) for m in compositions(2, r)]
-    columns = [lie_bracket(PolyVectorField.monomial(r, i, m), f2) for i, m in unknowns]
-    keys = sorted({k for col in columns for k in col.terms}, key=lambda k: (sum(k[1]), k[0], k[1]))
-    index = {k: i for i, k in enumerate(keys)}
-    rows = [[Fraction(0)] * len(unknowns) for _ in keys]
-    for t, col in enumerate(columns):
-        for key, c in col.terms.items():
-            rows[index[key]][t] = c
-    if rows:
-        kdim = mat_kernel(RatMatrix(rows)).dimension
-    else:
-        kdim = len(unknowns)
+    columns = [lie_bracket(PolyVectorField.monomial(r, i, m), f2).terms for i, m in unknowns]
+    kdim = mat_kernel(RatMatrix.from_columns(columns, len(columns))).dimension
     if kdim != 1:
         reasons.append(f"degree-2 commutator kernel has dimension {kdim}")
     fi_ladder = semiinvariant_degree_ladder(mu, 0, cap)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotPDNF, WrongShape
+from .errors import DimensionMismatch, NotPDNF, RewriteFailure, WrongShape
 from .fields import (
     INF,
     PolySeries,
@@ -22,7 +22,12 @@ from .fields import (
     is_pdnf,
     lie_derivative,
 )
-from .invariants import InvariantAlgebra, ReducedField, substitute_generators
+from .invariants import (
+    InvariantAlgebra,
+    ReducedField,
+    _rewrite_in_generators,
+    substitute_generators,
+)
 from .linalg import RatMatrix, mat_kernel
 from .resonance import SemiInvariantLadder, compositions, semiinvariant_degree_ladder
 from .spectrum import EigenSpectrum
@@ -159,29 +164,11 @@ def solve_multiplier(
             if f.trunc != INF:
                 # rows past the field budget would miss unknown field terms
                 maxrow = min(maxrow, int(f.trunc) + r - 1)
-            keys = sorted(
-                {
-                    v
-                    for t in active
-                    for v in columns[t].terms
-                    if sum(v) <= maxrow
-                },
-                key=lambda v: (sum(v), v),
+            system = RatMatrix.from_columns(
+                [{v: c for v, c in columns[t].terms.items() if sum(v) <= maxrow} for t in active],
+                len(active),
             )
-            index = {v: i for i, v in enumerate(keys)}
-            rows = [[Fraction(0)] * len(active) for _ in keys]
-            for col, t in enumerate(active):
-                for v, c in columns[t].terms.items():
-                    if sum(v) <= maxrow:
-                        rows[index[v]][col] = c
-            kernel = (
-                mat_kernel(RatMatrix(rows)).basis
-                if rows
-                else tuple(
-                    tuple(Fraction(1) if i == t else Fraction(0) for i in range(len(active)))
-                    for t in range(len(active))
-                )
-            )
+            kernel = mat_kernel(system).basis
             low_cols = [i for i, t in enumerate(active) if unknowns[t][0] == r]
             low_rank_vecs = [vec for vec in kernel if any(vec[i] != 0 for i in low_cols)]
             if not low_rank_vecs:
@@ -190,9 +177,8 @@ def solve_multiplier(
                 break
             if sweep == D:
                 soldim = len(kernel)
-                proj = [[vec[i] for i in low_cols] for vec in kernel]
-                lowdim = len(mat_kernel(RatMatrix(proj)).basis) if proj else 0
-                lowdim = len(proj[0]) - lowdim if proj else 0
+                proj = RatMatrix([[vec[i] for i in low_cols] for vec in kernel])
+                lowdim = proj.cols - mat_kernel(proj).dimension
                 vec = low_rank_vecs[0]
                 lead = next(vec[i] for i in low_cols if vec[i] != 0)
                 multiplier = PolySeries(
@@ -270,9 +256,6 @@ def _divide_by_all_coordinates(series: PolySeries) -> PolySeries:
 
 
 def _rewrite_series(inv: InvariantAlgebra, series: PolySeries) -> PolySeries:
-    from .errors import RewriteFailure
-    from .invariants import _rewrite_in_generators
-
     data = {}
     for m, c in series.terms.items():
         try:
@@ -305,7 +288,7 @@ def transfer_reduced(
     cofactor; reduced candidates by y_1*...*y_r.  When the corresponding
     field is supplied the multiplier property of the image is re-verified.
     """
-    n = len(inv.exponent_matrix[0]) if inv.generators else 0
+    n = len(inv.generators[0]) if inv.generators else 0
     if direction == AMBIENT_TO_REDUCED:
         rho = _rewrite_series(inv, _divide_by_all_coordinates(candidate))
         sigma_red = PolySeries.monomial(inv.r, tuple(1 for _ in range(inv.r)))
@@ -349,22 +332,16 @@ def reduced_multiplier_obstruction(red: ReducedField) -> ObstructionResult:
     """
     r = red.r
     nu = red.nu
-    rows = []
+    columns = [{} for _ in range(r)]
     for i in range(r):
         for j in range(i + 1, r):
-            row = [Fraction(0)] * r
-            row[i] = nu[i][j] - nu[j][j]
-            row[j] = nu[j][i] - nu[i][i]
-            rows.append(tuple(row))
-    if rows:
-        kernel = mat_kernel(RatMatrix(rows)).basis
-    else:
-        kernel = tuple(
-            tuple(Fraction(1) if i == t else Fraction(0) for i in range(r))
-            for t in range(r)
-        )
+            columns[i][(i, j)] = nu[i][j] - nu[j][j]
+            columns[j][(i, j)] = nu[j][i] - nu[i][i]
+    system = RatMatrix.from_columns(columns, r)
+    kernel = mat_kernel(system).basis
+    rows = tuple(system)
     if r >= 3 and not kernel:
-        return ObstructionResult(NO_MULTIPLIER, None, tuple(rows))
+        return ObstructionResult(NO_MULTIPLIER, None, rows)
     if r == 2 and len(kernel) == 1:
-        return ObstructionResult(UNIQUE_CANDIDATE, kernel[0], tuple(rows))
-    return ObstructionResult(UNDECIDED, None, tuple(rows))
+        return ObstructionResult(UNIQUE_CANDIDATE, kernel[0], rows)
+    return ObstructionResult(UNDECIDED, None, rows)

@@ -1,10 +1,17 @@
 """Exact rational linear algebra: kernels, solves, and a simplex LP.
 
 All coefficients are `fractions.Fraction`; there is no floating point
-anywhere.  Kernels are computed by fraction-free (Bareiss) elimination on a
-denominator-cleared integer copy of the matrix, which keeps intermediate
-entries to single determinant-sized integers.  The simplex uses Bland's
-rule, so it terminates on every input.
+anywhere.  Kernels are computed by fraction-free (Bareiss) elimination on
+a primitive integer copy of the matrix (`integer_rows`), which keeps
+intermediate entries to single determinant-sized integers.  The simplex
+uses Bland's rule, so it terminates on every input.
+
+Every structural system in nfkit comes as sparse columns, one per unknown,
+keyed by equation (mostly a monomial).  `RatMatrix.from_columns` is the one
+path from those columns to a matrix; a system without rows is an ordinary
+0 x n matrix whose kernel is the identity basis.  Kernel bases do not
+depend on row order: in `mat_kernel`'s normalization each basis vector is
+fixed by the column order alone, so callers need not sort their row keys.
 """
 
 from __future__ import annotations
@@ -42,8 +49,27 @@ class RatMatrix:
         self._data = data
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
+    def from_columns(cls, columns, ncols):
+        """Matrix whose column t holds the sparse column ``columns[t]``.
+
+        Each column maps row keys to coefficients; rows are indexed by the
+        union of the keys in order of first appearance.  Columns without
+        keys give a 0 x ncols matrix.
+        """
+        index = {}
+        data = []
+        for t, col in enumerate(columns):
+            if t >= ncols:
+                raise DimensionMismatch("more columns than ncols")
+            for key, c in col.items():
+                i = index.get(key)
+                if i is None:
+                    i = index[key] = len(data)
+                    data.append([Fraction(0)] * ncols)
+                data[i][t] = c
+        matrix = cls(data)
+        matrix.cols = ncols  # a matrix without rows still has ncols columns
+        return matrix
 
     @classmethod
     def identity(cls, n):
@@ -88,17 +114,6 @@ class SolutionSpace:
         return len(self.basis)
 
 
-def _clear_denominators(rows):
-    """Row-wise integer scaling; zero rows stay zero."""
-    out = []
-    for row in rows:
-        mult = 1
-        for x in row:
-            mult = lcm(mult, x.denominator)
-        out.append([int(x * mult) for x in row])
-    return out
-
-
 def _bareiss_echelon(mat):
     """Fraction-free elimination.  Returns (echelon rows, pivot columns).
 
@@ -136,18 +151,12 @@ def _bareiss_echelon(mat):
 
 
 def mat_rank(M: RatMatrix) -> int:
-    _, pivots = _bareiss_echelon(_clear_denominators(M))
+    _, pivots = _bareiss_echelon(integer_rows(M))
     return len(pivots)
 
 
-def mat_kernel(M: RatMatrix) -> SolutionSpace:
-    """Exact basis of {x : Mx = 0}, in reduced-echelon pivot order.
-
-    Each basis vector carries value 1 at its own free column and 0 at every
-    other free column, ordered by free column index.
-    """
-    n = M.cols
-    ech, pivots = _bareiss_echelon(_clear_denominators(M))
+def _kernel_basis(ech, pivots, n):
+    """Kernel basis of the first n columns of an echelon form, as in `mat_kernel`."""
     free = [j for j in range(n) if j not in pivots]
     basis = []
     for f in free:
@@ -159,17 +168,34 @@ def mat_kernel(M: RatMatrix) -> SolutionSpace:
             acc = sum((frac(row[j]) * x[j] for j in range(c + 1, n)), Fraction(0))
             x[c] = -acc / row[c]
         basis.append(tuple(x))
-    return SolutionSpace(particular=tuple(Fraction(0) for _ in range(n)), basis=tuple(basis))
+    return tuple(basis)
+
+
+def mat_kernel(M: RatMatrix) -> SolutionSpace:
+    """Exact basis of {x : Mx = 0}, in reduced-echelon pivot order.
+
+    Each basis vector carries value 1 at its own free column and 0 at every
+    other free column, ordered by free column index.
+    """
+    n = M.cols
+    ech, pivots = _bareiss_echelon(integer_rows(M))
+    return SolutionSpace(
+        particular=tuple(Fraction(0) for _ in range(n)), basis=_kernel_basis(ech, pivots, n)
+    )
 
 
 def mat_solve(M: RatMatrix, b) -> SolutionSpace | None:
-    """Particular solution of Mx = b plus kernel basis; None if inconsistent."""
+    """Particular solution of Mx = b plus kernel basis; None if inconsistent.
+
+    One elimination of [M | b] gives both: its pivots left of the last
+    column are those of M, so the kernel reads off the same echelon form.
+    """
     b = tuple(frac(x) for x in b)
     if len(b) != M.rows:
         raise DimensionMismatch("rhs length != rows")
     n = M.cols
     aug = [list(M.row(i)) + [b[i]] for i in range(M.rows)]
-    ech, pivots = _bareiss_echelon(_clear_denominators(aug))
+    ech, pivots = _bareiss_echelon(integer_rows(aug))
     if n in pivots:
         return None
     x = [Fraction(0)] * n
@@ -178,8 +204,7 @@ def mat_solve(M: RatMatrix, b) -> SolutionSpace | None:
         row = ech[k]
         acc = sum((frac(row[j]) * x[j] for j in range(c + 1, n)), Fraction(0))
         x[c] = (frac(row[n]) - acc) / row[c]
-    kernel = mat_kernel(M)
-    return SolutionSpace(particular=tuple(x), basis=kernel.basis)
+    return SolutionSpace(particular=tuple(x), basis=_kernel_basis(ech, pivots, n))
 
 
 OPTIMAL = "optimal"

@@ -122,9 +122,6 @@ class SemiInvariantLadder:
     complete: bool
     bound: int
 
-    def degrees(self):
-        return sorted({sol.s for sol in self.solutions})
-
 
 def _positive_bound(mu, value, cap):
     """When all mu_i > 0 the ladder is finite: s*min(1, min mu) <= value."""

@@ -33,6 +33,13 @@ def parse_frac(text) -> Fraction:
         raise InputError(f"bad rational {text!r}") from exc
 
 
+def _json_int(value) -> int:
+    """A JSON integer as an int; floats, booleans and strings are refused."""
+    if type(value) is not int:
+        raise InputError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def spectrum_to_json(s: EigenSpectrum) -> dict:
     return {
         "n": s.n,
@@ -44,10 +51,13 @@ def spectrum_to_json(s: EigenSpectrum) -> dict:
 
 def spectrum_from_json(doc) -> EigenSpectrum:
     try:
-        n = int(doc["n"])
-        q = int(doc["q"])
+        n = _json_int(doc["n"])
+        q = _json_int(doc["q"])
         rows = [[parse_frac(x) for x in row] for row in doc["lambda"]]
-        nil = [(int(i) - 1, int(j) - 1, parse_frac(c)) for i, j, c in doc.get("nilpotent", [])]
+        nil = [
+            (_json_int(i) - 1, _json_int(j) - 1, parse_frac(c))
+            for i, j, c in doc.get("nilpotent", [])
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad spectrum document: {exc}") from exc
     return build_spectrum(n, q, rows, nil)
@@ -60,7 +70,7 @@ def _trunc_to_json(trunc):
 def _trunc_from_json(value):
     if value == "inf":
         return INF
-    return int(value)
+    return _json_int(value)
 
 
 def field_to_json(f: PolyVectorField) -> dict:
@@ -76,12 +86,12 @@ def field_to_json(f: PolyVectorField) -> dict:
 
 def field_from_json(doc) -> PolyVectorField:
     try:
-        n = int(doc["n"])
+        n = _json_int(doc["n"])
         trunc = _trunc_from_json(doc.get("trunc", "inf"))
         terms = {}
         for item in doc.get("terms", []):
-            j = int(item["j"]) - 1
-            m = tuple(int(x) for x in item["m"])
+            j = _json_int(item["j"]) - 1
+            m = tuple(_json_int(x) for x in item["m"])
             c = parse_frac(item["c"])
             if sum(m) > trunc:
                 raise InputError(f"term {item} lies beyond the declared truncation")
@@ -102,11 +112,11 @@ def series_to_json(p: PolySeries) -> dict:
 
 def series_from_json(doc) -> PolySeries:
     try:
-        n = int(doc["n"])
+        n = _json_int(doc["n"])
         trunc = _trunc_from_json(doc.get("trunc", "inf"))
         terms = {}
         for item in doc.get("terms", []):
-            m = tuple(int(x) for x in item["m"])
+            m = tuple(_json_int(x) for x in item["m"])
             c = parse_frac(item["c"])
             if sum(m) > trunc:
                 raise InputError(f"term {item} lies beyond the declared truncation")

@@ -129,6 +129,16 @@ def test_pdnf_basis_command(files, capsys):
     assert json.loads(out)["count"] == 4
 
 
+def test_pdnf_basis_without_resonances(tmp_path, capsys):
+    path = tmp_path / "diag64.json"
+    path.write_text(json.dumps({"n": 2, "q": 1, "lambda": [["6"], ["4"]], "nilpotent": []}))
+    code, out = run(capsys, ["pdnf-basis", "--spectrum", str(path)])
+    assert code == 0
+    assert json.loads(out) == {"basis": [], "count": 0}
+    # only a bound the caller passed must be at least 2
+    assert main(["pdnf-basis", "--spectrum", str(path), "--max-degree", "1"]) == 2
+
+
 def test_check_command(files, capsys):
     code, out = run(capsys, ["check", "--spectrum", files["eg3"], "--field", files["eg3_field"]])
     assert code == 0

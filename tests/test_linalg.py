@@ -24,6 +24,10 @@ from oracles import vertex_lp_max
 def test_kernel_zero_matrix():
     space = mat_kernel(RatMatrix([[0, 0], [0, 0]]))
     assert space.dimension == 2
+    # columns without keys: a 0 x 3 system whose kernel is the identity basis
+    empty = RatMatrix.from_columns([{}, {}, {}], 3)
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert mat_kernel(empty).basis == tuple(RatMatrix.identity(3))
 
 
 def test_kernel_identity():
@@ -63,14 +67,68 @@ def test_kernel_reduced_echelon_shape():
         st.lists(st.integers(-6, 6), min_size=4, max_size=4),
         min_size=2,
         max_size=4,
-    )
+    ),
+    st.randoms(use_true_random=False),
 )
-def test_kernel_rank_nullity_and_exactness(rows):
+def test_kernel_rank_nullity_and_exactness(rows, rng):
     M = RatMatrix(rows)
     space = mat_kernel(M)
     assert mat_rank(M) + space.dimension == M.cols
     for v in space.basis:
         assert all(x == 0 for x in M.mul_vec(v))
+    # the same system as sparse columns whose keys appear in shuffled order
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    columns = [{i: rows[i][t] for i in order} for t in range(M.cols)]
+    assert mat_kernel(RatMatrix.from_columns(columns, M.cols)).basis == space.basis
+
+
+# Zero entries are drawn often, so rank-deficient matrices are common.
+RATIONALS = st.one_of(st.just(F(0)), st.fractions(-5, 5, max_denominator=4))
+RATIONAL_MATRICES = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=1, max_size=5)
+)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    """sympy's exact rref is an oracle that shares no code with nfkit.linalg."""
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def _from_sympy(vec):
+    return tuple(F(int(x.p), int(x.q)) for x in vec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RATIONAL_MATRICES)
+def test_kernel_and_rank_match_sympy(sympy, rows):
+    M = RatMatrix(rows)
+    S = _to_sympy(sympy, rows)
+    assert mat_kernel(M).basis == tuple(_from_sympy(v) for v in S.nullspace())
+    assert mat_rank(M) == S.rank()
+
+
+def _with_rhs(rows):
+    return st.tuples(st.just(rows), st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(RATIONAL_MATRICES.flatmap(_with_rhs))
+def test_solve_matches_sympy(sympy, system):
+    rows, b = system
+    M = RatMatrix(rows)
+    S = _to_sympy(sympy, rows)
+    sol = mat_solve(M, b)
+    consistent = S.rank() == S.row_join(_to_sympy(sympy, [[x] for x in b])).rank()
+    assert (sol is not None) == consistent
+    if sol is not None:
+        assert S * sympy.Matrix(sol.particular) == _to_sympy(sympy, [[x] for x in b])
+        assert sol.basis == tuple(_from_sympy(v) for v in S.nullspace())
 
 
 def test_solve_identity():

@@ -57,6 +57,20 @@ def test_term_beyond_truncation_rejected():
         field_from_json({"n": 2, "trunc": 1, "terms": [{"j": 1, "m": [2, 0], "c": "1"}]})
 
 
+@pytest.mark.parametrize(
+    "load, doc",
+    [
+        (field_from_json, {"n": 2, "trunc": "inf", "terms": [{"j": 1, "m": [2.7, 0], "c": "1"}]}),
+        (field_from_json, {"n": 2, "trunc": "inf", "terms": [{"j": 1, "m": [True, 1], "c": "1"}]}),
+        (series_from_json, {"n": 2, "trunc": 3.9, "terms": [{"m": [1, 1], "c": "1"}]}),
+        (spectrum_from_json, {"n": 2, "q": True, "lambda": [["1"], ["2"]], "nilpotent": []}),
+    ],
+)
+def test_integers_are_parsed_strictly(load, doc):
+    with pytest.raises(InputError):
+        load(doc)
+
+
 def test_dumps_deterministic():
     doc = {"b": 1, "a": [2, 3]}
     assert dumps(doc) == dumps({"a": [2, 3], "b": 1})
