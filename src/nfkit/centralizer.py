@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CertificateFailure,
     DimensionMismatch,
     InfiniteResonance,
     LinearPartMismatch,
@@ -134,29 +135,25 @@ def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult
         PolyVectorField.monomial(s.n, j, m) for j, m in res_keys
     ]
     brackets = [lie_bracket(g, ftilde) for g in generators]
-    for br in brackets:
-        for j, m in br.terms:
-            assert sum(m) >= 2 and rset.contains(j, m), (
-                "bracket left the resonant span; the finite system would be incomplete"
-            )
+    if any(sum(m) < 2 or not rset.contains(j, m) for br in brackets for j, m in br.terms):
+        raise CertificateFailure(
+            "bracket left the resonant span; the finite system would be incomplete"
+        )
     kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets], len(brackets))).basis
 
-    basis = []
-    for vec in kernel:
-        g = PolyVectorField.zero(s.n)
-        for t, c in enumerate(vec):
-            if c != 0:
-                g = g + generators[t].scale(c)
-        basis.append(g)
+    basis = [PolyVectorField.linear_combination(s.n, zip(vec, generators)) for vec in kernel]
     dim = len(basis)
     r = rset.total
-    assert d <= dim <= d + r, "dimension bound violated"
-    assert dim >= s.n, "dimension must be at least the space dimension"
+    if not d <= dim <= d + r:
+        raise CertificateFailure(f"dimension {dim} violates d = {d} <= dim <= d + r = {d + r}")
+    if dim < s.n:
+        raise CertificateFailure(f"dimension {dim} is below the space dimension {s.n}")
     block_bounds = None
     if not s.has_nilpotent():
         lo, hi = _block_data(s, rset)
         block_bounds = (lo, hi)
-        assert lo <= dim <= hi, "block dimension bound violated"
+        if not lo <= dim <= hi:
+            raise CertificateFailure(f"dimension {dim} violates the block bounds [{lo}, {hi}]")
     return CentralizerResult(
         dimension=dim,
         basis=tuple(basis),
@@ -190,17 +187,10 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
     generators = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in unknown_keys]
     brackets = [lie_bracket(g, ftilde).truncated(D) for g in generators]
     kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets], len(brackets))).basis
-    basis = []
+    basis = [PolyVectorField.linear_combination(s.n, zip(vec, generators), D) for vec in kernel]
     graded_count: dict[int, int] = {}
     for vec in kernel:
-        g = PolyVectorField.zero(s.n, trunc=D)
-        lead = None
-        for t, c in enumerate(vec):
-            if c != 0:
-                if lead is None:
-                    lead = unknown_keys[t][0]
-                g = g + generators[t].scale(c).truncated(D)
-        basis.append(g)
+        lead = next(unknown_keys[t][0] for t, c in enumerate(vec) if c != 0)
         graded_count[lead] = graded_count.get(lead, 0) + 1
     dcomm = linear_commutant(s).dimension
     return CentralizerResult(
@@ -261,26 +251,19 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
                 g_keys.append((deg, j, m))
     g_keys.sort()
     lam_keys = sorted(_all_monomials(s.n, 0, D - 1), key=lambda m: (sum(m), m))
-    columns = []
-    for _deg, j, m in g_keys:
-        columns.append(lie_bracket(PolyVectorField.monomial(s.n, j, m), fD).truncated(D))
-    for m in lam_keys:
-        columns.append(series_times_field(PolySeries.monomial(s.n, m), fD).scale(-1).truncated(D))
+    g_monos = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in g_keys]
+    lam_monos = [PolySeries.monomial(s.n, m) for m in lam_keys]
+    columns = [lie_bracket(g, fD).truncated(D) for g in g_monos]
+    columns += [series_times_field(lam, fD).scale(-1).truncated(D) for lam in lam_monos]
     kernel = mat_kernel(RatMatrix.from_columns([c.terms for c in columns], len(columns))).basis
-    ng = len(g_keys)
-    basis = []
-    for vec in kernel:
-        g = PolyVectorField.zero(s.n, trunc=D)
-        lam = PolySeries.zero(s.n, trunc=D - 1)
-        for t, c in enumerate(vec):
-            if c == 0:
-                continue
-            if t < ng:
-                _deg, j, m = g_keys[t]
-                g = g + PolyVectorField.monomial(s.n, j, m, c, trunc=D)
-            else:
-                lam = lam + PolySeries.monomial(s.n, lam_keys[t - ng], c, trunc=D - 1)
-        basis.append((g, lam))
+    ng = len(g_monos)
+    basis = [
+        (
+            PolyVectorField.linear_combination(s.n, zip(vec[:ng], g_monos), D),
+            PolySeries.linear_combination(s.n, zip(vec[ng:], lam_monos), D - 1),
+        )
+        for vec in kernel
+    ]
     return NormalizerResult(dimension=len(basis), basis=tuple(basis), truncation=D)
 
 
@@ -340,10 +323,11 @@ def normalizer_reduce(
             continue
         beta = beta + bk
         alpha = (lam + lie_derivative(f, beta)).truncated(D - 1)
-    for m, _c in alpha.terms.items():
-        assert eigenvalue(m) == 0, "alpha must lie in the kernel of X_{A_s}"
-    assert alpha.coefficient(tuple(0 for _ in range(s.n))) == 0, "alpha(0) must vanish"
+    if any(eigenvalue(m) != 0 for m in alpha.terms):
+        raise CertificateFailure("alpha must lie in the kernel of X_{A_s}")
+    if alpha.coefficient(tuple(0 for _ in range(s.n))) != 0:
+        raise CertificateFailure("alpha(0) must vanish")
     h = (g - series_times_field(beta, f)).truncated(D)
-    for (j, m), _c in h.terms.items():
-        assert s.is_resonant(m, j), "g - beta f must commute with the semisimple part"
+    if not all(s.is_resonant(m, j) for j, m in h.terms):
+        raise CertificateFailure("g - beta f must commute with the semisimple part")
     return beta, alpha

@@ -1,7 +1,9 @@
 """Command-line surface.  One subcommand per capability, JSON or text reports.
 
 Exit status: 0 success, 2 validation errors, 3 scope errors (requests the
-tool refuses, e.g. enumerating an infinite resonance set without a cap).
+tool refuses, e.g. enumerating an infinite resonance set without a cap),
+4 certificate failures (an exact re-check of a proven bound or identity
+failed: a defect in nfkit, not in the input).
 """
 
 from __future__ import annotations

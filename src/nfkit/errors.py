@@ -1,8 +1,12 @@
 """Exception hierarchy.
 
-Two families matter for the CLI exit status: input/validation problems
-(exit 2) and scope problems, i.e. requests the tool refuses on principle,
-such as enumerating an infinite resonance set without a cap (exit 3).
+Three families matter for the CLI exit status: input/validation problems
+(exit 2), scope problems, i.e. requests the tool refuses on principle,
+such as enumerating an infinite resonance set without a cap (exit 3), and
+certificate failures, i.e. a proven bound or identity that the exact
+re-check found violated (exit 4).  A certificate failure is a defect in
+nfkit, never a problem with the input; the checks run under ``python -O``
+too, since they are ordinary raises rather than ``assert`` statements.
 """
 
 
@@ -19,6 +23,11 @@ class InputError(NFKitError):
 class ScopeError(NFKitError):
     code = "scope-error"
     exit_code = 3
+
+
+class CertificateFailure(NFKitError):
+    code = "certificate-failure"
+    exit_code = 4
 
 
 class DimensionMismatch(InputError):

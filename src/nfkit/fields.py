@@ -19,11 +19,13 @@ from .spectrum import EigenSpectrum, is_finite_linear_centralizer
 
 INF = math.inf
 
-Monomial = tuple[int, ...]
 
+class _SparseTerms:
+    """Sparse exact terms over n variables with a truncation budget.
 
-class PolySeries:
-    """Scalar polynomial / truncated series with exact coefficients."""
+    Subclasses fix the key shape: ``_checked_key`` validates and normalizes
+    one key, ``_row`` returns its exponent row and ``_show`` its monomial.
+    """
 
     __slots__ = ("n", "trunc", "terms")
 
@@ -31,16 +33,14 @@ class PolySeries:
         self.n = n
         self.trunc = trunc
         data = {}
-        for m, c in (terms or {}).items():
+        for key, c in (terms or {}).items():
             c = frac(c)
             if c == 0:
                 continue
-            m = tuple(int(x) for x in m)
-            if len(m) != n or any(x < 0 for x in m):
-                raise DimensionMismatch(f"bad exponent row {m} for n = {n}")
-            if sum(m) > trunc:
+            key = self._checked_key(key)
+            if sum(self._row(key)) > trunc:
                 continue
-            data[m] = c
+            data[key] = c
         self.terms = data
 
     @classmethod
@@ -48,15 +48,90 @@ class PolySeries:
         return cls(n, {}, trunc)
 
     @classmethod
-    def constant(cls, n, c, trunc=INF):
-        return cls(n, {tuple(0 for _ in range(n)): frac(c)}, trunc)
+    def linear_combination(cls, n, pairs, trunc=INF):
+        """Sum of c * e over the pairs (c, e) with c != 0; budget min(trunc, each e.trunc)."""
+        data = {}
+        for c, e in pairs:
+            if c == 0:
+                continue
+            cls._check(n, e)
+            trunc = min(trunc, e.trunc)
+            c = frac(c)
+            for key, v in e.terms.items():
+                data[key] = data.get(key, Fraction(0)) + c * v
+        return cls(n, data, trunc)
+
+    @classmethod
+    def _check(cls, n, other):
+        if not isinstance(other, cls) or other.n != n:
+            raise DimensionMismatch(f"{cls._kind} dimension mismatch")
+
+    def is_zero(self):
+        return not self.terms
+
+    def min_degree(self):
+        return min((sum(self._row(key)) for key in self.terms), default=None)
+
+    def graded_part(self, d):
+        return type(self)(
+            self.n,
+            {key: c for key, c in self.terms.items() if sum(self._row(key)) == d},
+            self.trunc,
+        )
+
+    def truncated(self, trunc):
+        return type(self)(self.n, self.terms, min(self.trunc, trunc))
+
+    def __add__(self, other):
+        self._check(self.n, other)
+        trunc = min(self.trunc, other.trunc)
+        data = dict(self.terms)
+        for key, c in other.terms.items():
+            data[key] = data.get(key, Fraction(0)) + c
+        return type(self)(self.n, data, trunc)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = frac(c)
+        return type(self)(self.n, {key: c * v for key, v in self.terms.items()}, self.trunc)
+
+    def is_zero_mod(self, degree):
+        """True when every stored term has degree > ``degree``."""
+        return all(sum(self._row(key)) > degree for key in self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and other.n == self.n and other.terms == self.terms
+
+    def __repr__(self):
+        parts = [f"{c}*{self._show(key)}" for key, c in self.sorted_terms()]
+        return f"{type(self).__name__}({' + '.join(parts) or '0'}; trunc={self.trunc})"
+
+
+class PolySeries(_SparseTerms):
+    """Scalar polynomial / truncated series with exact coefficients."""
+
+    __slots__ = ()
+    _kind = "series"
+
+    def _checked_key(self, m):
+        m = tuple(int(x) for x in m)
+        if len(m) != self.n or any(x < 0 for x in m):
+            raise DimensionMismatch(f"bad exponent row {m} for n = {self.n}")
+        return m
+
+    @staticmethod
+    def _row(m):
+        return m
+
+    @staticmethod
+    def _show(m):
+        return f"x^{m}"
 
     @classmethod
     def monomial(cls, n, m, c=1, trunc=INF):
         return cls(n, {tuple(m): frac(c)}, trunc)
-
-    def is_zero(self):
-        return not self.terms
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
@@ -64,34 +139,8 @@ class PolySeries:
     def coefficient(self, m) -> Fraction:
         return self.terms.get(tuple(m), Fraction(0))
 
-    def min_degree(self):
-        return min((sum(m) for m in self.terms), default=None)
-
-    def graded_part(self, d):
-        return PolySeries(
-            self.n, {m: c for m, c in self.terms.items() if sum(m) == d}, self.trunc
-        )
-
-    def truncated(self, trunc):
-        return PolySeries(self.n, self.terms, min(self.trunc, trunc))
-
-    def __add__(self, other):
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        data = dict(self.terms)
-        for m, c in other.terms.items():
-            data[m] = data.get(m, Fraction(0)) + c
-        return PolySeries(self.n, data, trunc)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = frac(c)
-        return PolySeries(self.n, {m: c * v for m, v in self.terms.items()}, self.trunc)
-
     def __mul__(self, other):
-        self._check(other)
+        self._check(self.n, other)
         trunc = min(self.trunc, other.trunc)
         data = {}
         for m1, c1 in self.terms.items():
@@ -102,10 +151,6 @@ class PolySeries:
                 m = tuple(a + b for a, b in zip(m1, m2))
                 data[m] = data.get(m, Fraction(0)) + c1 * c2
         return PolySeries(self.n, data, trunc)
-
-    def is_zero_mod(self, degree):
-        """True when every stored term has degree > ``degree``."""
-        return all(sum(m) > degree for m in self.terms)
 
     def eval_at(self, point):
         point = [frac(x) for x in point]
@@ -118,49 +163,30 @@ class PolySeries:
             total += v
         return total
 
-    def _check(self, other):
-        if not isinstance(other, PolySeries) or other.n != self.n:
-            raise DimensionMismatch("series dimension mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolySeries)
-            and other.n == self.n
-            and other.terms == self.terms
-        )
-
     def __hash__(self):
         return hash((self.n, tuple(self.sorted_terms())))
 
-    def __repr__(self):
-        parts = [f"{c}*x^{m}" for m, c in self.sorted_terms()]
-        return f"PolySeries({' + '.join(parts) or '0'}; trunc={self.trunc})"
 
-
-class PolyVectorField:
+class PolyVectorField(_SparseTerms):
     """Vector field with terms keyed by (component, exponent row), 0-based."""
 
-    __slots__ = ("n", "trunc", "terms")
+    __slots__ = ()
+    _kind = "field"
 
-    def __init__(self, n, terms=None, trunc=INF):
-        self.n = n
-        self.trunc = trunc
-        data = {}
-        for (j, m), c in (terms or {}).items():
-            c = frac(c)
-            if c == 0:
-                continue
-            m = tuple(int(x) for x in m)
-            if not (0 <= j < n) or len(m) != n or any(x < 0 for x in m):
-                raise DimensionMismatch(f"bad term ({j}, {m}) for n = {n}")
-            if sum(m) > trunc:
-                continue
-            data[(j, m)] = c
-        self.terms = data
+    def _checked_key(self, key):
+        j, m = key
+        m = tuple(int(x) for x in m)
+        if not (0 <= j < self.n) or len(m) != self.n or any(x < 0 for x in m):
+            raise DimensionMismatch(f"bad term ({j}, {m}) for n = {self.n}")
+        return (j, m)
 
-    @classmethod
-    def zero(cls, n, trunc=INF):
-        return cls(n, {}, trunc)
+    @staticmethod
+    def _row(key):
+        return key[1]
+
+    @staticmethod
+    def _show(key):
+        return f"x^{key[1]}e{key[0]}"
 
     @classmethod
     def monomial(cls, n, j, m, c=1, trunc=INF):
@@ -179,9 +205,6 @@ class PolyVectorField:
                     terms[(i, m)] = c
         return cls(n, terms, trunc)
 
-    def is_zero(self):
-        return not self.terms
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (t[0][0], sum(t[0][1]), t[0][1]))
 
@@ -195,71 +218,12 @@ class PolyVectorField:
             self.trunc,
         )
 
-    def min_degree(self):
-        return min((sum(m) for _, m in self.terms), default=None)
-
-    def max_degree(self):
-        return max((sum(m) for _, m in self.terms), default=None)
-
-    def graded_part(self, d):
-        return PolyVectorField(
-            self.n,
-            {(j, m): c for (j, m), c in self.terms.items() if sum(m) == d},
-            self.trunc,
-        )
-
-    def truncated(self, trunc):
-        return PolyVectorField(self.n, self.terms, min(self.trunc, trunc))
-
-    def __add__(self, other):
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        data = dict(self.terms)
-        for k, c in other.terms.items():
-            data[k] = data.get(k, Fraction(0)) + c
-        return PolyVectorField(self.n, data, trunc)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = frac(c)
-        return PolyVectorField(self.n, {k: c * v for k, v in self.terms.items()}, self.trunc)
-
-    def is_zero_mod(self, degree):
-        return all(sum(m) > degree for _, m in self.terms)
-
-    def linear_matrix(self):
-        """The |m| = 1 terms as an n x n matrix of Fractions."""
-        n = self.n
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for (j, m), c in self.terms.items():
-            if sum(m) == 1:
-                k = m.index(1)
-                mat[j][k] = c
-        return mat
-
     def nonlinear_part(self):
         return PolyVectorField(
             self.n,
             {(j, m): c for (j, m), c in self.terms.items() if sum(m) >= 2},
             self.trunc,
         )
-
-    def _check(self, other):
-        if not isinstance(other, PolyVectorField) or other.n != self.n:
-            raise DimensionMismatch("field dimension mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyVectorField)
-            and other.n == self.n
-            and other.terms == self.terms
-        )
-
-    def __repr__(self):
-        parts = [f"{c}*x^{m}e{j}" for (j, m), c in self.sorted_terms()]
-        return f"PolyVectorField({' + '.join(parts) or '0'}; trunc={self.trunc})"
 
 
 def series_times_field(psi: PolySeries, h: PolyVectorField) -> PolyVectorField:
@@ -278,56 +242,45 @@ def series_times_field(psi: PolySeries, h: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(h.n, data, trunc)
 
 
+def _add_derivative(data, g: PolyVectorField, m, c, trunc, j=None):
+    """Add c * X_g(x^m) up to degree ``trunc`` into ``data``, keyed by row or by (j, row)."""
+    for i in range(g.n):
+        if m[i] == 0:
+            continue
+        dm = tuple(x - (1 if t == i else 0) for t, x in enumerate(m))
+        base = sum(dm)
+        for (icomp, l), cg in g.terms.items():
+            if icomp != i:
+                continue
+            if base + sum(l) > trunc:
+                continue
+            row = tuple(x + y for x, y in zip(dm, l))
+            key = row if j is None else (j, row)
+            data[key] = data.get(key, Fraction(0)) + m[i] * c * cg
+
+
 def lie_bracket(g: PolyVectorField, h: PolyVectorField) -> PolyVectorField:
     """[g, h] = Dh.g - Dg.h, truncated at the smaller budget."""
     if g.n != h.n:
         raise DimensionMismatch("bracket dimension mismatch")
-    n = g.n
     trunc = min(g.trunc, h.trunc)
     data = {}
-
-    def accumulate(a: PolyVectorField, b: PolyVectorField, sign):
-        # sign * Db.a
-        for (j, m), cb in b.terms.items():
-            for i in range(n):
-                if m[i] == 0:
-                    continue
-                dm = tuple(x - (1 if t == i else 0) for t, x in enumerate(m))
-                base = sum(dm)
-                for (icomp, l), ca in a.terms.items():
-                    if icomp != i:
-                        continue
-                    if base + sum(l) > trunc:
-                        continue
-                    key = (j, tuple(x + y for x, y in zip(dm, l)))
-                    data[key] = data.get(key, Fraction(0)) + sign * m[i] * cb * ca
-
-    accumulate(g, h, 1)
-    accumulate(h, g, -1)
-    return PolyVectorField(n, data, trunc)
+    for (j, m), c in h.terms.items():
+        _add_derivative(data, g, m, c, trunc, j)
+    for (j, m), c in g.terms.items():
+        _add_derivative(data, h, m, -c, trunc, j)
+    return PolyVectorField(g.n, data, trunc)
 
 
 def lie_derivative(g: PolyVectorField, phi: PolySeries) -> PolySeries:
     """X_g(phi) = Dphi.g."""
     if g.n != phi.n:
         raise DimensionMismatch("lie derivative dimension mismatch")
-    n = g.n
     trunc = min(g.trunc, phi.trunc)
     data = {}
     for m, c in phi.terms.items():
-        for i in range(n):
-            if m[i] == 0:
-                continue
-            dm = tuple(x - (1 if t == i else 0) for t, x in enumerate(m))
-            base = sum(dm)
-            for (icomp, l), cg in g.terms.items():
-                if icomp != i:
-                    continue
-                if base + sum(l) > trunc:
-                    continue
-                key = tuple(x + y for x, y in zip(dm, l))
-                data[key] = data.get(key, Fraction(0)) + m[i] * c * cg
-    return PolySeries(n, data, trunc)
+        _add_derivative(data, g, m, c, trunc)
+    return PolySeries(g.n, data, trunc)
 
 
 def divergence(f: PolyVectorField) -> PolySeries:
@@ -347,13 +300,12 @@ def _det_series(rows):
     size = len(rows)
     if size == 1:
         return rows[0][0]
-    n = rows[0][0].n
-    acc = PolySeries.zero(n, trunc=min(e.trunc for row in rows for e in row))
+    cofactors = []
     for i in range(size):
         minor = [row[1:] for k, row in enumerate(rows) if k != i]
-        term = rows[i][0] * _det_series(minor)
-        acc = acc + (term if i % 2 == 0 else term.scale(-1))
-    return acc
+        cofactors.append(((-1) ** i, rows[i][0] * _det_series(minor)))
+    trunc = min(e.trunc for row in rows for e in row)
+    return PolySeries.linear_combination(rows[0][0].n, cofactors, trunc)
 
 
 def determinant_multiplier(f: PolyVectorField, gs) -> PolySeries:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CertificateFailure,
     NotFreeModuleShape,
     NotPDNF,
     RewriteFailure,
@@ -150,7 +151,8 @@ def _rewrite_in_generators(inv: InvariantAlgebra, v):
     sol = mat_solve(RatMatrix(cols), list(v))
     if sol is None:
         raise RewriteFailure(f"exponent row {v} is not a combination of the generators")
-    assert not sol.basis, "generator exponents must be independent here"
+    if sol.basis:
+        raise CertificateFailure("generator exponents must be independent here")
     k = []
     for x in sol.particular:
         if x.denominator != 1 or x < 0:
@@ -251,7 +253,8 @@ def reduce_vectorfield(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorFie
         lhs = lie_derivative(ftilde, PolySeries.monomial(s.n, inv.generators[i], trunc=f.trunc))
         rhs = substitute_generators(fhat.component(i), inv, s.n)
         diff = lhs - rhs.truncated(lhs.trunc)
-        assert diff.is_zero(), "reduction identity failed"
+        if not diff.is_zero():
+            raise CertificateFailure(f"reduction identity failed for generator {i + 1}")
     return ReducedField(r=r, field=fhat, nu=nu)
 
 

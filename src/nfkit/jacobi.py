@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotPDNF, RewriteFailure, WrongShape
+from .errors import CertificateFailure, DimensionMismatch, NotPDNF, RewriteFailure, WrongShape
 from .fields import (
     INF,
     PolySeries,
@@ -138,26 +138,25 @@ def solve_multiplier(
     div_dev = divergence(dev)
     support = {d: multiplier_support(s, d) for d in range(1, D + 1)}
     mindeg = dev.min_degree() or 2
+    # X_dev(x^m) - div dev * x^m does not depend on r: one column per (d, m)
+    column_of = {}
+    for d in range(r_min, D + 1):
+        for m in support[d]:
+            mono = PolySeries.monomial(s.n, m)
+            column_of[(d, m)] = lie_derivative(dev, mono) - div_dev * mono
 
     entries = []
     for r in range(r_min, r_max + 1):
-        unknowns = []
-        for d in range(r, D + 1):
-            for m in support[d]:
-                unknowns.append((d, m))
-        columns = []
-        for d, m in unknowns:
-            mono = PolySeries.monomial(s.n, m)
-            expr = lie_derivative(dev, mono) - div_dev * mono
-            columns.append(expr)
+        if not support[r]:
+            entries.append(LadderEntry(r=r, status=INCONSISTENT, failed_degree=r))
+            continue
+        unknowns = [(d, m) for d in range(r, D + 1) for m in support[d]]
+        columns = [column_of[u] for u in unknowns]
         status = SOLVED
         failed = None
         multiplier = None
         soldim = 0
         lowdim = 0
-        if not support.get(r):
-            entries.append(LadderEntry(r=r, status=INCONSISTENT, failed_degree=r))
-            continue
         for sweep in range(r, D + 1):
             active = [t for t, (d, _m) in enumerate(unknowns) if d <= sweep]
             maxrow = sweep + mindeg - 1
@@ -268,10 +267,9 @@ def _rewrite_series(inv: InvariantAlgebra, series: PolySeries) -> PolySeries:
 
 def _verify_multiplier(field: PolyVectorField, phi: PolySeries, budget):
     residual = lie_derivative(field, phi) - divergence(field) * phi
-    if budget == INF:
-        assert residual.is_zero(), "multiplier property failed exactly"
-    else:
-        assert residual.is_zero_mod(budget), "multiplier property failed within budget"
+    # with budget inf, is_zero_mod asks for an exact zero
+    if not residual.is_zero_mod(budget):
+        raise CertificateFailure(f"multiplier property failed up to degree {budget}")
 
 
 def transfer_reduced(

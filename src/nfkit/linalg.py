@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch
+from .errors import CertificateFailure, DimensionMismatch
 
 Vec = tuple[Fraction, ...]
 
@@ -280,7 +280,8 @@ def lp_max(c, A: RatMatrix, b) -> LpResult:
     basis = [n + i for i in range(m)]
     cost1 = [Fraction(0)] * n + [Fraction(-1)] * m
     status, value = _simplex_phase(T, basis, cost1, n + m)
-    assert status == OPTIMAL
+    if status != OPTIMAL:
+        raise CertificateFailure("phase 1 of the simplex is bounded by 0 but came out unbounded")
     if value != 0:
         return LpResult(INFEASIBLE)
     # Pivot leftover artificials out of the basis, dropping redundant rows.

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfiniteResonance, InfiniteResonanceWithoutCap
+from .errors import CertificateFailure, InfiniteResonance, InfiniteResonanceWithoutCap
 from .linalg import OPTIMAL, INFEASIBLE, RatMatrix, frac, lp_max
 from .spectrum import EigenSpectrum, is_finite_linear_centralizer
 
@@ -51,7 +51,8 @@ def resonance_degree_bound(s: EigenSpectrum) -> int:
         res = lp_max(ones, A, [s.lam[j][k] for k in range(s.q)])
         if res.status == INFEASIBLE:
             continue
-        assert res.status == OPTIMAL, "finite monoid forces a bounded LP"
+        if res.status != OPTIMAL:
+            raise CertificateFailure(f"degree LP for component {j + 1} is {res.status}")
         best = max(best, int(res.value.__floor__()))
     return best
 
@@ -163,30 +164,11 @@ class CommutingLadder:
 
 
 def commuting_degree_ladder(mu, cap=8) -> CommutingLadder:
+    """Union over k of the semi-invariant ladders at value mu_k."""
     mu = tuple(frac(x) for x in mu)
-    r = len(mu)
-    if all(m > 0 for m in mu):
-        # s*min(1, min mu) <= sum(l_i mu_i) + l = mu_k <= max mu
-        a = min([Fraction(1)] + list(mu))
-        bound = int((max(mu) / a).__floor__())
-        complete = True
-    else:
-        bound = cap
-        complete = False
-    bound = min(bound, cap) if not complete else bound
-    found = set()
-    for s in range(2, bound + 1):
-        hit = False
-        for k in range(r):
-            for l in range(0, s + 1):
-                for lvec in compositions(s - l, r):
-                    if l + sum((lvec[i] * mu[i] for i in range(r)), Fraction(0)) == mu[k]:
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                break
-        if hit:
-            found.add(s)
-    return CommutingLadder(degrees=tuple(sorted(found)), complete=complete, bound=bound)
+    ladders = [semiinvariant_degree_ladder(mu, value, cap) for value in mu]
+    return CommutingLadder(
+        degrees=tuple(sorted({sol.s for ladder in ladders for sol in ladder.solutions})),
+        complete=all(ladder.complete for ladder in ladders),
+        bound=max(ladder.bound for ladder in ladders),
+    )

@@ -63,67 +63,50 @@ def spectrum_from_json(doc) -> EigenSpectrum:
     return build_spectrum(n, q, rows, nil)
 
 
-def _trunc_to_json(trunc):
-    return "inf" if trunc == INF else int(trunc)
+def _terms_to_json(p, wire_key) -> dict:
+    """n, budget and sorted terms of a series or field; ``wire_key`` writes one key."""
+    return {
+        "n": p.n,
+        "trunc": "inf" if p.trunc == INF else int(p.trunc),
+        "terms": [dict(wire_key(key), c=frac_to_str(c)) for key, c in p.sorted_terms()],
+    }
 
 
-def _trunc_from_json(value):
-    if value == "inf":
-        return INF
-    return _json_int(value)
+def _terms_from_json(cls, doc, key_of, what):
+    """Inverse of `_terms_to_json`; ``key_of(item, m)`` reads one key."""
+    try:
+        n = _json_int(doc["n"])
+        trunc = doc.get("trunc", "inf")
+        trunc = INF if trunc == "inf" else _json_int(trunc)
+        terms = {}
+        for item in doc.get("terms", []):
+            m = tuple(_json_int(x) for x in item["m"])
+            c = parse_frac(item["c"])
+            if sum(m) > trunc:
+                raise InputError(f"term {item} lies beyond the declared truncation")
+            key = key_of(item, m)
+            terms[key] = terms.get(key, Fraction(0)) + c
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad {what} document: {exc}") from exc
+    return cls(n, terms, trunc)
 
 
 def field_to_json(f: PolyVectorField) -> dict:
-    return {
-        "n": f.n,
-        "trunc": _trunc_to_json(f.trunc),
-        "terms": [
-            {"j": j + 1, "m": list(m), "c": frac_to_str(c)}
-            for (j, m), c in f.sorted_terms()
-        ],
-    }
+    return _terms_to_json(f, lambda key: {"j": key[0] + 1, "m": list(key[1])})
 
 
 def field_from_json(doc) -> PolyVectorField:
-    try:
-        n = _json_int(doc["n"])
-        trunc = _trunc_from_json(doc.get("trunc", "inf"))
-        terms = {}
-        for item in doc.get("terms", []):
-            j = _json_int(item["j"]) - 1
-            m = tuple(_json_int(x) for x in item["m"])
-            c = parse_frac(item["c"])
-            if sum(m) > trunc:
-                raise InputError(f"term {item} lies beyond the declared truncation")
-            key = (j, m)
-            terms[key] = terms.get(key, Fraction(0)) + c
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad field document: {exc}") from exc
-    return PolyVectorField(n, terms, trunc)
+    return _terms_from_json(
+        PolyVectorField, doc, lambda item, m: (_json_int(item["j"]) - 1, m), "field"
+    )
 
 
 def series_to_json(p: PolySeries) -> dict:
-    return {
-        "n": p.n,
-        "trunc": _trunc_to_json(p.trunc),
-        "terms": [{"m": list(m), "c": frac_to_str(c)} for m, c in p.sorted_terms()],
-    }
+    return _terms_to_json(p, lambda m: {"m": list(m)})
 
 
 def series_from_json(doc) -> PolySeries:
-    try:
-        n = _json_int(doc["n"])
-        trunc = _trunc_from_json(doc.get("trunc", "inf"))
-        terms = {}
-        for item in doc.get("terms", []):
-            m = tuple(_json_int(x) for x in item["m"])
-            c = parse_frac(item["c"])
-            if sum(m) > trunc:
-                raise InputError(f"term {item} lies beyond the declared truncation")
-            terms[m] = terms.get(m, Fraction(0)) + c
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad series document: {exc}") from exc
-    return PolySeries(n, terms, trunc)
+    return _terms_from_json(PolySeries, doc, lambda item, m: m, "series")
 
 
 def resonance_set_to_json(rs: ResonanceSet) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -202,14 +202,8 @@ class HilbertBasis:
         return out
 
 
-def _resonance_equations(s: EigenSpectrum):
-    """The q rows (lambda coordinates transposed) as primitive integer rows."""
-    cols = [[s.lam[i][k] for i in range(s.n)] for k in range(s.q)]
-    return integer_rows(cols)
-
-
 def hilbert_basis(s: EigenSpectrum, cap=DEFAULT_COMPLETION_CAP) -> HilbertBasis:
-    gens = minimal_nonneg_solutions(_resonance_equations(s), s.n, cap)
+    gens = minimal_nonneg_solutions(c_matrix_basis(s, normalize=True), s.n, cap)
     return HilbertBasis(generators=tuple(gens))
 
 
@@ -233,22 +227,16 @@ def c_matrix_basis(s: EigenSpectrum, normalize=False):
     """Integer diagonals C_1..C_q with A_s = nu_1 C_1 + ... + nu_q C_q.
 
     Column j of the coordinate matrix, cleared of denominators; gcd
-    normalization only on request so that round-trips preserve the input.
+    normalization (`integer_rows`) only on request so that round-trips
+    preserve the input.
     """
+    cols = [[s.lam[i][k] for i in range(s.n)] for k in range(s.q)]
+    if normalize:
+        return tuple(tuple(row) for row in integer_rows(cols))
     out = []
-    for k in range(s.q):
-        col = [s.lam[i][k] for i in range(s.n)]
-        mult = 1
-        for x in col:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        ints = [int(x * mult) for x in col]
-        if normalize:
-            g = 0
-            for x in ints:
-                g = gcd(g, abs(x))
-            if g > 1:
-                ints = [x // g for x in ints]
-        out.append(tuple(ints))
+    for col in cols:
+        mult = lcm(*(x.denominator for x in col))
+        out.append(tuple(int(x * mult) for x in col))
     return tuple(out)
 
 

@@ -12,16 +12,32 @@ from fractions import Fraction
 
 from nfkit.fields import PolySeries, PolyVectorField
 from nfkit.linalg import RatMatrix, mat_solve
-from nfkit.resonance import compositions
 from nfkit.spectrum import EigenSpectrum, build_spectrum
+
+
+def exponent_rows(total: int, parts: int):
+    """All rows of ``parts`` nonnegative integers summing to ``total``, lex order.
+
+    Stars and bars: the parts - 1 bar positions among total + parts - 1
+    slots, so the enumeration shares nothing with nfkit's recursion.
+    """
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        cuts = (-1,) + bars + (slots,)
+        yield tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
+
+
+def pairing(s: EigenSpectrum, m):
+    """<m, lambda> as a q-coordinate row, straight from ``s.lam``."""
+    return tuple(sum(m[i] * s.lam[i][k] for i in range(s.n)) for k in range(s.q))
 
 
 def brute_resonances(s: EigenSpectrum, j: int, dmax: int):
     """All resonant m with 2 <= |m| <= dmax for component j, by raw scan."""
     out = []
     for d in range(2, dmax + 1):
-        for m in compositions(d, s.n):
-            if s.eigen_coords(m) == s.lam[j]:
+        for m in exponent_rows(d, s.n):
+            if pairing(s, m) == s.lam[j]:
                 out.append(m)
     return out
 
@@ -31,8 +47,8 @@ def brute_monoid(s: EigenSpectrum, dmax: int):
     zero = tuple(Fraction(0) for _ in range(s.q))
     out = []
     for total in range(1, dmax + 1):
-        for m in compositions(total, s.n):
-            if s.eigen_coords(m) == zero:
+        for m in exponent_rows(total, s.n):
+            if pairing(s, m) == zero:
                 out.append(m)
     return out
 
@@ -63,7 +79,7 @@ def is_monoid_minimal(s: EigenSpectrum, g, dmax):
         if sum(e) == 0 or e == tuple(g):
             continue
         rest = tuple(a - b for a, b in zip(g, e))
-        if s.eigen_coords(e) == zero and s.eigen_coords(rest) == zero:
+        if pairing(s, e) == zero and pairing(s, rest) == zero:
             return False
     return True
 
@@ -71,8 +87,8 @@ def is_monoid_minimal(s: EigenSpectrum, g, dmax):
 def brute_positive_relation(s: EigenSpectrum, dmax: int) -> bool:
     zero = tuple(Fraction(0) for _ in range(s.q))
     for total in range(s.n, dmax + 1):
-        for m in compositions(total, s.n):
-            if all(x > 0 for x in m) and s.eigen_coords(m) == zero:
+        for m in exponent_rows(total, s.n):
+            if all(x > 0 for x in m) and pairing(s, m) == zero:
                 return True
     return False
 
@@ -112,7 +128,7 @@ def brute_semiinvariant_ladder(mu, value, smax):
     out = set()
     for s in range(2, smax + 1):
         for k in range(0, s + 1):
-            for kvec in compositions(s - k, len(mu)):
+            for kvec in exponent_rows(s - k, len(mu)):
                 if k + sum((kvec[i] * mu[i] for i in range(len(mu))), Fraction(0)) == value:
                     out.add((s, k, kvec))
     return out
@@ -124,7 +140,7 @@ def brute_commuting_degrees(mu, smax):
     for s in range(2, smax + 1):
         for k in range(len(mu)):
             for l in range(0, s + 1):
-                for lvec in compositions(s - l, len(mu)):
+                for lvec in exponent_rows(s - l, len(mu)):
                     if l + sum((lvec[i] * mu[i] for i in range(len(mu))), Fraction(0)) == mu[k]:
                         out.add(s)
     return out
@@ -134,8 +150,8 @@ def brute_free_module_witness(s: EigenSpectrum, bound):
     """First m with m_j = 0, |m| >= 1, <m, lambda> = lambda_j within |m| <= bound."""
     for j in range(s.n):
         for total in range(1, bound + 1):
-            for m in compositions(total, s.n):
-                if m[j] == 0 and s.eigen_coords(m) == s.lam[j]:
+            for m in exponent_rows(total, s.n):
+                if m[j] == 0 and pairing(s, m) == s.lam[j]:
                     return j, m
     return None
 
@@ -184,7 +200,7 @@ def random_series(rng, n, max_degree=3, terms=3, trunc=None):
     data = {}
     for _ in range(terms):
         d = rng.randint(0, max_degree)
-        m = tuple(rng.choice(list(compositions(d, n))))
+        m = tuple(rng.choice(list(exponent_rows(d, n))))
         data[m] = rand_frac(rng, sign=True)
     return PolySeries(n, data, trunc if trunc is not None else float("inf"))
 
@@ -193,7 +209,7 @@ def random_field(rng, n, max_degree=3, terms=4, trunc=None):
     data = {}
     for _ in range(terms):
         d = rng.randint(0, max_degree)
-        m = tuple(rng.choice(list(compositions(d, n))))
+        m = tuple(rng.choice(list(exponent_rows(d, n))))
         data[(rng.randrange(n), m)] = rand_frac(rng, sign=True)
     return PolyVectorField(n, data, trunc if trunc is not None else float("inf"))
 

@@ -1,9 +1,14 @@
 """Command-line surface: golden outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nfkit
 from nfkit.cli import main
 
 EG3_SPECTRUM = {
@@ -167,6 +172,50 @@ def test_exit_code_scope_error(files, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert json.loads(err)["error"] == "infinite-resonance-without-cap"
+
+
+CERTIFICATE_SCRIPT = """
+import sys
+from nfkit import centralizer
+from nfkit.cli import main
+from nfkit.errors import CertificateFailure
+from nfkit.linalg import SolutionSpace
+from nfkit.serialize import field_from_json, load_json_file, spectrum_from_json
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real_kernel = centralizer.mat_kernel
+
+
+def kernel_without_centralizer(M):
+    # the 3 x 3 commutant (9 unknowns) stays, the centralizer system loses its kernel
+    return real_kernel(M) if M.cols == 9 else SolutionSpace(particular=None, basis=())
+
+
+centralizer.mat_kernel = kernel_without_centralizer
+spectrum_path, field_path = sys.argv[1:]
+s = spectrum_from_json(load_json_file(spectrum_path))
+f = field_from_json(load_json_file(field_path))
+try:
+    centralizer.centralizer_exact(s, f)
+except CertificateFailure as exc:
+    print("api", exc.code, exc)
+print("cli", main(["centralizer", "--spectrum", spectrum_path, "--field", field_path]))
+"""
+
+
+def test_exit_code_certificate_failure_under_optimize(files):
+    # python -O strips assert statements; the dimension certificate must still fire
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CERTIFICATE_SCRIPT, files["eg3"], files["eg3_field"]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("api certificate-failure dimension 0 violates d = 3 <= dim")
+    assert lines[1] == "cli 4"
+    assert json.loads(proc.stderr)["error"] == "certificate-failure"
 
 
 def test_resonances_with_cap(files, capsys):

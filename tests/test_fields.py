@@ -218,3 +218,17 @@ def test_truncation_propagates():
     assert (phi * phi).trunc == 5
     assert divergence(g).trunc == 3
     assert divergence(PolyVectorField.zero(2)).trunc == INF
+
+
+def test_linear_combination():
+    rng = random.Random(23)
+    g = random_field(rng, 2, trunc=4)
+    h = random_field(rng, 2, trunc=6)
+    pairs = [(2, g), (0, PolyVectorField.zero(2, trunc=1)), (F(-1, 3), h)]
+    combo = PolyVectorField.linear_combination(2, pairs, 5)
+    assert combo == g.scale(2) + h.scale(F(-1, 3))
+    assert combo.trunc == 4  # zero coefficients contribute no budget
+    with pytest.raises(DimensionMismatch):
+        PolyVectorField.linear_combination(2, [(1, g), (1, PolySeries.monomial(2, (1, 0)))])
+    with pytest.raises(DimensionMismatch):
+        PolySeries.linear_combination(3, [(1, PolySeries.monomial(2, (1, 0)))])
