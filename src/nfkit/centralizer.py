@@ -24,20 +24,18 @@ from .errors import (
     InfiniteResonance,
     LinearPartMismatch,
     NotNormalizerPair,
-    NotPDNF,
     ZeroSemisimplePart,
 )
 from .fields import (
     PolySeries,
     PolyVectorField,
-    deviation_part,
-    is_pdnf,
     lie_bracket,
     lie_derivative,
+    normal_form_deviation,
     series_times_field,
 )
 from .linalg import RatMatrix, mat_kernel
-from .resonance import compositions, resonance_set, resonant_multiindices
+from .resonance import compositions, finite_resonance_set, resonances_by_component
 from .spectrum import EigenSpectrum, is_finite_linear_centralizer
 
 
@@ -79,7 +77,7 @@ def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
                     if N.entry(k, j) != 0:
                         col = columns[var(i, k)]
                         col[key] = col.get(key, 0) - N.entry(k, j)
-    vecs = mat_kernel(RatMatrix.from_columns(columns, nvars)).basis
+    vecs = mat_kernel(RatMatrix.from_columns(columns)).basis
     mats = []
     for v in vecs:
         mats.append(tuple(tuple(v[var(i, k)] for k in range(n)) for i in range(n)))
@@ -124,10 +122,8 @@ def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult
     """
     if not is_finite_linear_centralizer(s):
         raise InfiniteResonance("exact centralizer requires a finite resonance set")
-    if not is_pdnf(s, f):
-        raise NotPDNF("field is not in normal form for this spectrum")
-    ftilde, _ = deviation_part(s, f)
-    rset = resonance_set(s)
+    ftilde, _ = normal_form_deviation(s, f)
+    rset = finite_resonance_set(s)
     comm = linear_commutant(s)
     d = comm.dimension
     res_keys = sorted(rset.pairs(), key=lambda k: (sum(k[1]), k[0], k[1]))
@@ -139,7 +135,7 @@ def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult
         raise CertificateFailure(
             "bracket left the resonant span; the finite system would be incomplete"
         )
-    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets], len(brackets))).basis
+    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets])).basis
 
     basis = [PolyVectorField.linear_combination(s.n, zip(vec, generators)) for vec in kernel]
     dim = len(basis)
@@ -172,21 +168,16 @@ TRUNCATION_NOTE = (
 
 def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> CentralizerResult:
     """Solve [g, f] = 0 mod degree > D with g on resonant monomials of degree <= D."""
-    if not is_pdnf(s, f):
-        raise NotPDNF("field is not in normal form for this spectrum")
+    ftilde, _ = normal_form_deviation(s, f)
     if f.trunc < D:
         raise DimensionMismatch(f"field truncation {f.trunc} is below D = {D}")
-    ftilde, _ = deviation_part(s, f)
     ftilde = ftilde.truncated(D)
-    unknown_keys = []
-    for deg in range(1, D + 1):
-        for j in range(s.n):
-            for m in resonant_multiindices(s, j, deg):
-                unknown_keys.append((deg, j, m))
-    unknown_keys.sort()
+    unknown_keys = sorted(
+        (sum(m), j, m) for j, rj in enumerate(resonances_by_component(s, 1, D)) for m in rj
+    )
     generators = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in unknown_keys]
     brackets = [lie_bracket(g, ftilde).truncated(D) for g in generators]
-    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets], len(brackets))).basis
+    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets])).basis
     basis = [PolyVectorField.linear_combination(s.n, zip(vec, generators), D) for vec in kernel]
     graded_count: dict[int, int] = {}
     for vec in kernel:
@@ -212,21 +203,13 @@ class NormalizerResult:
     truncation: int
 
 
-def _all_monomials(n, dmin, dmax):
-    out = []
-    for d in range(dmin, dmax + 1):
-        out.extend(compositions(d, n))
-    return out
-
-
 def _require_explicit(s, f):
-    ftilde, explicit = deviation_part(s, f)
+    _, explicit = normal_form_deviation(s, f)
     if not explicit and any(any(c != 0 for c in row) for row in s.lam):
         raise LinearPartMismatch(
             "this operation needs the linear part stored in the field "
             "(rational eigenvalues written out as |m| = 1 terms)"
         )
-    return ftilde
 
 
 def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> NormalizerResult:
@@ -238,24 +221,20 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
     to resonant monomials, so the semisimple part enters the equations as
     actual rational numbers.
     """
-    if not is_pdnf(s, f):
-        raise NotPDNF("field is not in normal form for this spectrum")
     _require_explicit(s, f)
     if f.trunc < D:
         raise DimensionMismatch(f"field truncation {f.trunc} is below D = {D}")
     fD = f.truncated(D)
-    g_keys = []
-    for deg in range(1, D + 1):
-        for j in range(s.n):
-            for m in compositions(deg, s.n):
-                g_keys.append((deg, j, m))
-    g_keys.sort()
-    lam_keys = sorted(_all_monomials(s.n, 0, D - 1), key=lambda m: (sum(m), m))
-    g_monos = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in g_keys]
-    lam_monos = [PolySeries.monomial(s.n, m) for m in lam_keys]
+    g_monos = [
+        PolyVectorField.monomial(s.n, j, m)
+        for deg in range(1, D + 1)
+        for j in range(s.n)
+        for m in compositions(deg, s.n)
+    ]
+    lam_monos = [PolySeries.monomial(s.n, m) for deg in range(D) for m in compositions(deg, s.n)]
     columns = [lie_bracket(g, fD).truncated(D) for g in g_monos]
     columns += [series_times_field(lam, fD).scale(-1).truncated(D) for lam in lam_monos]
-    kernel = mat_kernel(RatMatrix.from_columns([c.terms for c in columns], len(columns))).basis
+    kernel = mat_kernel(RatMatrix.from_columns([c.terms for c in columns])).basis
     ng = len(g_monos)
     basis = [
         (
@@ -284,8 +263,6 @@ def normalizer_reduce(
     """
     if all(all(c == 0 for c in row) for row in s.lam):
         raise ZeroSemisimplePart("the semisimple part vanishes")
-    if not is_pdnf(s, f):
-        raise NotPDNF("field is not in normal form for this spectrum")
     _require_explicit(s, f)
     if f.trunc < D or g.trunc < D or lam.trunc < D - 1:
         raise DimensionMismatch("truncation budgets below the requested degree")

@@ -13,7 +13,7 @@ import sys
 
 from . import serialize
 from .centralizer import centralizer_exact, centralizer_truncated, normalizer_truncated
-from .errors import InputError, NFKitError
+from .errors import InfiniteResonance, InputError, NFKitError
 from .fields import is_pdnf, pdnf_basis
 from .invariants import (
     check_free_module,
@@ -23,7 +23,7 @@ from .invariants import (
 )
 from .jacobi import divergence_integral_check, solve_multiplier
 from .resonance import resonance_set
-from .spectrum import classify_dim3, is_finite_linear_centralizer
+from .spectrum import classify_dim3
 
 
 def _build_parser():
@@ -108,12 +108,13 @@ def _cmd_pdnf_basis(args):
 def _cmd_centralizer(args):
     s = serialize.spectrum_from_json(serialize.load_json_file(args.spectrum))
     f = serialize.field_from_json(serialize.load_json_file(args.field))
-    if args.truncate is None and is_finite_linear_centralizer(s):
-        res = centralizer_exact(s, f)
-    else:
-        if args.truncate is None:
-            raise InputError("infinite resonance set: pass --truncate")
+    if args.truncate is not None:
         res = centralizer_truncated(s, f, args.truncate)
+    else:
+        try:
+            res = centralizer_exact(s, f)
+        except InfiniteResonance:
+            raise InputError("infinite resonance set: pass --truncate") from None
     doc = serialize.centralizer_to_json(res)
     lines = [
         f"dimension: {res.dimension} ({'exact' if res.exact else f'truncated at {res.truncation}'})",

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InfiniteResonanceWithoutCap, LinearPartMismatch
+from .errors import DimensionMismatch, InfiniteResonanceWithoutCap, LinearPartMismatch, NotPDNF
 from .linalg import frac
-from .resonance import resonance_degree_bound, resonant_multiindices
+from .resonance import lp_degree_bound, resonances_by_component
 from .spectrum import EigenSpectrum, is_finite_linear_centralizer
 
 INF = math.inf
@@ -363,13 +363,22 @@ def deviation_part(s: EigenSpectrum, f: PolyVectorField):
     return PolyVectorField(s.n, terms, f.trunc), explicit
 
 
+def _all_resonant(s: EigenSpectrum, ftilde: PolyVectorField) -> bool:
+    return all(sum(m) < 2 or s.is_resonant(m, j) for j, m in ftilde.terms)
+
+
+def normal_form_deviation(s: EigenSpectrum, f: PolyVectorField):
+    """`deviation_part` of a field in normal form; raises NotPDNF for any other field."""
+    ftilde, explicit = deviation_part(s, f)
+    if not _all_resonant(s, ftilde):
+        raise NotPDNF("field is not in normal form for this spectrum")
+    return ftilde, explicit
+
+
 def is_pdnf(s: EigenSpectrum, f: PolyVectorField) -> bool:
     """True iff every nonlinear term of f is resonant for the spectrum."""
     ftilde, _ = deviation_part(s, f)
-    for (j, m), _c in ftilde.terms.items():
-        if sum(m) >= 2 and not s.is_resonant(m, j):
-            return False
-    return True
+    return _all_resonant(s, ftilde)
 
 
 def pdnf_basis(s: EigenSpectrum, max_degree: int | None = None):
@@ -380,13 +389,11 @@ def pdnf_basis(s: EigenSpectrum, max_degree: int | None = None):
                 "resonance set is infinite; pass max_degree explicitly"
             )
         # a derived bound below 2 means no resonances: the basis is empty
-        max_degree = resonance_degree_bound(s)
+        max_degree = lp_degree_bound(s)
     elif max_degree < 2:
         raise DimensionMismatch("max_degree must be at least 2")
-    keys = []
-    for j in range(s.n):
-        for d in range(2, max_degree + 1):
-            for m in resonant_multiindices(s, j, d):
-                keys.append((j, d, m))
-    keys.sort()
-    return [PolyVectorField.monomial(s.n, j, m) for j, _d, m in keys]
+    return [
+        PolyVectorField.monomial(s.n, j, m)
+        for j, rj in enumerate(resonances_by_component(s, 2, max_degree))
+        for m in rj
+    ]

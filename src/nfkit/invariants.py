@@ -14,7 +14,6 @@ from fractions import Fraction
 from .errors import (
     CertificateFailure,
     NotFreeModuleShape,
-    NotPDNF,
     RewriteFailure,
     SearchCapReached,
     ZeroEigenvalue,
@@ -24,9 +23,9 @@ from .fields import (
     PolySeries,
     PolyVectorField,
     deviation_part,
-    is_pdnf,
     lie_bracket,
     lie_derivative,
+    normal_form_deviation,
 )
 from .linalg import RatMatrix, integer_rows, mat_kernel, mat_rank, mat_solve
 from .resonance import commuting_degree_ladder, compositions, semiinvariant_degree_ladder
@@ -170,11 +169,9 @@ def decompose_eta(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorField):
     nonlinear term of component j must carry x_j (free-module shape) and
     its cofactor monomial must rewrite over the generators.
     """
-    if not is_pdnf(s, f):
-        raise NotPDNF("field is not in normal form for this spectrum")
+    ftilde, _ = normal_form_deviation(s, f)
     if not inv.independent:
         raise NotFreeModuleShape("generator exponents are not independent")
-    ftilde, _ = deviation_part(s, f)
     if s.nilpotent:
         raise NotFreeModuleShape("free-module shape requires a vanishing nilpotent part")
     r = inv.r
@@ -308,7 +305,7 @@ def triviality_certificate(red: ReducedField, cap=12) -> TrivialityCertificate:
     f2 = quadratic_from_nu(nu)
     unknowns = [(i, m) for i in range(r) for m in compositions(2, r)]
     columns = [lie_bracket(PolyVectorField.monomial(r, i, m), f2).terms for i, m in unknowns]
-    kdim = mat_kernel(RatMatrix.from_columns(columns, len(columns))).dimension
+    kdim = mat_kernel(RatMatrix.from_columns(columns)).dimension
     if kdim != 1:
         reasons.append(f"degree-2 commutator kernel has dimension {kdim}")
     fi_ladder = semiinvariant_degree_ladder(mu, 0, cap)

@@ -12,15 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateFailure, DimensionMismatch, NotPDNF, RewriteFailure, WrongShape
+from .errors import CertificateFailure, DimensionMismatch, RewriteFailure, WrongShape
 from .fields import (
     INF,
     PolySeries,
     PolyVectorField,
-    deviation_part,
     divergence,
-    is_pdnf,
     lie_derivative,
+    normal_form_deviation,
 )
 from .invariants import (
     InvariantAlgebra,
@@ -28,7 +27,7 @@ from .invariants import (
     _rewrite_in_generators,
     substitute_generators,
 )
-from .linalg import RatMatrix, mat_kernel
+from .linalg import RatMatrix, mat_kernel, mat_rank
 from .resonance import SemiInvariantLadder, compositions, semiinvariant_degree_ladder
 from .spectrum import EigenSpectrum
 
@@ -41,9 +40,7 @@ def multiplier_support(s: EigenSpectrum, d: int):
 
 def divergence_integral_check(s: EigenSpectrum, f: PolyVectorField) -> bool:
     """X_{A_s}(div f) = 0: every monomial of div f has eigenvalue row zero."""
-    if not is_pdnf(s, f):
-        raise NotPDNF("field is not in normal form for this spectrum")
-    ftilde, _ = deviation_part(s, f)
+    ftilde, _ = normal_form_deviation(s, f)
     div = divergence(ftilde)
     return all(s.is_integral_monomial(v) for v in div.terms)
 
@@ -128,13 +125,11 @@ def solve_multiplier(
     X_f(phi) - div f * phi; the degree sweep reports the first degree at
     which the lowest-order block is forced to zero.
     """
-    if not is_pdnf(s, f):
-        raise NotPDNF("field is not in normal form for this spectrum")
+    dev, _ = normal_form_deviation(s, f)
     if not (1 <= r_min <= r_max <= D):
         raise DimensionMismatch("need 1 <= r_min <= r_max <= D")
     if f.trunc < D:
         raise DimensionMismatch(f"field truncation {f.trunc} is below D = {D}")
-    dev, _ = deviation_part(s, f)
     div_dev = divergence(dev)
     support = {d: multiplier_support(s, d) for d in range(1, D + 1)}
     mindeg = dev.min_degree() or 2
@@ -164,8 +159,7 @@ def solve_multiplier(
                 # rows past the field budget would miss unknown field terms
                 maxrow = min(maxrow, int(f.trunc) + r - 1)
             system = RatMatrix.from_columns(
-                [{v: c for v, c in columns[t].terms.items() if sum(v) <= maxrow} for t in active],
-                len(active),
+                [{v: c for v, c in columns[t].terms.items() if sum(v) <= maxrow} for t in active]
             )
             kernel = mat_kernel(system).basis
             low_cols = [i for i, t in enumerate(active) if unknowns[t][0] == r]
@@ -176,8 +170,7 @@ def solve_multiplier(
                 break
             if sweep == D:
                 soldim = len(kernel)
-                proj = RatMatrix([[vec[i] for i in low_cols] for vec in kernel])
-                lowdim = proj.cols - mat_kernel(proj).dimension
+                lowdim = mat_rank(RatMatrix([[vec[i] for i in low_cols] for vec in kernel]))
                 vec = low_rank_vecs[0]
                 lead = next(vec[i] for i in low_cols if vec[i] != 0)
                 multiplier = PolySeries(
@@ -335,7 +328,7 @@ def reduced_multiplier_obstruction(red: ReducedField) -> ObstructionResult:
         for j in range(i + 1, r):
             columns[i][(i, j)] = nu[i][j] - nu[j][j]
             columns[j][(i, j)] = nu[j][i] - nu[i][i]
-    system = RatMatrix.from_columns(columns, r)
+    system = RatMatrix.from_columns(columns)
     kernel = mat_kernel(system).basis
     rows = tuple(system)
     if r >= 3 and not kernel:

@@ -49,18 +49,18 @@ class RatMatrix:
         self._data = data
 
     @classmethod
-    def from_columns(cls, columns, ncols):
+    def from_columns(cls, columns):
         """Matrix whose column t holds the sparse column ``columns[t]``.
 
         Each column maps row keys to coefficients; rows are indexed by the
-        union of the keys in order of first appearance.  Columns without
-        keys give a 0 x ncols matrix.
+        union of the keys in order of first appearance.  The matrix has
+        ``len(columns)`` columns, also when no column has a key (a 0 x n
+        matrix).
         """
+        ncols = len(columns)
         index = {}
         data = []
         for t, col in enumerate(columns):
-            if t >= ncols:
-                raise DimensionMismatch("more columns than ncols")
             for key, c in col.items():
                 i = index.get(key)
                 if i is None:
@@ -189,6 +189,8 @@ def mat_solve(M: RatMatrix, b) -> SolutionSpace | None:
 
     One elimination of [M | b] gives both: its pivots left of the last
     column are those of M, so the kernel reads off the same echelon form.
+    When b is consistent the last column is free, and the last kernel
+    vector of [M | b] is (-x, 1) for the particular solution x.
     """
     b = tuple(frac(x) for x in b)
     if len(b) != M.rows:
@@ -198,13 +200,10 @@ def mat_solve(M: RatMatrix, b) -> SolutionSpace | None:
     ech, pivots = _bareiss_echelon(integer_rows(aug))
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        row = ech[k]
-        acc = sum((frac(row[j]) * x[j] for j in range(c + 1, n)), Fraction(0))
-        x[c] = (frac(row[n]) - acc) / row[c]
-    return SolutionSpace(particular=tuple(x), basis=_kernel_basis(ech, pivots, n))
+    *kernel, last = _kernel_basis(ech, pivots, n + 1)
+    return SolutionSpace(
+        particular=tuple(-x for x in last[:n]), basis=tuple(v[:n] for v in kernel)
+    )
 
 
 OPTIMAL = "optimal"
@@ -227,6 +226,16 @@ def _reduced_costs(T, basis, cost):
         z = sum((cost[basis[i]] * T[i][j] for i in range(m)), Fraction(0))
         out.append(cost[j] - z)
     return out
+
+
+def _pivot(T, r, c):
+    """Scale row r of the tableau to a unit pivot at column c; clear column c elsewhere."""
+    piv = T[r][c]
+    T[r] = [x / piv for x in T[r]]
+    for i in range(len(T)):
+        if i != r and T[i][c] != 0:
+            f = T[i][c]
+            T[i] = [x - f * y for x, y in zip(T[i], T[r])]
 
 
 def _simplex_phase(T, basis, cost, allowed):
@@ -253,12 +262,7 @@ def _simplex_phase(T, basis, cost, allowed):
                     leave = i
         if leave is None:
             return UNBOUNDED, None
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+        _pivot(T, leave, enter)
         basis[leave] = enter
 
 
@@ -287,24 +291,13 @@ def lp_max(c, A: RatMatrix, b) -> LpResult:
     # Pivot leftover artificials out of the basis, dropping redundant rows.
     keep = []
     for i in range(len(T)):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        swapped = False
-        for j in range(n):
-            if T[i][j] != 0:
-                piv = T[i][j]
-                T[i] = [x / piv for x in T[i]]
-                for k in range(len(T)):
-                    if k != i and T[k][j] != 0:
-                        f = T[k][j]
-                        T[k] = [x - f * y for x, y in zip(T[k], T[i])]
-                basis[i] = j
-                keep.append(i)
-                swapped = True
-                break
-        if not swapped:
-            continue  # 0 = 0 row
+        if basis[i] >= n:
+            j = next((j for j in range(n) if T[i][j] != 0), None)
+            if j is None:
+                continue  # 0 = 0 row
+            _pivot(T, i, j)
+            basis[i] = j
+        keep.append(i)
     T = [T[i] for i in keep]
     basis = [basis[i] for i in keep]
     if not T:
@@ -316,7 +309,7 @@ def lp_max(c, A: RatMatrix, b) -> LpResult:
     status, value = _simplex_phase(T, basis, cost2, n)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
-    rhs = len(T[0]) - 1 if T else n + m
+    rhs = len(T[0]) - 1
     point = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:

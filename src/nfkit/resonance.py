@@ -35,14 +35,19 @@ def resonant_multiindices(s: EigenSpectrum, j: int, d: int):
 
 
 def resonance_degree_bound(s: EigenSpectrum) -> int:
-    """Largest possible |m| over all resonances, from q exact LPs per component.
-
-    Only meaningful when the zero-resonance monoid is trivial; the feasible
-    sets {m >= 0 : Lambda^T m = lambda_j} then have trivial recession cone,
-    so each LP is bounded.
-    """
+    """Largest possible |m| over all resonances; refuses an infinite resonance set."""
     if not is_finite_linear_centralizer(s):
         raise InfiniteResonance("resonance set is infinite; a degree bound does not exist")
+    return lp_degree_bound(s)
+
+
+def lp_degree_bound(s: EigenSpectrum) -> int:
+    """`resonance_degree_bound` for a spectrum already known to be finite.
+
+    From q exact LPs per component: with a trivial zero-resonance monoid the
+    feasible sets {m >= 0 : Lambda^T m = lambda_j} have trivial recession
+    cone, so each LP is bounded.
+    """
     rows = [[s.lam[i][k] for i in range(s.n)] for k in range(s.q)]
     A = RatMatrix(rows)
     ones = [Fraction(1)] * s.n
@@ -55,6 +60,14 @@ def resonance_degree_bound(s: EigenSpectrum) -> int:
             raise CertificateFailure(f"degree LP for component {j + 1} is {res.status}")
         best = max(best, int(res.value.__floor__()))
     return best
+
+
+def resonances_by_component(s: EigenSpectrum, dmin: int, dmax: int):
+    """Per component j, every resonant m with dmin <= |m| <= dmax, by degree, then lex."""
+    return tuple(
+        tuple(m for d in range(dmin, dmax + 1) for m in resonant_multiindices(s, j, d))
+        for j in range(s.n)
+    )
 
 
 @dataclass(frozen=True)
@@ -82,30 +95,19 @@ class ResonanceSet:
 
 def resonance_set(s: EigenSpectrum, cap: int | None = None) -> ResonanceSet:
     """Full listing up to the exact bound (finite case) or up to ``cap``."""
-    finite = is_finite_linear_centralizer(s)
-    if finite:
-        bound = resonance_degree_bound(s)
-        limit = bound
-    else:
-        if cap is None:
-            raise InfiniteResonanceWithoutCap(
-                "resonance set is infinite; pass an explicit degree cap"
-            )
-        bound = None
-        limit = cap
-    by_component = []
-    for j in range(s.n):
-        rj = []
-        for d in range(2, limit + 1):
-            rj.extend(resonant_multiindices(s, j, d))
-        by_component.append(tuple(rj))
-    return ResonanceSet(
-        n=s.n,
-        by_component=tuple(by_component),
-        finite=finite,
-        degree_bound=bound,
-        cap=None if finite else cap,
-    )
+    if is_finite_linear_centralizer(s):
+        return finite_resonance_set(s)
+    if cap is None:
+        raise InfiniteResonanceWithoutCap("resonance set is infinite; pass an explicit degree cap")
+    by_component = resonances_by_component(s, 2, cap)
+    return ResonanceSet(n=s.n, by_component=by_component, finite=False, degree_bound=None, cap=cap)
+
+
+def finite_resonance_set(s: EigenSpectrum) -> ResonanceSet:
+    """`resonance_set` for a spectrum already known to be finite."""
+    bound = lp_degree_bound(s)
+    by_component = resonances_by_component(s, 2, bound)
+    return ResonanceSet(n=s.n, by_component=by_component, finite=True, degree_bound=bound, cap=None)
 
 
 @dataclass(frozen=True)

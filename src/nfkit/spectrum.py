@@ -41,12 +41,6 @@ class EigenSpectrum:
     lam: tuple[tuple[Fraction, ...], ...]
     nilpotent: tuple[tuple[int, int, Fraction], ...] = field(default=())
 
-    def row(self, i) -> tuple[Fraction, ...]:
-        return self.lam[i]
-
-    def rows_equal(self, i, j) -> bool:
-        return self.lam[i] == self.lam[j]
-
     def eigen_coords(self, m) -> tuple[Fraction, ...]:
         """<m, lambda> as a q-coordinate row."""
         return tuple(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import nfkit
+from nfkit import spectrum
 from nfkit.cli import main
 
 EG3_SPECTRUM = {
@@ -172,6 +173,39 @@ def test_exit_code_scope_error(files, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert json.loads(err)["error"] == "infinite-resonance-without-cap"
+
+
+def test_exact_centralizer_of_infinite_spectrum_needs_truncate(files, tmp_path, capsys):
+    field = tmp_path / "saddle_field.json"
+    field.write_text(json.dumps({
+        "n": 2,
+        "trunc": "inf",
+        "terms": [{"j": 1, "m": [1, 0], "c": "1"}, {"j": 2, "m": [0, 1], "c": "-1"}],
+    }))
+    code = main(["centralizer", "--spectrum", files["saddle"], "--field", str(field)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err == {"error": "input-error", "message": "infinite resonance set: pass --truncate"}
+
+
+@pytest.mark.parametrize("command", ["centralizer", "resonances", "pdnf-basis"])
+def test_completion_runs_once_per_request(files, capsys, monkeypatch, command):
+    calls = []
+    completion = spectrum.minimal_nonneg_solutions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return completion(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "minimal_nonneg_solutions", counted)
+    argv = [command, "--spectrum", files["eg3"]]
+    if command == "centralizer":
+        argv += ["--field", files["eg3_field"]]
+    code, out = run(capsys, argv)
+    assert code == 0
+    if command == "centralizer":
+        assert json.loads(out)["exact"] is True
+    assert len(calls) == 1
 
 
 CERTIFICATE_SCRIPT = """

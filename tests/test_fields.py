@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfkit.errors import DimensionMismatch, LinearPartMismatch
+from nfkit.centralizer import (
+    centralizer_exact,
+    centralizer_truncated,
+    normalizer_reduce,
+    normalizer_truncated,
+)
+from nfkit.errors import DimensionMismatch, LinearPartMismatch, NotPDNF
 from nfkit.fields import (
     INF,
     PolySeries,
@@ -21,6 +27,8 @@ from nfkit.fields import (
     pdnf_basis,
     series_times_field,
 )
+from nfkit.invariants import decompose_eta, invariant_generators
+from nfkit.jacobi import divergence_integral_check, solve_multiplier
 from nfkit.resonance import resonance_set
 from nfkit.spectrum import build_spectrum
 
@@ -143,6 +151,30 @@ def test_is_pdnf():
     bad = f + PolyVectorField.monomial(3, 0, (2, 0, 0))
     assert not is_pdnf(s, bad)
     assert is_pdnf(s, diag_field(12, 6, 3))
+
+
+# Every solver that needs the normal form, called on a field that is not in it.
+NORMAL_FORM_ENTRY_POINTS = {
+    "centralizer_exact": centralizer_exact,
+    "centralizer_truncated": lambda s, f: centralizer_truncated(s, f, 3),
+    "normalizer_truncated": lambda s, f: normalizer_truncated(s, f, 3),
+    "normalizer_reduce": lambda s, f: normalizer_reduce(
+        s, f, PolyVectorField.zero(3), PolySeries.zero(3), 3
+    ),
+    "solve_multiplier": lambda s, f: solve_multiplier(s, f, 1, 2, 3),
+    "divergence_integral_check": divergence_integral_check,
+    "decompose_eta": lambda s, f: decompose_eta(s, invariant_generators(s), f),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NORMAL_FORM_ENTRY_POINTS))
+def test_solvers_refuse_a_field_not_in_normal_form(entry):
+    s = build_spectrum(3, 1, [[12], [6], [3]])
+    # x1^2 e1 is not resonant: 2 * 12 != 12
+    f = diag_field(12, 6, 3) + PolyVectorField.monomial(3, 0, (2, 0, 0))
+    assert not is_pdnf(s, f)
+    with pytest.raises(NotPDNF, match="^field is not in normal form for this spectrum$"):
+        NORMAL_FORM_ENTRY_POINTS[entry](s, f)
 
 
 def test_is_pdnf_linear_mismatch():

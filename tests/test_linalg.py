@@ -25,7 +25,7 @@ def test_kernel_zero_matrix():
     space = mat_kernel(RatMatrix([[0, 0], [0, 0]]))
     assert space.dimension == 2
     # columns without keys: a 0 x 3 system whose kernel is the identity basis
-    empty = RatMatrix.from_columns([{}, {}, {}], 3)
+    empty = RatMatrix.from_columns([{}, {}, {}])
     assert (empty.rows, empty.cols) == (0, 3)
     assert mat_kernel(empty).basis == tuple(RatMatrix.identity(3))
 
@@ -80,7 +80,7 @@ def test_kernel_rank_nullity_and_exactness(rows, rng):
     order = list(range(len(rows)))
     rng.shuffle(order)
     columns = [{i: rows[i][t] for i in order} for t in range(M.cols)]
-    assert mat_kernel(RatMatrix.from_columns(columns, M.cols)).basis == space.basis
+    assert mat_kernel(RatMatrix.from_columns(columns)).basis == space.basis
 
 
 # Zero entries are drawn often, so rank-deficient matrices are common.
