@@ -35,8 +35,8 @@ from .fields import (
     series_times_field,
 )
 from .linalg import RatMatrix, mat_kernel
-from .resonance import compositions, finite_resonance_set, resonances_by_component
-from .spectrum import EigenSpectrum, is_finite_linear_centralizer
+from .resonance import finite_resonance_set, resonances_by_component
+from .spectrum import EigenSpectrum, compositions, is_finite_linear_centralizer, unit_row
 
 
 @dataclass(frozen=True)
@@ -48,40 +48,27 @@ class CommutantBasis:
 def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
     """Kernel of B -> ([B, A_s], [B, A_n]) on the n^2 matrix entries.
 
-    [B, A_s] = 0 is entry (i, k) times (lambda_k - lambda_i), expanded over
-    the q coordinates; [B, A_n] rows are assembled from the nilpotent part.
+    Entry (i, k) of [B, A_s] is B_ik (lambda_k - lambda_i), so [B, A_s] = 0
+    is one unit row B_ik = 0 per pair (i, k) across eigenvalue blocks; the
+    [B, A_n] rows are assembled from the nilpotent entries.
     """
     n = s.n
-    nvars = n * n
-
-    def var(i, k):
-        return i * n + k
-
-    columns = [{} for _ in range(nvars)]
+    columns = [{} for _ in range(n * n)]  # column i * n + k holds B_ik
+    block_of = {i: b for b, block in enumerate(s.blocks()) for i in block}
     for i in range(n):
         for k in range(n):
-            for t in range(s.q):
-                diff = s.lam[k][t] - s.lam[i][t]
-                if diff != 0:
-                    columns[var(i, k)][("semisimple", i, k, t)] = diff
-    if s.has_nilpotent():
-        N = s.nilpotent_matrix()
-        # (NB - BN) entry (i, j)
-        for i in range(n):
-            for j in range(n):
-                key = ("nilpotent", i, j)
-                for k in range(n):
-                    if N.entry(i, k) != 0:
-                        col = columns[var(k, j)]
-                        col[key] = col.get(key, 0) + N.entry(i, k)
-                    if N.entry(k, j) != 0:
-                        col = columns[var(i, k)]
-                        col[key] = col.get(key, 0) - N.entry(k, j)
+            if block_of[i] != block_of[k]:
+                columns[i * n + k][("semisimple", i, k)] = 1
+    # N_ik = c enters (NB - BN)_ij as +c B_kj and (NB - BN)_jk as -c B_ji
+    for i, k, c in s.nilpotent:
+        for j in range(n):
+            col, key = columns[k * n + j], ("nilpotent", i, j)
+            col[key] = col.get(key, 0) + c
+            col, key = columns[j * n + i], ("nilpotent", j, k)
+            col[key] = col.get(key, 0) - c
     vecs = mat_kernel(RatMatrix.from_columns(columns)).basis
-    mats = []
-    for v in vecs:
-        mats.append(tuple(tuple(v[var(i, k)] for k in range(n)) for i in range(n)))
-    return CommutantBasis(dimension=len(mats), basis=tuple(mats))
+    basis = tuple(tuple(v[i * n:(i + 1) * n] for i in range(n)) for v in vecs)
+    return CommutantBasis(dimension=len(basis), basis=basis)
 
 
 @dataclass(frozen=True)
@@ -99,17 +86,9 @@ class CentralizerResult:
 
 def _block_data(s: EigenSpectrum, rset):
     """Multiplicity and per-block resonance counts for the A_n = 0 bounds."""
-    seen = []
-    blocks = []
-    for i in range(s.n):
-        row = s.lam[i]
-        if row in seen:
-            blocks[seen.index(row)][1] += 1
-        else:
-            seen.append(row)
-            blocks.append([i, 1])
-    lo = sum(size * size for _, size in blocks)
-    hi = sum(size * (size + len(rset.by_component[rep])) for rep, size in blocks)
+    blocks = s.blocks()
+    lo = sum(len(b) * len(b) for b in blocks)
+    hi = sum(len(b) * (len(b) + len(rset.by_component[b[0]])) for b in blocks)
     return lo, hi
 
 
@@ -166,11 +145,17 @@ TRUNCATION_NOTE = (
 )
 
 
+def _check_truncation(f: PolyVectorField, D: int):
+    if D < 1:
+        raise DimensionMismatch(f"truncation degree D = {D} is below 1")
+    if f.trunc < D:
+        raise DimensionMismatch(f"field truncation {f.trunc} is below D = {D}")
+
+
 def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> CentralizerResult:
     """Solve [g, f] = 0 mod degree > D with g on resonant monomials of degree <= D."""
     ftilde, _ = normal_form_deviation(s, f)
-    if f.trunc < D:
-        raise DimensionMismatch(f"field truncation {f.trunc} is below D = {D}")
+    _check_truncation(f, D)
     ftilde = ftilde.truncated(D)
     unknown_keys = sorted(
         (sum(m), j, m) for j, rj in enumerate(resonances_by_component(s, 1, D)) for m in rj
@@ -205,7 +190,7 @@ class NormalizerResult:
 
 def _require_explicit(s, f):
     _, explicit = normal_form_deviation(s, f)
-    if not explicit and any(any(c != 0 for c in row) for row in s.lam):
+    if not explicit and s.q != 0:
         raise LinearPartMismatch(
             "this operation needs the linear part stored in the field "
             "(rational eigenvalues written out as |m| = 1 terms)"
@@ -222,8 +207,7 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
     actual rational numbers.
     """
     _require_explicit(s, f)
-    if f.trunc < D:
-        raise DimensionMismatch(f"field truncation {f.trunc} is below D = {D}")
+    _check_truncation(f, D)
     fD = f.truncated(D)
     g_monos = [
         PolyVectorField.monomial(s.n, j, m)
@@ -261,7 +245,7 @@ def normalizer_reduce(
     component, where X_A = c*I + X_{A_n} is inverted by a finite Neumann
     sum.  Also checks that g - beta f commutes with the semisimple part.
     """
-    if all(all(c == 0 for c in row) for row in s.lam):
+    if s.q == 0:
         raise ZeroSemisimplePart("the semisimple part vanishes")
     _require_explicit(s, f)
     if f.trunc < D or g.trunc < D or lam.trunc < D - 1:
@@ -270,11 +254,12 @@ def normalizer_reduce(
     if not residual.is_zero_mod(D):
         raise NotNormalizerPair("[g, f] - lambda*f does not vanish mod degree > D")
 
-    nilfield = PolyVectorField.from_matrix([list(r) for r in s.nilpotent_matrix()])
+    nilfield = PolyVectorField(s.n, {(i, unit_row(s.n, j)): c for i, j, c in s.nilpotent})
+    # rational because the linear part is explicit (q = 1, basis value 1)
+    eigenvalues = s.rational_eigenvalues()
 
     def eigenvalue(m) -> Fraction:
-        # rational because the linear part is explicit (q = 1, basis value 1)
-        return sum((m[i] * s.lam[i][0] for i in range(s.n)), Fraction(0))
+        return sum((m[i] * eigenvalues[i] for i in range(s.n)), Fraction(0))
 
     beta = PolySeries.zero(s.n, trunc=D - 1)
     alpha = lam.truncated(D - 1)

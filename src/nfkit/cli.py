@@ -13,8 +13,8 @@ import sys
 
 from . import serialize
 from .centralizer import centralizer_exact, centralizer_truncated, normalizer_truncated
-from .errors import InfiniteResonance, InputError, NFKitError
-from .fields import is_pdnf, pdnf_basis
+from .errors import InfiniteResonance, InputError, NFKitError, NotPDNF, ZeroEigenvalue
+from .fields import pdnf_basis
 from .invariants import (
     check_free_module,
     check_onediv,
@@ -137,11 +137,12 @@ def _cmd_invariants(args):
     s = serialize.spectrum_from_json(serialize.load_json_file(args.spectrum))
     inv = invariant_generators(s, cap=args.search_bound)
     doc = serialize.invariants_to_json(inv)
-    free = check_free_module(s, args.search_bound) if all(
-        any(c != 0 for c in row) for row in s.lam
-    ) else None
+    try:
+        free = check_free_module(s, args.search_bound).free
+    except ZeroEigenvalue:
+        free = None
     onediv = check_onediv(s, args.search_bound)
-    doc["free_module"] = None if free is None else free.free
+    doc["free_module"] = free
     doc["onediv"] = onediv.holds
     lines = [
         f"generators: {[list(g) for g in inv.generators]}",
@@ -196,11 +197,13 @@ def _cmd_check(args):
     lines = [f"spectrum ok: n = {s.n}, q = {s.q}"]
     if args.field:
         f = serialize.field_from_json(serialize.load_json_file(args.field))
-        pdnf = is_pdnf(s, f)
-        doc["pdnf"] = pdnf
-        lines.append(f"normal form: {pdnf}")
-        if pdnf:
+        try:
             ok = divergence_integral_check(s, f)
+        except NotPDNF:
+            ok = None
+        doc["pdnf"] = ok is not None
+        lines.append(f"normal form: {ok is not None}")
+        if ok is not None:
             doc["divergence_integral"] = ok
             lines.append(f"divergence is a first integral of the linear flow: {ok}")
     _emit(args, doc, lines)

@@ -348,12 +348,12 @@ def deviation_part(s: EigenSpectrum, f: PolyVectorField):
         raise LinearPartMismatch("off-diagonal linear part differs from the nilpotent part")
     explicit = bool(diag)
     if explicit:
-        if s.q != 1:
+        eigenvalues = s.rational_eigenvalues()
+        if eigenvalues is None:
             raise LinearPartMismatch(
                 "explicit diagonal linear part requires a one-dimensional eigenvalue span"
             )
-        expected = {i: s.lam[i][0] for i in range(s.n) if s.lam[i][0] != 0}
-        if diag != expected:
+        if diag != {i: v for i, v in enumerate(eigenvalues) if v != 0}:
             raise LinearPartMismatch("diagonal linear part differs from the eigenvalues")
     terms = {
         (j, m): c

@@ -22,18 +22,20 @@ from .fields import (
     INF,
     PolySeries,
     PolyVectorField,
-    deviation_part,
     lie_bracket,
     lie_derivative,
     normal_form_deviation,
 )
-from .linalg import RatMatrix, integer_rows, mat_kernel, mat_rank, mat_solve
-from .resonance import commuting_degree_ladder, compositions, semiinvariant_degree_ladder
+from .linalg import RatMatrix, mat_kernel, mat_rank, mat_solve
+from .resonance import commuting_degree_ladder, semiinvariant_degree_ladder
 from .spectrum import (
     DEFAULT_COMPLETION_CAP,
     EigenSpectrum,
+    compositions,
+    eigen_system,
     hilbert_basis,
     inhomogeneous_minimal_solutions,
+    unit_row,
 )
 
 
@@ -67,25 +69,14 @@ class FreeModuleVerdict:
 
 
 def _component_witness(s: EigenSpectrum, j, target, cap):
-    """Smallest m with m_j = 0 and <m, lambda> = target, or None.
+    """Smallest m with m_j = 0 and <m, lambda> = <target, lambda>, or None.
 
     Solved by completing the homogenized system over the remaining
     variables, so absence is decided, not merely searched.
     """
-    idx = [i for i in range(s.n) if i != j]
-    eqs = []
-    for k in range(s.q):
-        eqs.append([s.lam[i][k] for i in idx] + [target[k]])
-    scaled = integer_rows(eqs)
-    rows = [r[:-1] for r in scaled]
-    rhs = [r[-1] for r in scaled]
-    sols = inhomogeneous_minimal_solutions(rows, rhs, len(idx), cap)
     best = None
-    for sol in sols:
-        m = [0] * s.n
-        for pos, i in enumerate(idx):
-            m[i] = sol[pos]
-        m = tuple(m)
+    for sol in inhomogeneous_minimal_solutions(eigen_system(s, target, drop=j), s.n - 1, cap):
+        m = sol[:j] + (0,) + sol[j:]
         if sum(m) == 0:
             continue
         if best is None or (sum(m), m) < (sum(best), best):
@@ -101,11 +92,11 @@ def check_free_module(s: EigenSpectrum, search_bound=DEFAULT_COMPLETION_CAP) -> 
     the invariant algebra.
     """
     for i in range(s.n):
-        if all(c == 0 for c in s.lam[i]):
+        if s.is_integral_monomial(unit_row(s.n, i)):
             raise ZeroEigenvalue(f"eigenvalue {i} is zero")
     for j in range(s.n):
         try:
-            witness = _component_witness(s, j, s.lam[j], search_bound)
+            witness = _component_witness(s, j, unit_row(s.n, j), search_bound)
         except SearchCapReached:
             return FreeModuleVerdict(free=None)
         if witness is not None:
@@ -127,8 +118,8 @@ def check_onediv(s: EigenSpectrum, search_bound=DEFAULT_COMPLETION_CAP) -> OneDi
     otherwise searches each hyperplane m_j = 0 for a monomial with
     <m, lambda> equal to the divergence.
     """
-    target = s.divergence_coords()
-    if all(c == 0 for c in target):
+    target = (1,) * s.n
+    if s.is_integral_monomial(target):
         return OneDivVerdict(holds=False, witness=tuple(0 for _ in range(s.n)), div_nonzero=False)
     for j in range(s.n):
         try:
@@ -162,6 +153,13 @@ def _rewrite_in_generators(inv: InvariantAlgebra, v):
     return tuple(k)
 
 
+def _eta_budget(inv: InvariantAlgebra, trunc):
+    """Budget of eta_hat: y^k is complete while every ambient degree <deg psi, k> + 1 <= trunc."""
+    if trunc == INF or not inv.generators:
+        return INF
+    return (trunc - 1) // max(sum(g) for g in inv.generators)
+
+
 def decompose_eta(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorField):
     """Write f = A + sum eta_j(x) x_j e_j with eta_j a series in the generators.
 
@@ -182,12 +180,8 @@ def decompose_eta(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorField):
         v = tuple(x - (1 if t == j else 0) for t, x in enumerate(m))
         k = _rewrite_in_generators(inv, v)
         etas[j] = etas[j] + PolySeries.monomial(r, k, c)
-    if f.trunc != INF and inv.generators:
-        # a reduced term y^k is complete only while every contributing
-        # ambient degree <deg psi, k> + 1 stays within the field budget
-        lmax = max(sum(g) for g in inv.generators)
-        etas = [e.truncated((f.trunc - 1) // lmax) for e in etas]
-    return tuple(etas)
+    budget = _eta_budget(inv, f.trunc)
+    return tuple(e.truncated(budget) for e in etas)
 
 
 @dataclass(frozen=True)
@@ -228,12 +222,7 @@ def reduce_vectorfield(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorFie
             for k, c in etas[j].terms.items():
                 key = (i, tuple(x + (1 if t == i else 0) for t, x in enumerate(k)))
                 terms[key] = terms.get(key, Fraction(0)) + M[i][j] * c
-    if f.trunc == INF:
-        red_trunc = INF
-    else:
-        lmax = max(sum(g) for g in inv.generators)
-        red_trunc = 1 + (f.trunc - 1) // lmax
-    fhat = PolyVectorField(r, terms, trunc=red_trunc)
+    fhat = PolyVectorField(r, terms, trunc=1 + _eta_budget(inv, f.trunc))
     nu = tuple(
         tuple(
             sum(
@@ -245,9 +234,9 @@ def reduce_vectorfield(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorFie
         )
         for i in range(r)
     )
-    ftilde, _ = deviation_part(s, f)
+    # X_{A_s} kills every generator monomial, so X_f and X_ftilde agree on them
     for i in range(r):
-        lhs = lie_derivative(ftilde, PolySeries.monomial(s.n, inv.generators[i], trunc=f.trunc))
+        lhs = lie_derivative(f, PolySeries.monomial(s.n, inv.generators[i], trunc=f.trunc))
         rhs = substitute_generators(fhat.component(i), inv, s.n)
         diff = lhs - rhs.truncated(lhs.trunc)
         if not diff.is_zero():

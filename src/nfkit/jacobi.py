@@ -28,14 +28,13 @@ from .invariants import (
     substitute_generators,
 )
 from .linalg import RatMatrix, mat_kernel, mat_rank
-from .resonance import SemiInvariantLadder, compositions, semiinvariant_degree_ladder
-from .spectrum import EigenSpectrum
+from .resonance import SemiInvariantLadder, semiinvariant_degree_ladder
+from .spectrum import EigenSpectrum, eigen_monomials
 
 
 def multiplier_support(s: EigenSpectrum, d: int):
     """All m with |m| = d and <m, lambda> = sum of eigenvalues, lex order."""
-    target = s.divergence_coords()
-    return [m for m in compositions(d, s.n) if s.eigen_coords(m) == target]
+    return eigen_monomials(s, (1,) * s.n, d)
 
 
 def divergence_integral_check(s: EigenSpectrum, f: PolyVectorField) -> bool:
@@ -219,7 +218,7 @@ def solve_multiplier(
                 )
             else:
                 note = f"ladder only complete up to cap {semiinv.bound}"
-    target = s.divergence_coords()
+    target = s.eigen_coords((1,) * s.n)
     support_note = (
         "support: monomials with eigenvalue row equal to div A_s = "
         + "(" + ", ".join(str(t) for t in target) + ")"

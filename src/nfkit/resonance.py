@@ -5,33 +5,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateFailure, InfiniteResonance, InfiniteResonanceWithoutCap
+from .errors import (
+    CertificateFailure,
+    DimensionMismatch,
+    InfiniteResonance,
+    InfiniteResonanceWithoutCap,
+)
 from .linalg import OPTIMAL, INFEASIBLE, RatMatrix, frac, lp_max
-from .spectrum import EigenSpectrum, is_finite_linear_centralizer
-
-
-def compositions(total: int, parts: int):
-    """All rows of ``parts`` nonnegative integers with the given sum, lex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+from .spectrum import (
+    EigenSpectrum,
+    compositions,
+    eigen_monomials,
+    eigen_system,
+    is_finite_linear_centralizer,
+    unit_row,
+)
 
 
 def resonant_multiindices(s: EigenSpectrum, j: int, d: int):
     """All m with |m| = d and <m, lambda> = lambda_j, lex order (0-based j)."""
-    target = s.lam[j]
-    out = []
-    for m in compositions(d, s.n):
-        if s.eigen_coords(m) == target:
-            out.append(m)
-    return out
+    return eigen_monomials(s, unit_row(s.n, j), d)
 
 
 def resonance_degree_bound(s: EigenSpectrum) -> int:
@@ -48,12 +41,11 @@ def lp_degree_bound(s: EigenSpectrum) -> int:
     feasible sets {m >= 0 : Lambda^T m = lambda_j} have trivial recession
     cone, so each LP is bounded.
     """
-    rows = [[s.lam[i][k] for i in range(s.n)] for k in range(s.q)]
-    A = RatMatrix(rows)
-    ones = [Fraction(1)] * s.n
     best = 1
     for j in range(s.n):
-        res = lp_max(ones, A, [s.lam[j][k] for k in range(s.q)])
+        rows = eigen_system(s, unit_row(s.n, j))
+        A = RatMatrix([row[:-1] for row in rows])
+        res = lp_max([1] * s.n, A, [row[-1] for row in rows])
         if res.status == INFEASIBLE:
             continue
         if res.status != OPTIMAL:
@@ -95,6 +87,8 @@ class ResonanceSet:
 
 def resonance_set(s: EigenSpectrum, cap: int | None = None) -> ResonanceSet:
     """Full listing up to the exact bound (finite case) or up to ``cap``."""
+    if cap is not None and cap < 2:
+        raise DimensionMismatch("max_degree must be at least 2")
     if is_finite_linear_centralizer(s):
         return finite_resonance_set(s)
     if cap is None:

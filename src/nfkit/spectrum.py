@@ -27,13 +27,33 @@ from .linalg import RatMatrix, frac, integer_rows, mat_rank
 DEFAULT_COMPLETION_CAP = 64
 
 
+def compositions(total: int, parts: int):
+    """All rows of ``parts`` nonnegative integers with the given sum, lex order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def unit_row(n: int, j: int) -> tuple[int, ...]:
+    """Exponent row of x_j, the monomial that names lambda_j."""
+    return tuple(1 if t == j else 0 for t in range(n))
+
+
 @dataclass(frozen=True)
 class EigenSpectrum:
     """Semisimple part as Q-coordinate rows plus a strictly upper nilpotent part.
 
     ``lam[i]`` holds the q coordinates of the i-th eigenvalue; ``nilpotent``
-    maps index pairs (i, j) with i < j to rational entries and is nonzero
-    only between indices with equal eigenvalue rows.
+    holds the entries (i, j, c), i < j, only between equal eigenvalue rows.
+    Other modules name an eigenvalue by a monomial (x_j for lambda_j,
+    x_1...x_n for the divergence, 1 for zero) and ask the spectrum.
     """
 
     n: int
@@ -54,28 +74,27 @@ class EigenSpectrum:
 
     def is_integral_monomial(self, m) -> bool:
         """<m, lambda> = 0, i.e. x^m is a first integral of the linear flow."""
-        zero = tuple(Fraction(0) for _ in range(self.q))
-        return self.eigen_coords(m) == zero
-
-    def nilpotent_matrix(self) -> RatMatrix:
-        data = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for i, j, c in self.nilpotent:
-            data[i][j] = c
-        return RatMatrix(data)
+        return not any(self.eigen_coords(m))
 
     def has_nilpotent(self) -> bool:
         return bool(self.nilpotent)
 
-    def divergence_coords(self) -> tuple[Fraction, ...]:
-        """Sum of all eigenvalues as a q-coordinate row (div of the semisimple part)."""
-        return tuple(
-            sum((self.lam[i][k] for i in range(self.n)), Fraction(0))
-            for k in range(self.q)
-        )
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Index groups with equal eigenvalues, in order of first appearance."""
+        groups: dict[tuple[Fraction, ...], list[int]] = {}
+        for i, row in enumerate(self.lam):
+            groups.setdefault(row, []).append(i)
+        return tuple(tuple(g) for g in groups.values())
+
+    def rational_eigenvalues(self) -> tuple[Fraction, ...] | None:
+        """The eigenvalues as rationals when q = 1 (basis value 1), else None."""
+        return tuple(row[0] for row in self.lam) if self.q == 1 else None
 
 
 def build_spectrum(n, q, lambda_rows, nilpotent_entries=()) -> EigenSpectrum:
     """Validated constructor; indices in ``nilpotent_entries`` are 0-based."""
+    if n < 1:
+        raise DimensionMismatch(f"a spectrum needs n >= 1, got n = {n}")
     rows = tuple(tuple(frac(x) for x in row) for row in lambda_rows)
     if len(rows) != n or any(len(r) != q for r in rows):
         raise DimensionMismatch(f"lambda must be {n}x{q}")
@@ -108,6 +127,8 @@ def minimal_nonneg_solutions(eqs, nvars, cap=DEFAULT_COMPLETION_CAP):
     already found.  Terminates for every homogeneous system; ``cap`` bounds
     the explored degree as a guard and raises if ever reached.
     """
+    if cap < 1:
+        raise DimensionMismatch(f"completion cap {cap} is below 1")
     eqs = [list(map(int, row)) for row in eqs]
     rows = [r for r in eqs if any(r)]
 
@@ -117,17 +138,11 @@ def minimal_nonneg_solutions(eqs, nvars, cap=DEFAULT_COMPLETION_CAP):
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 
-    unit_images = []
-    for i in range(nvars):
-        e = [0] * nvars
-        e[i] = 1
-        unit_images.append(image(e))
+    units = [unit_row(nvars, i) for i in range(nvars)]
+    unit_images = [image(e) for e in units]
 
     minimal: list[tuple[int, ...]] = []
-    frontier = {}
-    for i in range(nvars):
-        t = tuple(1 if k == i else 0 for k in range(nvars))
-        frontier[t] = unit_images[i]
+    frontier = dict(zip(units, unit_images))
     level = 1
     zero = tuple(0 for _ in rows)
     while frontier:
@@ -168,14 +183,14 @@ def minimal_nonneg_solutions(eqs, nvars, cap=DEFAULT_COMPLETION_CAP):
     return out
 
 
-def inhomogeneous_minimal_solutions(eqs, rhs, nvars, cap=DEFAULT_COMPLETION_CAP):
-    """Minimal solutions of eqs.x = rhs over Z_+^nvars, via homogenization.
+def inhomogeneous_minimal_solutions(system, nvars, cap=DEFAULT_COMPLETION_CAP):
+    """Minimal solutions over Z_+^nvars of the rows [coefficients | rhs], via homogenization.
 
-    Appends a slack variable t with column -rhs; generators of the extended
-    monoid with t = 1 are exactly the minimal inhomogeneous solutions, so
-    emptiness is decided, not just searched.
+    Turns the rhs column into a slack variable t with column -rhs; generators
+    of the extended monoid with t = 1 are exactly the minimal inhomogeneous
+    solutions, so emptiness is decided, not just searched.
     """
-    ext = [list(row) + [-r] for row, r in zip(eqs, rhs)]
+    ext = [list(row[:-1]) + [-row[-1]] for row in system]
     gens = minimal_nonneg_solutions(ext, nvars + 1, cap)
     return [g[:-1] for g in gens if g[-1] == 1]
 
@@ -197,7 +212,7 @@ class HilbertBasis:
 
 
 def hilbert_basis(s: EigenSpectrum, cap=DEFAULT_COMPLETION_CAP) -> HilbertBasis:
-    gens = minimal_nonneg_solutions(c_matrix_basis(s, normalize=True), s.n, cap)
+    gens = minimal_nonneg_solutions([r[:-1] for r in eigen_system(s, (0,) * s.n)], s.n, cap)
     return HilbertBasis(generators=tuple(gens))
 
 
@@ -217,21 +232,34 @@ def uw_decomposition(s: EigenSpectrum, cap=DEFAULT_COMPLETION_CAP):
     return tuple(u), tuple(w)
 
 
-def c_matrix_basis(s: EigenSpectrum, normalize=False):
+def c_matrix_basis(s: EigenSpectrum):
     """Integer diagonals C_1..C_q with A_s = nu_1 C_1 + ... + nu_q C_q.
 
-    Column j of the coordinate matrix, cleared of denominators; gcd
-    normalization (`integer_rows`) only on request so that round-trips
-    preserve the input.
+    Column k of the coordinate matrix, cleared of denominators only, so that
+    round-trips preserve the input.
     """
     cols = [[s.lam[i][k] for i in range(s.n)] for k in range(s.q)]
-    if normalize:
-        return tuple(tuple(row) for row in integer_rows(cols))
     out = []
     for col in cols:
         mult = lcm(*(x.denominator for x in col))
         out.append(tuple(int(x * mult) for x in col))
     return tuple(out)
+
+
+def eigen_system(s: EigenSpectrum, target, drop=None):
+    """Primitive integer rows [coefficients | rhs] of <m, lambda> = <target, lambda>.
+
+    One row per coordinate; m runs over the indices other than ``drop``.
+    """
+    idx = [i for i in range(s.n) if i != drop]
+    rhs = s.eigen_coords(target)
+    return integer_rows([[s.lam[i][k] for i in idx] + [rhs[k]] for k in range(s.q)])
+
+
+def eigen_monomials(s: EigenSpectrum, target, d: int):
+    """All m with |m| = d and <m, lambda> = <target, lambda>, lex order."""
+    want = s.eigen_coords(target)
+    return [m for m in compositions(d, s.n) if s.eigen_coords(m) == want]
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from nfkit.fields import (
 from nfkit.linalg import RatMatrix, mat_rank
 from nfkit.spectrum import build_spectrum, c_matrix_basis
 
-from oracles import linear_terms_of, random_pdnf
+from oracles import linear_terms_of, pairing, random_pdnf
 
 
 def diag_field(*values):
@@ -97,6 +97,44 @@ def test_linear_commutant_matrices_commute():
                     assert s.lam[i] == s.lam[j]
 
 
+def test_linear_commutant_matches_sympy():
+    """The basis is sympy's nullspace of the entrywise system [B, A] = 0.
+
+    A = diag(lambda) + N with random repeated rational eigenvalues (q = 1)
+    and a random nilpotent part inside the blocks of equal eigenvalues; the
+    unknowns are B_ik in row-major order.
+    """
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        lam = [rng.choice([F(1), F(-2), F(1, 3)]) for _ in range(n)]
+        nil = [
+            (i, j, F(rng.randint(-3, 3), rng.randint(1, 2)))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if lam[i] == lam[j] and rng.random() < 0.6
+        ]
+        s = build_spectrum(n, 1, [[x] for x in lam], nil)
+        A = sympy.zeros(n, n)
+        for i in range(n):
+            A[i, i] = sympy.Rational(lam[i].numerator, lam[i].denominator)
+        for i, j, c in nil:
+            A[i, j] = sympy.Rational(c.numerator, c.denominator)
+        system = sympy.zeros(n * n, n * n)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    # (BA - AB)_ij = sum_k B_ik A_kj - A_ik B_kj
+                    system[i * n + j, i * n + k] += A[k, j]
+                    system[i * n + j, k * n + j] -= A[i, k]
+        expected = [
+            tuple(F(int(x.p), int(x.q)) for x in v) for v in system.nullspace()
+        ]
+        got = [tuple(x for row in B for x in row) for B in linear_commutant(s).basis]
+        assert got == expected, (lam, nil)
+
+
 def test_eg3_case_table():
     s = spec_1263()
     # the degenerate third subcase is 4 a1 a3 = a2^2, read off the
@@ -152,7 +190,7 @@ def test_exact_accepts_deviation_form():
     for b in res_dev.basis:
         assert lie_bracket(b, dev).is_zero()
         for (j, m), _c in b.terms.items():
-            assert s.is_resonant(m, j)
+            assert pairing(s, m) == s.lam[j]
 
 
 def test_exact_requires_finite():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nfkit
-from nfkit import spectrum
+from nfkit import fields, spectrum
 from nfkit.cli import main
 
 EG3_SPECTRUM = {
@@ -54,6 +54,19 @@ IFAC_FIELD = {
 }
 
 
+# diag(1, -1) with the resonant cubic terms x1^2 x2 e_1 and 2 x1 x2^2 e_2
+SADDLE_FIELD = {
+    "n": 2,
+    "trunc": "inf",
+    "terms": [
+        {"j": 1, "m": [1, 0], "c": "1"},
+        {"j": 2, "m": [0, 1], "c": "-1"},
+        {"j": 1, "m": [2, 1], "c": "1"},
+        {"j": 2, "m": [1, 2], "c": "2"},
+    ],
+}
+
+
 @pytest.fixture
 def files(tmp_path):
     def write(name, doc):
@@ -67,7 +80,9 @@ def files(tmp_path):
         "ifac": write("ifac.json", IFAC_SPECTRUM),
         "ifac_field": write("ifac_quadratic.json", IFAC_FIELD),
         "saddle": write("saddle.json", {"n": 2, "q": 1, "lambda": [["1"], ["-1"]], "nilpotent": []}),
+        "saddle_field": write("saddle_field.json", SADDLE_FIELD),
         "bad": write("bad.json", {"n": 2, "q": 2, "lambda": [["1", "0"], ["2", "0"]], "nilpotent": []}),
+        "empty": write("empty.json", {"n": 0, "q": 0, "lambda": [], "nilpotent": []}),
     }
 
 
@@ -301,6 +316,68 @@ def test_reduce_command(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["nu"] == [["3"]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["centralizer", "--spectrum", "saddle", "--field", "saddle_field", "--truncate", "0"],
+         "truncation degree D = 0 is below 1"),
+        (["centralizer", "--spectrum", "eg3", "--field", "eg3_field", "--truncate", "-1"],
+         "truncation degree D = -1 is below 1"),
+        (["normalizer", "--spectrum", "saddle", "--field", "saddle_field", "--truncate", "0"],
+         "truncation degree D = 0 is below 1"),
+        (["resonances", "--spectrum", "saddle", "--max-degree", "-3"],
+         "max_degree must be at least 2"),
+        (["resonances", "--spectrum", "empty"], "a spectrum needs n >= 1, got n = 0"),
+        (["check", "--spectrum", "empty"], "a spectrum needs n >= 1, got n = 0"),
+        (["invariants", "--spectrum", "saddle", "--search-bound", "-5"],
+         "completion cap -5 is below 1"),
+    ],
+)
+def test_out_of_range_budgets_are_input_errors(files, capsys, argv, message):
+    argv = [files.get(a, a) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["message"] == message
+
+
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_linear_part_is_stripped_once_per_request(files, capsys, monkeypatch, command):
+    calls = []
+    strip = fields.deviation_part
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return strip(*args, **kwargs)
+
+    # every nfkit module that holds the function, as `from .fields import` copies it
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nfkit" and getattr(module, "deviation_part", None) is strip:
+            monkeypatch.setattr(module, "deviation_part", counted)
+    code, out = run(capsys, [command, "--spectrum", files["saddle"], "--field", files["saddle_field"]])
+    assert code == 0
+    if command == "check":
+        assert json.loads(out)["pdnf"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("trunc", [3, "inf"])
+def test_reduce_without_generators(tmp_path, capsys, trunc):
+    # diag(2, 3) has no monomial first integrals: the reduced field has no variables
+    sp = tmp_path / "diag23.json"
+    fp = tmp_path / "diag23_field.json"
+    sp.write_text(json.dumps({"n": 2, "q": 1, "lambda": [["2"], ["3"]], "nilpotent": []}))
+    fp.write_text(json.dumps({
+        "n": 2,
+        "trunc": trunc,
+        "terms": [{"j": 1, "m": [1, 0], "c": "2"}, {"j": 2, "m": [0, 1], "c": "3"}],
+    }))
+    code, out = run(capsys, ["reduce", "--spectrum", str(sp), "--field", str(fp)])
+    assert code == 0
+    assert json.loads(out) == {"n": 0, "nu": [], "terms": [], "trunc": "inf"}
 
 
 def test_text_format(files, capsys):

@@ -14,7 +14,7 @@ from nfkit.resonance import (
 )
 from nfkit.spectrum import build_spectrum
 
-from oracles import brute_commuting_degrees, brute_resonances, brute_semiinvariant_ladder
+from oracles import brute_commuting_degrees, brute_resonances, brute_semiinvariant_ladder, pairing
 
 
 def spec_1263():
@@ -34,7 +34,7 @@ def test_resonant_exactness_per_coordinate():
     for j in range(4):
         for d in range(2, 6):
             for m in resonant_multiindices(s, j, d):
-                assert s.eigen_coords(m) == s.lam[j]
+                assert pairing(s, m) == s.lam[j]
 
 
 def test_degree_bound_examples():

@@ -11,6 +11,7 @@ from nfkit.spectrum import (
     build_spectrum,
     c_matrix_basis,
     classify_dim3,
+    eigen_system,
     has_positive_relation,
     hilbert_basis,
     is_finite_linear_centralizer,
@@ -23,6 +24,7 @@ from oracles import (
     decomposes_over,
     dim3_condition_a,
     is_monoid_minimal,
+    pairing,
 )
 
 
@@ -140,9 +142,18 @@ def test_uw_decomposition():
 
 def test_c_matrix_basis():
     assert c_matrix_basis(spec_1263()) == ((12, 6, 3),)
-    assert c_matrix_basis(spec_1263(), normalize=True) == ((4, 2, 1),)
     assert c_matrix_basis(spec_omega4()) == ((1, -2, 0, 0), (0, 0, 3, -1))
     assert c_matrix_basis(spec_saddle()) == ((1, -1),)
+
+
+def test_eigen_system_rows_are_primitive():
+    # <m, lambda> = 0 on diag(12, 6, 3): the gcd 3 is divided out
+    assert eigen_system(spec_1263(), (0, 0, 0)) == [[4, 2, 1, 0]]
+    assert eigen_system(spec_1263(), (1, 0, 0)) == [[4, 2, 1, 4]]
+    assert eigen_system(spec_1263(), (1, 0, 0), drop=0) == [[2, 1, 4]]
+    assert eigen_system(spec_omega4(), (1, 1, 1, 1)) == [[1, -2, 0, 0, -1], [0, 0, 3, -1, 2]]
+    s = build_spectrum(2, 1, [[F(1, 2)], [F(1, 3)]])
+    assert eigen_system(s, (0, 1), drop=1) == [[3, 2]]
 
 
 def test_c_matrix_clears_denominators():
@@ -184,7 +195,7 @@ def test_generator_equations_exact():
         s = make()
         zero = tuple(F(0) for _ in range(s.q))
         for g in hilbert_basis(s).generators:
-            assert s.eigen_coords(g) == zero
+            assert pairing(s, g) == zero
 
 
 def test_completion_cap_diagnostic():
