@@ -13,7 +13,14 @@ import sys
 
 from . import serialize
 from .centralizer import centralizer_exact, centralizer_truncated, normalizer_truncated
-from .errors import InfiniteResonance, InputError, NFKitError, NotPDNF, ZeroEigenvalue
+from .errors import (
+    InfiniteResonance,
+    InputError,
+    NFKitError,
+    NotPDNF,
+    SearchCapReached,
+    ZeroEigenvalue,
+)
 from .fields import pdnf_basis
 from .invariants import (
     check_free_module,
@@ -138,10 +145,10 @@ def _cmd_invariants(args):
     inv = invariant_generators(s, cap=args.search_bound)
     doc = serialize.invariants_to_json(inv)
     try:
-        free = check_free_module(s, args.search_bound).free
+        free = check_free_module(s).free
     except ZeroEigenvalue:
         free = None
-    onediv = check_onediv(s, args.search_bound)
+    onediv = check_onediv(s)
     doc["free_module"] = free
     doc["onediv"] = onediv.holds
     lines = [
@@ -228,7 +235,10 @@ def main(argv=None) -> int:
     try:
         _DISPATCH[args.command](args)
     except NFKitError as exc:
-        sys.stderr.write(serialize.dumps({"error": exc.code, "message": str(exc)}))
+        doc = {"error": exc.code, "message": str(exc)}
+        if isinstance(exc, SearchCapReached):
+            doc["partial"] = [list(g) for g in exc.partial]
+        sys.stderr.write(serialize.dumps(doc))
         return exc.exit_code
     return 0
 

@@ -87,11 +87,15 @@ class InfiniteResonanceWithoutCap(ScopeError):
 
 
 class SearchCapReached(ScopeError):
-    """A bounded completion search hit its degree cap before finishing."""
+    """A bounded completion search hit its degree cap before finishing.
+
+    ``partial`` holds the minimal solutions found below the cap; the CLI
+    prints them in its error report.
+    """
 
     code = "search-cap-reached"
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial=()):
         super().__init__(message)
         self.partial = partial
 

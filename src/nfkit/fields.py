@@ -242,17 +242,26 @@ def series_times_field(psi: PolySeries, h: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(h.n, data, trunc)
 
 
-def _add_derivative(data, g: PolyVectorField, m, c, trunc, j=None):
-    """Add c * X_g(x^m) up to degree ``trunc`` into ``data``, keyed by row or by (j, row)."""
-    for i in range(g.n):
-        if m[i] == 0:
+def _by_component(g: PolyVectorField):
+    """g's terms (row, degree, coefficient) per component, in term order."""
+    groups = [[] for _ in range(g.n)]
+    for (i, l), c in g.terms.items():
+        groups[i].append((l, sum(l), c))
+    return groups
+
+
+def _add_derivative(data, groups, m, c, trunc, j=None):
+    """Add c * X_g(x^m) up to degree ``trunc`` into ``data``, keyed by row or by (j, row).
+
+    ``groups`` is `_by_component(g)`.
+    """
+    for i, terms in enumerate(groups):
+        if m[i] == 0 or not terms:
             continue
         dm = tuple(x - (1 if t == i else 0) for t, x in enumerate(m))
         base = sum(dm)
-        for (icomp, l), cg in g.terms.items():
-            if icomp != i:
-                continue
-            if base + sum(l) > trunc:
+        for l, degree, cg in terms:
+            if base + degree > trunc:
                 continue
             row = tuple(x + y for x, y in zip(dm, l))
             key = row if j is None else (j, row)
@@ -265,10 +274,11 @@ def lie_bracket(g: PolyVectorField, h: PolyVectorField) -> PolyVectorField:
         raise DimensionMismatch("bracket dimension mismatch")
     trunc = min(g.trunc, h.trunc)
     data = {}
+    g_groups, h_groups = _by_component(g), _by_component(h)
     for (j, m), c in h.terms.items():
-        _add_derivative(data, g, m, c, trunc, j)
+        _add_derivative(data, g_groups, m, c, trunc, j)
     for (j, m), c in g.terms.items():
-        _add_derivative(data, h, m, -c, trunc, j)
+        _add_derivative(data, h_groups, m, -c, trunc, j)
     return PolyVectorField(g.n, data, trunc)
 
 
@@ -278,8 +288,9 @@ def lie_derivative(g: PolyVectorField, phi: PolySeries) -> PolySeries:
         raise DimensionMismatch("lie derivative dimension mismatch")
     trunc = min(g.trunc, phi.trunc)
     data = {}
+    groups = _by_component(g)
     for m, c in phi.terms.items():
-        _add_derivative(data, g, m, c, trunc)
+        _add_derivative(data, groups, m, c, trunc)
     return PolySeries(g.n, data, trunc)
 
 

@@ -3,7 +3,9 @@
 The invariant algebra of the semisimple part is generated by the Hilbert
 basis monomials; when their exponent rows are linearly independent over Q
 the reduction map is well posed and a normal form with the free-module
-shape can be pushed down to r variables exactly.
+shape can be pushed down to r variables exactly.  The free-module and
+one-divisor checks are always decided: each asks the spectrum for the
+least witness off one coordinate hyperplane (`least_witness`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from .errors import (
     CertificateFailure,
     NotFreeModuleShape,
     RewriteFailure,
-    SearchCapReached,
     ZeroEigenvalue,
 )
 from .fields import (
@@ -32,9 +33,8 @@ from .spectrum import (
     DEFAULT_COMPLETION_CAP,
     EigenSpectrum,
     compositions,
-    eigen_system,
     hilbert_basis,
-    inhomogeneous_minimal_solutions,
+    least_witness,
     unit_row,
 )
 
@@ -64,41 +64,23 @@ def invariant_generators(s: EigenSpectrum, cap=DEFAULT_COMPLETION_CAP) -> Invari
 
 @dataclass(frozen=True)
 class FreeModuleVerdict:
-    free: bool | None  # None = unknown (completion cap reached)
+    free: bool
     witness: tuple[int, tuple[int, ...]] | None = None  # (component, exponent row)
 
 
-def _component_witness(s: EigenSpectrum, j, target, cap):
-    """Smallest m with m_j = 0 and <m, lambda> = <target, lambda>, or None.
-
-    Solved by completing the homogenized system over the remaining
-    variables, so absence is decided, not merely searched.
-    """
-    best = None
-    for sol in inhomogeneous_minimal_solutions(eigen_system(s, target, drop=j), s.n - 1, cap):
-        m = sol[:j] + (0,) + sol[j:]
-        if sum(m) == 0:
-            continue
-        if best is None or (sum(m), m) < (sum(best), best):
-            best = m
-    return best
-
-
-def check_free_module(s: EigenSpectrum, search_bound=DEFAULT_COMPLETION_CAP) -> FreeModuleVerdict:
+def check_free_module(s: EigenSpectrum) -> FreeModuleVerdict:
     """Does every resonant vector monomial for component j carry x_j?
 
     A witness is an m with m_j = 0 and <m, lambda> = lambda_j; none existing
     for any j makes the polynomial commutant a free module of rank n over
-    the invariant algebra.
+    the invariant algebra.  The first j with a witness is reported, with
+    its (degree, lex)-least m.
     """
     for i in range(s.n):
         if s.is_integral_monomial(unit_row(s.n, i)):
             raise ZeroEigenvalue(f"eigenvalue {i} is zero")
     for j in range(s.n):
-        try:
-            witness = _component_witness(s, j, unit_row(s.n, j), search_bound)
-        except SearchCapReached:
-            return FreeModuleVerdict(free=None)
+        witness = least_witness(s, unit_row(s.n, j), drop=j)
         if witness is not None:
             return FreeModuleVerdict(free=False, witness=(j, witness))
     return FreeModuleVerdict(free=True)
@@ -106,30 +88,25 @@ def check_free_module(s: EigenSpectrum, search_bound=DEFAULT_COMPLETION_CAP) -> 
 
 @dataclass(frozen=True)
 class OneDivVerdict:
-    holds: bool | None  # None = unknown
+    holds: bool
     witness: tuple[int, ...] | None = None
     div_nonzero: bool = True
 
 
-def check_onediv(s: EigenSpectrum, search_bound=DEFAULT_COMPLETION_CAP) -> OneDivVerdict:
+def check_onediv(s: EigenSpectrum) -> OneDivVerdict:
     """Is the divergence-cofactor module generated by x_1 ... x_n alone?
 
     Fails immediately when div A_s = 0 (the module then contains 1);
-    otherwise searches each hyperplane m_j = 0 for a monomial with
-    <m, lambda> equal to the divergence.
+    otherwise asks, hyperplane m_j = 0 by hyperplane, for the (degree,
+    lex)-least monomial with <m, lambda> equal to the divergence.
     """
     target = (1,) * s.n
     if s.is_integral_monomial(target):
         return OneDivVerdict(holds=False, witness=tuple(0 for _ in range(s.n)), div_nonzero=False)
     for j in range(s.n):
-        try:
-            witness = _component_witness(s, j, target, search_bound)
-        except SearchCapReached:
-            return OneDivVerdict(holds=None)
+        witness = least_witness(s, target, drop=j)
         if witness is not None:
             return OneDivVerdict(holds=False, witness=witness)
-        # the zero row also violates when the target is hit by m = 0;
-        # excluded above since target != 0
     return OneDivVerdict(holds=True)
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import (
     CertificateFailure,
     DimensionMismatch,
     InfiniteResonance,
     InfiniteResonanceWithoutCap,
+    ScopeError,
 )
 from .linalg import OPTIMAL, INFEASIBLE, RatMatrix, frac, lp_max
 from .spectrum import (
@@ -20,6 +22,8 @@ from .spectrum import (
     is_finite_linear_centralizer,
     unit_row,
 )
+
+RESONANCE_SCAN_LIMIT = 200_000
 
 
 def resonant_multiindices(s: EigenSpectrum, j: int, d: int):
@@ -55,7 +59,18 @@ def lp_degree_bound(s: EigenSpectrum) -> int:
 
 
 def resonances_by_component(s: EigenSpectrum, dmin: int, dmax: int):
-    """Per component j, every resonant m with dmin <= |m| <= dmax, by degree, then lex."""
+    """Per component j, every resonant m with dmin <= |m| <= dmax, by degree, then lex.
+
+    Refuses up front, with a scope error, a scan over more than
+    `RESONANCE_SCAN_LIMIT` monomials in all: per component, the sum over d
+    of C(d + n - 1, n - 1), which telescopes to C(dmax + n, n) - C(dmin - 1 + n, n).
+    """
+    per_component = comb(dmax + s.n, s.n) - comb(dmin - 1 + s.n, s.n)
+    if s.n * per_component > RESONANCE_SCAN_LIMIT:
+        raise ScopeError(
+            f"resonance scan up to degree {dmax} tests {per_component} monomials per component,"
+            f" {s.n * per_component} in all, above the limit {RESONANCE_SCAN_LIMIT}"
+        )
     return tuple(
         tuple(m for d in range(dmin, dmax + 1) for m in resonant_multiindices(s, j, d))
         for j in range(s.n)

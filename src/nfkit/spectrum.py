@@ -6,25 +6,31 @@ eigenvalues, so every resonance question becomes componentwise rational
 arithmetic.  On top of that sit the Hilbert basis of the zero-resonance
 monoid (computed by Contejean-Devie completion), the finiteness and
 positivity tests, the U/W index splitting, the integer diagonal matrices
-C_1..C_q, and the dimension-3 classifier.
+C_1..C_q, the least-witness search behind the module checks (a shortest
+path over a proven finite window of partial sums), and the dimension-3
+classifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd, lcm, prod
 
 from .errors import (
+    CertificateFailure,
     DimensionMismatch,
     GcdNotOne,
     NilpotentViolatesCommutation,
     RankMismatch,
+    ScopeError,
     SearchCapReached,
 )
 from .linalg import RatMatrix, frac, integer_rows, mat_rank
 
 DEFAULT_COMPLETION_CAP = 64
+WITNESS_WINDOW_LIMIT = 1_000_000
 
 
 def compositions(total: int, parts: int):
@@ -188,7 +194,8 @@ def inhomogeneous_minimal_solutions(system, nvars, cap=DEFAULT_COMPLETION_CAP):
 
     Turns the rhs column into a slack variable t with column -rhs; generators
     of the extended monoid with t = 1 are exactly the minimal inhomogeneous
-    solutions, so emptiness is decided, not just searched.
+    solutions, so emptiness is decided, not just searched.  The module
+    checks do not use it: `least_witness` answers their question directly.
     """
     ext = [list(row[:-1]) + [-row[-1]] for row in system]
     gens = minimal_nonneg_solutions(ext, nvars + 1, cap)
@@ -260,6 +267,137 @@ def eigen_monomials(s: EigenSpectrum, target, d: int):
     """All m with |m| = d and <m, lambda> = <target, lambda>, lex order."""
     want = s.eigen_coords(target)
     return [m for m in compositions(d, s.n) if s.eigen_coords(m) == want]
+
+
+def least_witness(s: EigenSpectrum, target, drop):
+    """The (degree, lex)-least m >= 0 with m_drop = 0 and <m, lambda> = <target, lambda>.
+
+    The target eigenvalue must be nonzero (both module checks rule zero
+    out); returns None when no witness exists.  Graph of partial sums
+    (Clausen and Fortenbacher): with the integer rows [w_i | t] of
+    `eigen_system`, a witness of degree d is a walk of d steps w_i from 0
+    to t, so the least degree is a shortest-path length.  Some order of
+    the steps keeps the walk inside the box around the segment [0, t]
+    that is [min(0, t_k) - R_k, max(0, t_k) + R_k] in coordinate k, with
+    W_k = max_i |w_ik|:
+
+    - q = 1, R = W.  Order the steps greedily: a positive one while the
+      partial sum is <= t, otherwise a negative one (zero steps anywhere).
+      One of the needed kind always remains, since the rest sums to t minus
+      the partial sum.  A positive step from a sum <= t ends <= t + W and a
+      negative step from a sum > t ends > t - W, so every partial sum stays
+      in [min(0, t) - W, max(0, t) + W].
+    - q > 1, R_k = q (W_k + |t_k|).  The vectors u_i = w_i - t/d sum to 0,
+      and |u_ik| <= W_k + |t_k|, so each has norm <= 1 in the norm
+      max_k |x_k| / (W_k + |t_k|) (a coordinate with W_k = t_k = 0 stays
+      0).  By the Steinitz lemma with the Grinberg-Sevast'yanov constant q,
+      valid for every norm, some order keeps every partial sum of the u_i
+      within norm q, i.e. within q (W_k + |t_k|) in coordinate k.  The j-th
+      partial sum of the w_i is that of the u_i plus (j/d) t, a point of
+      the segment [0, t].
+
+    A breadth-first search over the box therefore finds the least degree,
+    or proves that there is no witness.  The lex-least witness of that
+    degree is built greedily: each index, in order, takes the smallest
+    exponent for which the remaining indices can still reach the remaining
+    sum with the remaining degree.  The least-degree witness is a minimal
+    inhomogeneous solution, since any solution below it has smaller degree.
+    """
+    *steps, t = zip(*eigen_system(s, target, drop))
+    width = [max((abs(w[k]) for w in steps), default=0) for k in range(s.q)]
+    radius = width if s.q == 1 else [s.q * (width[k] + abs(t[k])) for k in range(s.q)]
+    lo = tuple(min(0, x) - r for x, r in zip(t, radius))
+    hi = tuple(max(0, x) + r for x, r in zip(t, radius))
+    size = prod(b - a + 1 for a, b in zip(lo, hi))
+    if size > WITNESS_WINDOW_LIMIT:
+        raise ScopeError(
+            f"witness search window has {size} points, above the limit {WITNESS_WINDOW_LIMIT}"
+        )
+    degree = _partial_sum_distance(steps, t, lo, hi)
+    if degree is None:
+        return None
+    m = _lex_least(steps, t, degree)
+    if m is not None:
+        m = m[:drop] + (0,) + m[drop:]
+    if m is None or m[drop] or sum(m) != degree or s.eigen_coords(m) != s.eigen_coords(target):
+        raise CertificateFailure(
+            f"search found no witness of degree {degree} for target {target} off index {drop}"
+        )
+    return m
+
+
+def _partial_sum_distance(steps, t, lo, hi):
+    """Fewest steps from 0 to t with every partial sum inside the box [lo, hi], or None.
+
+    Points live in a flat grid over the box widened in each coordinate by
+    the largest step there.  The widening is marked as visited, so a step
+    from a box point lands in the grid, never wraps into another row, and
+    is expanded only when it stays in the box.
+    """
+    q = len(t)
+    pad = [max((abs(w[k]) for w in steps), default=0) for k in range(q)]
+    dims = [b - a + 1 + 2 * p for a, b, p in zip(lo, hi, pad)]
+    strides = [prod(dims[k + 1:]) for k in range(q)]
+    grid = bytearray(prod(dims))
+
+    def widen(offset, k):
+        size = pad[k] * strides[k]
+        end = offset + dims[k] * strides[k]
+        grid[offset:offset + size] = bytes([1]) * size
+        grid[end - size:end] = bytes([1]) * size
+        if k + 1 < q:
+            for x in range(pad[k], dims[k] - pad[k]):
+                widen(offset + x * strides[k], k + 1)
+
+    def index(p):
+        return sum((x - a + d) * st for x, a, d, st in zip(p, lo, pad, strides))
+
+    widen(0, 0)
+    moves = sorted({sum(x * st for x, st in zip(w, strides)) for w in steps if any(w)})
+    start, goal = index((0,) * q), index(t)
+    grid[start] = 1
+    frontier = [start]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for p in frontier:
+            for d in moves:
+                r = p + d
+                if grid[r]:
+                    continue
+                if r == goal:
+                    return level
+                grid[r] = 1
+                nxt.append(r)
+        frontier = nxt
+    return None
+
+
+def _lex_least(steps, t, degree):
+    """Lex-least m >= 0 with sum m_i = degree and sum m_i w_i = t, or None."""
+    count = len(steps)
+    # a suffix of r steps from index i sums, per coordinate, within r * [low, high]
+    low = [tuple(min(w[k] for w in steps[i:]) for k in range(len(t))) for i in range(count)]
+    high = [tuple(max(w[k] for w in steps[i:]) for k in range(len(t))) for i in range(count)]
+
+    @lru_cache(maxsize=None)
+    def least(i, r, rest):
+        if i == count:
+            return () if r == 0 and not any(rest) else None
+        if not all(r * a <= x <= r * b for x, a, b in zip(rest, low[i], high[i])):
+            return None
+        for e in range(r + 1):
+            tail = least(i + 1, r - e, _minus(rest, e, steps[i]))
+            if tail is not None:
+                return (e,) + tail
+        return None
+
+    return least(0, degree, t)
+
+
+def _minus(rest, e, w):
+    return tuple(x - e * y for x, y in zip(rest, w))
 
 
 @dataclass(frozen=True)

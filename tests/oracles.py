@@ -7,12 +7,13 @@ definition chasing, never through the code paths under test.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from nfkit.fields import PolySeries, PolyVectorField
 from nfkit.linalg import RatMatrix, mat_solve
-from nfkit.spectrum import EigenSpectrum, build_spectrum
+from nfkit.spectrum import EigenSpectrum, build_spectrum, minimal_nonneg_solutions
 
 
 def exponent_rows(total: int, parts: int):
@@ -154,6 +155,43 @@ def brute_free_module_witness(s: EigenSpectrum, bound):
                 if m[j] == 0 and pairing(s, m) == s.lam[j]:
                     return j, m
     return None
+
+
+def brute_onediv_witness(s: EigenSpectrum, bound):
+    """First m with some m_j = 0 and <m, lambda> = <(1, ..., 1), lambda>, by (j, degree, lex).
+
+    Searches 1 <= |m| <= bound for each j in turn, as `check_onediv` reports.
+    """
+    div = pairing(s, (1,) * s.n)
+    for j in range(s.n):
+        for total in range(1, bound + 1):
+            for m in exponent_rows(total, s.n):
+                if m[j] == 0 and pairing(s, m) == div:
+                    return m
+    return None
+
+
+def completion_witness(s: EigenSpectrum, target, j, cap=64):
+    """(degree, lex)-least m with m_j = 0 and <m, lambda> = <target, lambda>, or None.
+
+    Homogenizes the system with a slack variable and completes it; the
+    generators with slack 1 are the minimal inhomogeneous solutions.
+    """
+    idx = [i for i in range(s.n) if i != j]
+    rhs = pairing(s, target)
+    rows = []
+    for k in range(s.q):
+        row = [s.lam[i][k] for i in idx] + [-rhs[k]]
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    best = None
+    for g in minimal_nonneg_solutions(rows, len(idx) + 1, cap):
+        if g[-1] != 1 or not any(g[:-1]):
+            continue
+        m = g[:j] + (0,) + g[j:-1]
+        if best is None or (sum(m), m) < (sum(best), best):
+            best = m
+    return best
 
 
 def dim3_condition_a(d1, d2, d3, box=70):

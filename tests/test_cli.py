@@ -190,6 +190,37 @@ def test_exit_code_scope_error(files, capsys):
     assert json.loads(err)["error"] == "infinite-resonance-without-cap"
 
 
+@pytest.mark.parametrize(
+    "values, bound, partial",
+    [(["1", "-1"], "1", []), (["1", "-1", "2", "-2"], "2", [[0, 0, 1, 1], [1, 1, 0, 0]])],
+)
+def test_search_cap_reports_partial_generators(tmp_path, capsys, values, bound, partial):
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps({"n": len(values), "q": 1, "lambda": [[v] for v in values]}))
+    code = main(["invariants", "--spectrum", str(path), "--search-bound", bound])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "search-cap-reached"
+    assert err["partial"] == partial
+
+
+def test_resonance_scan_too_large_is_refused_up_front(tmp_path, capsys):
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps({"n": 8, "q": 1, "lambda": [["1"], ["-1"]] * 4}))
+    code = main(["resonances", "--spectrum", str(path), "--max-degree", "30"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    # sum over d = 2..30 of C(d + 7, 7) = C(38, 8) - 1 - 8 per component
+    assert json.loads(captured.err) == {
+        "error": "scope-error",
+        "message": "resonance scan up to degree 30 tests 48903483 monomials per component,"
+                   " 391227864 in all, above the limit 200000",
+    }
+
+
 def test_exact_centralizer_of_infinite_spectrum_needs_truncate(files, tmp_path, capsys):
     field = tmp_path / "saddle_field.json"
     field.write_text(json.dumps({

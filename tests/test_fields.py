@@ -264,3 +264,39 @@ def test_linear_combination():
         PolyVectorField.linear_combination(2, [(1, g), (1, PolySeries.monomial(2, (1, 0)))])
     with pytest.raises(DimensionMismatch):
         PolySeries.linear_combination(3, [(1, PolySeries.monomial(2, (1, 0)))])
+
+
+def _sympy_poly(sp, xs, terms):
+    return sp.Add(*(
+        sp.Rational(c.numerator, c.denominator) * sp.Mul(*(x**e for x, e in zip(xs, m)))
+        for m, c in terms.items()
+    ))
+
+
+def _sympy_terms(sp, xs, expr, trunc):
+    """Exponent row -> coefficient of a sympy polynomial, degrees above ``trunc`` dropped."""
+    poly = sp.Poly(sp.expand(expr), *xs)
+    return {m: F(int(c.p), int(c.q)) for m, c in poly.terms() if c != 0 and sum(m) <= trunc}
+
+
+def test_bracket_and_lie_derivative_match_sympy():
+    """[g, h]_j = sum_i g_i d(h_j)/dx_i - h_i d(g_j)/dx_i and X_g(phi) = sum_i g_i d(phi)/dx_i."""
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        xs = sp.symbols(f"x0:{n}")
+        g_trunc, h_trunc = rng.choice([(INF, INF), (4, INF), (5, 3)])
+        g = random_field(rng, n, terms=5, trunc=g_trunc)
+        h = random_field(rng, n, terms=5, trunc=h_trunc)
+        phi = random_series(rng, n, terms=4, trunc=h_trunc)
+        gs = [_sympy_poly(sp, xs, g.component(i).terms) for i in range(n)]
+        hs = [_sympy_poly(sp, xs, h.component(i).terms) for i in range(n)]
+        trunc = min(g_trunc, h_trunc)
+        bracket = lie_bracket(g, h)
+        for j in range(n):
+            want = sum(gs[i] * sp.diff(hs[j], xs[i]) - hs[i] * sp.diff(gs[j], xs[i]) for i in range(n))
+            assert bracket.component(j).terms == _sympy_terms(sp, xs, want, trunc)
+        p = _sympy_poly(sp, xs, phi.terms)
+        want = sum(gs[i] * sp.diff(p, xs[i]) for i in range(n))
+        assert lie_derivative(g, phi).terms == _sympy_terms(sp, xs, want, trunc)

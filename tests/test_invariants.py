@@ -1,11 +1,23 @@
 """Invariant algebra, module checks, reduction by invariants, certificates."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from nfkit.errors import NotFreeModuleShape, ZeroEigenvalue
+import nfkit
+from nfkit.errors import (
+    NFKitError,
+    NotFreeModuleShape,
+    ScopeError,
+    SearchCapReached,
+    ZeroEigenvalue,
+)
 from nfkit.fields import (
     PolySeries,
     PolyVectorField,
@@ -13,6 +25,8 @@ from nfkit.fields import (
     series_times_field,
 )
 from nfkit.invariants import (
+    FreeModuleVerdict,
+    OneDivVerdict,
     check_free_module,
     check_onediv,
     decompose_eta,
@@ -22,9 +36,14 @@ from nfkit.invariants import (
     substitute_generators,
     triviality_certificate,
 )
-from nfkit.spectrum import build_spectrum
+from nfkit.spectrum import build_spectrum, least_witness, unit_row
 
-from oracles import brute_free_module_witness, pairing
+from oracles import (
+    brute_free_module_witness,
+    brute_onediv_witness,
+    completion_witness,
+    pairing,
+)
 
 
 def diag_field(*values):
@@ -97,6 +116,151 @@ def test_check_onediv_examples():
     s = build_spectrum(3, 1, [[1], [2], [-2]])
     assert pairing(s, v.witness) == pairing(s, (1, 1, 1))
     assert any(x == 0 for x in v.witness)
+
+
+def _assert_matches_brute(s, bound):
+    """Both checks equal the brute-force oracles searched up to a proven degree bound."""
+    if not all(any(pairing(s, unit_row(s.n, i))) for i in range(s.n)):
+        with pytest.raises(ZeroEigenvalue):
+            check_free_module(s)
+    else:
+        want = brute_free_module_witness(s, bound)
+        got = check_free_module(s)
+        assert got.free is (want is None)
+        assert got.witness == want
+    got = check_onediv(s)
+    if not any(pairing(s, (1,) * s.n)):
+        assert got.holds is False and not got.div_nonzero
+        return
+    want = brute_onediv_witness(s, bound)
+    assert got.holds is (want is None)
+    assert got.witness == want
+
+
+def _window_bound(values):
+    """Degree bound for q = 1: a shortest walk visits each point of its window once.
+
+    Every target is some lambda_j or the divergence; the window of partial
+    sums has |t| + 2W + 1 points.
+    """
+    W = max(abs(x) for x in values)
+    return max(abs(x) for x in list(values) + [sum(values)]) + 2 * W
+
+
+def test_witness_search_matches_brute_force_q1():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        values = [rng.randint(-4, 4) for _ in range(n)]
+        if not any(values):
+            continue
+        s = build_spectrum(n, 1, [[x] for x in values])
+        _assert_matches_brute(s, _window_bound(values))
+
+
+def test_witness_search_matches_brute_force_q2():
+    rng = random.Random(12)
+    # block spectra: the search splits into one q = 1 search per coordinate
+    blocks = [([1, -1], [1, -1]), ([2, -3], [1, -2]), ([3], [2, -1, -1]), ([1, -2, 3], [-2, 1])]
+    for _ in range(8):
+        blocks.append(tuple([rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(rng.randint(1, 2))]
+                            for _ in range(2)))
+    for first, second in blocks:
+        rows = [[x, 0] for x in first] + [[0, y] for y in second]
+        s = build_spectrum(len(rows), 2, rows)
+        _assert_matches_brute(s, _window_bound(first) + _window_bound(second))
+    # positive first coordinates: |m| min(a_i) <= t_1 for every solution
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        rows = [[rng.randint(1, 3), rng.randint(-3, 3)] for _ in range(n)]
+        try:
+            s = build_spectrum(n, 2, rows)
+        except NFKitError:
+            continue
+        low = min(a for a, _ in rows)
+        _assert_matches_brute(s, sum(a for a, _ in rows) // low)
+
+
+def test_witness_search_matches_completion():
+    """The least witness equals the least minimal inhomogeneous solution, q = 1..3."""
+    rng = random.Random(13)
+    checked = 0
+    while checked < 60:
+        q = rng.randint(1, 3)
+        n = rng.randint(q + 1, 4)
+        try:
+            s = build_spectrum(n, q, [[rng.randint(-3, 3) for _ in range(q)] for _ in range(n)])
+        except NFKitError:
+            continue
+        for j in range(n):
+            for target in (unit_row(n, j), (1,) * n):
+                if not any(pairing(s, target)):
+                    continue
+                try:
+                    want = completion_witness(s, target, j)
+                except SearchCapReached:
+                    continue
+                assert least_witness(s, target, j) == want
+                checked += 1
+
+
+@pytest.mark.parametrize(
+    "values, free_witness, onediv_witness",
+    [
+        ([-8, -3, -3, -10, -10, 2, -6], (0, (0, 0, 0, 0, 1, 1, 0)), (0, 0, 0, 0, 2, 0, 3)),
+        ([10, -11, 5, -9, -11, -11], (0, (0, 0, 2, 0, 0, 0)), (0, 0, 0, 3, 0, 0)),
+        ([6, -2, 12, -7, 5, -7], (0, (0, 2, 0, 0, 2, 0)), (0, 4, 0, 0, 3, 0)),
+        ([-11, 12, -11, 1, 12, 1], (0, (0, 0, 1, 0, 0, 0)), (0, 0, 0, 0, 0, 4)),
+    ],
+)
+def test_module_checks_on_large_spectra(values, free_witness, onediv_witness):
+    # witnesses found by the earlier completion-based search (seconds each)
+    s = build_spectrum(len(values), 1, [[x] for x in values])
+    assert check_free_module(s) == FreeModuleVerdict(free=False, witness=free_witness)
+    assert check_onediv(s) == OneDivVerdict(holds=False, witness=onediv_witness)
+
+
+def test_witness_window_limit_is_a_scope_error():
+    s = build_spectrum(4, 3, [[30, 1, 2], [1, 30, 3], [2, 3, -30], [-29, 5, 7]])
+    with pytest.raises(ScopeError, match=r"witness search window has \d+ points, above the limit"):
+        check_onediv(s)
+
+
+WITNESS_CERTIFICATE_SCRIPT = """
+import sys
+from nfkit import spectrum
+from nfkit.cli import main
+from nfkit.errors import CertificateFailure
+from nfkit.invariants import check_onediv
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real_lex_least = spectrum._lex_least
+# same degree, exponents in reverse order: the pairing no longer hits the target
+spectrum._lex_least = lambda steps, t, degree: real_lex_least(steps, t, degree)[::-1]
+try:
+    check_onediv(spectrum.build_spectrum(3, 1, [[1], [2], [-2]]))
+except CertificateFailure as exc:
+    print("api", exc.code, exc)
+print("cli", main(["invariants", "--spectrum", sys.argv[1]]))
+"""
+
+
+def test_witness_certificate_fires_under_optimize(tmp_path):
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"n": 3, "q": 1, "lambda": [["1"], ["2"], ["-2"]]}')
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WITNESS_CERTIFICATE_SCRIPT, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == (
+        "api certificate-failure search found no witness of degree 1 for target (1, 1, 1) off index 1"
+    )
+    assert lines[1] == "cli 4"
+    assert json.loads(proc.stderr)["error"] == "certificate-failure"
 
 
 def test_decompose_eta_saddle():

@@ -36,3 +36,33 @@ def test_eigenvalue_coordinates_stay_in_spectrum():
             if isinstance(node, ast.Attribute) and node.attr == "lam":
                 readers.append((path.name, node.lineno))
     assert not readers
+
+
+def _callers(name):
+    """(module, enclosing top-level function) of every call to ``name`` in the package."""
+    package = Path(nfkit.__file__).resolve().parent
+    out = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called == name:
+                        out.append((path.name, owner))
+    return out
+
+
+def test_completion_serves_only_the_hilbert_basis():
+    """Module checks use the partial-sum search; completion is left to `hilbert_basis`.
+
+    `inhomogeneous_minimal_solutions` stays importable for outside tools
+    that name it, but nothing in the package calls it.
+    """
+    assert _callers("inhomogeneous_minimal_solutions") == []
+    assert set(_callers("minimal_nonneg_solutions")) == {
+        ("spectrum.py", "hilbert_basis"),
+        ("spectrum.py", "inhomogeneous_minimal_solutions"),
+    }
