@@ -78,6 +78,10 @@ def _build_parser():
     return parser
 
 
+# parse_args leaves the parser unchanged, so one tree serves every call
+_PARSER = _build_parser()
+
+
 def _emit(args, doc, text_lines):
     if args.format == "json":
         sys.stdout.write(serialize.dumps(doc))
@@ -230,8 +234,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _DISPATCH[args.command](args)
     except NFKitError as exc:

@@ -125,68 +125,90 @@ def build_spectrum(n, q, lambda_rows, nilpotent_entries=()) -> EigenSpectrum:
 
 
 def minimal_nonneg_solutions(eqs, nvars, cap=DEFAULT_COMPLETION_CAP):
-    """Minimal nonzero solutions of eqs.x = 0 over Z_+^nvars.
+    """Minimal nonzero solutions of eqs.x = 0 over Z_+^nvars, in lex order.
 
     Contejean-Devie completion: grow candidates from the unit vectors, one
     unit at a time, only in directions that shrink the defect (negative
     scalar product of images), pruning anything dominated by a solution
     already found.  Terminates for every homogeneous system; ``cap`` bounds
     the explored degree as a guard and raises if ever reached.
+
+    Each candidate carries the scalar products of its image with the unit
+    images (a sum of Gram rows), so a direction is tested by one lookup and
+    the image is zero exactly when every product is.  Solutions are indexed
+    by (variable, value): a candidate t + e_i can only lie above a solution m
+    with m_i = t_i + 1, since t lay above none when it was created and no
+    solution of degree |t| other than t lies below t.
     """
     if cap < 1:
         raise DimensionMismatch(f"completion cap {cap} is below 1")
-    eqs = [list(map(int, row)) for row in eqs]
-    rows = [r for r in eqs if any(r)]
-
-    def image(v):
-        return tuple(sum(r[i] * v[i] for i in range(nvars)) for r in rows)
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
-    units = [unit_row(nvars, i) for i in range(nvars)]
-    unit_images = [image(e) for e in units]
+    rows = [r for r in (list(map(int, row)) for row in eqs) if any(r)]
+    unit_images = [tuple(r[i] for r in rows) for i in range(nvars)]
+    gram = [tuple(sum(a * b for a, b in zip(u, v)) for v in unit_images) for u in unit_images]
 
     minimal: list[tuple[int, ...]] = []
-    frontier = dict(zip(units, unit_images))
+    # by_value[i][v]: the solutions found so far with m_i = v
+    by_value: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in range(nvars)]
+    frontier = {unit_row(nvars, i): gram[i] for i in range(nvars)}
     level = 1
-    zero = tuple(0 for _ in rows)
     while frontier:
         if level > cap:
             raise SearchCapReached(
                 f"completion cap {cap} reached with {len(frontier)} open candidates",
                 partial=sorted(minimal),
             )
-        for t in sorted(frontier):
-            if frontier[t] == zero:
+        order = sorted(frontier)
+        for t in order:
+            if not any(frontier[t]):
                 minimal.append(t)
+                for i, x in enumerate(t):
+                    by_value[i].setdefault(x, []).append(t)
         nxt = {}
-        for t in sorted(frontier):
-            img = frontier[t]
-            if img == zero:
+        for t in order:
+            products = frontier[t]
+            if not any(products):
                 continue
-            for i in range(nvars):
-                if dot(img, unit_images[i]) >= 0:
+            for i, p in enumerate(products):
+                if p >= 0:
                     continue
-                cand = list(t)
-                cand[i] += 1
-                cand = tuple(cand)
+                cand = t[:i] + (t[i] + 1,) + t[i + 1:]
                 if cand in nxt:
                     continue
-                if any(all(cand[k] >= m[k] for k in range(nvars)) for m in minimal):
+                if any(
+                    all(a <= b for a, b in zip(m, cand))
+                    for m in by_value[i].get(cand[i], ())
+                ):
                     continue
-                nxt[cand] = tuple(a + b for a, b in zip(img, unit_images[i]))
+                nxt[cand] = tuple(a + b for a, b in zip(products, gram[i]))
         frontier = nxt
         level += 1
-    # The completion already prunes dominated candidates; the final filter
-    # guards the minimality invariant regardless.
-    out = []
-    for t in sorted(minimal):
-        if not any(
-            m != t and all(m[k] <= t[k] for k in range(nvars)) for m in minimal
-        ):
-            out.append(t)
-    return out
+    minimal.sort()
+    _require_minimal(minimal)
+    return minimal
+
+
+def _require_minimal(solutions):
+    """Raise CertificateFailure when a solution lies on or above another one.
+
+    Bit j of ``at_most[k][v]`` is set when solution j has a k-th entry of
+    at most v, so the solutions below g are the intersection over k of
+    ``at_most[k][g_k]``: one AND per coordinate instead of a pairwise scan.
+    """
+    at_most = []
+    for k in range(len(solutions[0]) if solutions else 0):
+        bits = [0] * (max(g[k] for g in solutions) + 1)
+        for j, g in enumerate(solutions):
+            bits[g[k]] |= 1 << j
+        for v in range(1, len(bits)):
+            bits[v] |= bits[v - 1]
+        at_most.append(bits)
+    for j, g in enumerate(solutions):
+        below = ~(1 << j)
+        for k, x in enumerate(g):
+            below &= at_most[k][x]
+        if below:
+            m = solutions[(below & -below).bit_length() - 1]
+            raise CertificateFailure(f"completion kept {list(g)}, which lies on or above {list(m)}")
 
 
 def inhomogeneous_minimal_solutions(system, nvars, cap=DEFAULT_COMPLETION_CAP):

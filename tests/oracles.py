@@ -13,7 +13,14 @@ from fractions import Fraction
 
 from nfkit.fields import PolySeries, PolyVectorField
 from nfkit.linalg import RatMatrix, mat_solve
-from nfkit.spectrum import EigenSpectrum, build_spectrum, minimal_nonneg_solutions
+from nfkit.errors import DimensionMismatch, SearchCapReached
+from nfkit.spectrum import (
+    DEFAULT_COMPLETION_CAP,
+    EigenSpectrum,
+    build_spectrum,
+    minimal_nonneg_solutions,
+    unit_row,
+)
 
 
 def exponent_rows(total: int, parts: int):
@@ -83,6 +90,111 @@ def is_monoid_minimal(s: EigenSpectrum, g, dmax):
         if pairing(s, e) == zero and pairing(s, rest) == zero:
             return False
     return True
+
+
+# The scan-based completion: every candidate is compared with every solution
+# found so far, each direction costs one dot product, and a pairwise filter
+# ends it.  An independent oracle for the generators, their order, the cap
+# message and ``partial``.
+
+def reference_completion(eqs, nvars, cap=DEFAULT_COMPLETION_CAP):
+    """Minimal nonzero solutions of eqs.x = 0 over Z_+^nvars.
+
+    Contejean-Devie completion: grow candidates from the unit vectors, one
+    unit at a time, only in directions that shrink the defect (negative
+    scalar product of images), pruning anything dominated by a solution
+    already found.  Terminates for every homogeneous system; ``cap`` bounds
+    the explored degree as a guard and raises if ever reached.
+    """
+    if cap < 1:
+        raise DimensionMismatch(f"completion cap {cap} is below 1")
+    eqs = [list(map(int, row)) for row in eqs]
+    rows = [r for r in eqs if any(r)]
+
+    def image(v):
+        return tuple(sum(r[i] * v[i] for i in range(nvars)) for r in rows)
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    units = [unit_row(nvars, i) for i in range(nvars)]
+    unit_images = [image(e) for e in units]
+
+    minimal: list[tuple[int, ...]] = []
+    frontier = dict(zip(units, unit_images))
+    level = 1
+    zero = tuple(0 for _ in rows)
+    while frontier:
+        if level > cap:
+            raise SearchCapReached(
+                f"completion cap {cap} reached with {len(frontier)} open candidates",
+                partial=sorted(minimal),
+            )
+        for t in sorted(frontier):
+            if frontier[t] == zero:
+                minimal.append(t)
+        nxt = {}
+        for t in sorted(frontier):
+            img = frontier[t]
+            if img == zero:
+                continue
+            for i in range(nvars):
+                if dot(img, unit_images[i]) >= 0:
+                    continue
+                cand = list(t)
+                cand[i] += 1
+                cand = tuple(cand)
+                if cand in nxt:
+                    continue
+                if any(all(cand[k] >= m[k] for k in range(nvars)) for m in minimal):
+                    continue
+                nxt[cand] = tuple(a + b for a, b in zip(img, unit_images[i]))
+        frontier = nxt
+        level += 1
+    # The completion already prunes dominated candidates; the final filter
+    # guards the minimality invariant regardless.
+    out = []
+    for t in sorted(minimal):
+        if not any(
+            m != t and all(m[k] <= t[k] for k in range(nvars)) for m in minimal
+        ):
+            out.append(t)
+    return out
+
+
+def lambert_box_solutions(row):
+    """Minimal nonzero solutions of one equation row.x = 0 over Z_+^n, lex order.
+
+    Write the row as a.x = b.y with a, b > 0 (zero coefficients give the
+    unit vectors and nothing else).  Lambert's bound: a minimal solution has
+    |x|_1 <= max b and |y|_1 <= max a, so a box search over that range,
+    followed by a pairwise minimality filter, finds all of them.
+    """
+    n = len(row)
+    pos = [i for i in range(n) if row[i] > 0]
+    neg = [i for i in range(n) if row[i] < 0]
+    out = [tuple(int(i == k) for k in range(n)) for i in range(n) if row[i] == 0]
+    if not pos or not neg:
+        return sorted(out)
+    max_a = max(row[i] for i in pos)
+    max_b = max(-row[i] for i in neg)
+    by_value = {}
+    for total in range(1, max_b + 1):
+        for xs in exponent_rows(total, len(pos)):
+            by_value.setdefault(sum(row[i] * x for i, x in zip(pos, xs)), []).append(xs)
+    sols = []
+    for total in range(1, max_a + 1):
+        for ys in exponent_rows(total, len(neg)):
+            for xs in by_value.get(sum(-row[i] * y for i, y in zip(neg, ys)), ()):
+                m = [0] * n
+                for i, x in zip(pos + neg, xs + ys):
+                    m[i] = x
+                sols.append(tuple(m))
+    out += [
+        m for m in sols
+        if not any(e != m and all(a <= b for a, b in zip(e, m)) for e in sols)
+    ]
+    return sorted(out)
 
 
 def brute_positive_relation(s: EigenSpectrum, dmax: int) -> bool:

@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -252,6 +253,58 @@ def test_completion_runs_once_per_request(files, capsys, monkeypatch, command):
     if command == "centralizer":
         assert json.loads(out)["exact"] is True
     assert len(calls) == 1
+
+
+# every subcommand on the fixtures, after a bad argv and --help
+SHARED_PARSER_CALLS = [
+    ["centralizer", "--spectrum"],
+    ["--help"],
+    ["resonances", "--spectrum", "eg3"],
+    ["pdnf-basis", "--spectrum", "eg3"],
+    ["centralizer", "--spectrum", "eg3", "--field", "eg3_field"],
+    ["centralizer", "--spectrum", "saddle", "--field", "saddle_field", "--truncate", "3"],
+    ["normalizer", "--spectrum", "saddle", "--field", "saddle_field", "--truncate", "3"],
+    ["invariants", "--spectrum", "saddle"],
+    ["reduce", "--spectrum", "saddle", "--field", "saddle_field"],
+    ["jacobi", "--spectrum", "ifac", "--field", "ifac_field",
+     "--r-min", "2", "--r-max", "4", "--truncate", "4"],
+    ["classify3", "3", "2", "6", "--format", "text"],
+    ["check", "--spectrum", "eg3", "--field", "eg3_field"],
+]
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def test_one_parser_serves_every_call_in_a_process(files, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    codes = []
+    for argv in SHARED_PARSER_CALLS:
+        argv = [files.get(a, a) for a in argv]
+        got = _in_process(capsys, argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "nfkit.cli", *argv], capture_output=True, env=env, timeout=120,
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(got[0])
+    assert codes == [2] + [0] * (len(SHARED_PARSER_CALLS) - 1)
+
+
+def test_main_builds_no_parser(files, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    for argv in SHARED_PARSER_CALLS[2:]:
+        code, out, _ = _in_process(capsys, [files.get(a, a) for a in argv])
+        assert code == 0 and out, argv
 
 
 CERTIFICATE_SCRIPT = """

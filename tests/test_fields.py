@@ -111,15 +111,36 @@ def test_algebraic_identities_randomized():
         assert (lhs2 - rhs2).is_zero()
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_antisymmetry_property(data):
-    n = data.draw(st.integers(2, 3))
-    seed = data.draw(st.integers(0, 10**6))
-    rng = random.Random(seed)
-    g = random_field(rng, n)
-    h = random_field(rng, n)
+def sparse_fields(n, max_degree=3, max_terms=4):
+    """Vector fields in n variables with a few terms of degree <= max_degree."""
+    rows = st.lists(st.integers(0, max_degree), min_size=n, max_size=n).map(tuple)
+    keys = st.tuples(st.integers(0, n - 1), rows.filter(lambda m: sum(m) <= max_degree))
+    coefficients = st.fractions(-5, 5, max_denominator=4).filter(bool)
+    terms = st.dictionaries(keys, coefficients, max_size=max_terms)
+    return terms.map(lambda data: PolyVectorField(n, data))
+
+
+FIELD_TRIPLES = st.integers(1, 3).flatmap(lambda n: st.tuples(*[sparse_fields(n)] * 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(FIELD_TRIPLES)
+def test_antisymmetry_property(fields3):
+    g, h, _ = fields3
     assert (lie_bracket(g, h) + lie_bracket(h, g)).is_zero()
+    assert lie_bracket(g, g).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(FIELD_TRIPLES)
+def test_jacobi_identity_property(fields3):
+    g, h, k = fields3
+    jac = (
+        lie_bracket(g, lie_bracket(h, k))
+        + lie_bracket(h, lie_bracket(k, g))
+        + lie_bracket(k, lie_bracket(g, h))
+    )
+    assert jac.is_zero()
 
 
 def test_lie_derivative_examples():

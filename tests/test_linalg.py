@@ -113,6 +113,21 @@ def test_kernel_and_rank_match_sympy(sympy, rows):
     assert mat_rank(M) == S.rank()
 
 
+# sparse columns keyed by row labels, the shape every solver hands to from_columns
+SPARSE_COLUMNS = st.lists(st.dictionaries(st.integers(0, 5), RATIONALS, max_size=4), max_size=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SPARSE_COLUMNS)
+def test_kernel_vectors_annihilate_their_columns(columns):
+    basis = mat_kernel(RatMatrix.from_columns(columns)).basis
+    keys = {key for col in columns for key in col}
+    for v in basis:
+        assert len(v) == len(columns)
+        for key in keys:
+            assert sum(col.get(key, 0) * x for col, x in zip(columns, v)) == 0
+
+
 def _with_rhs(rows):
     return st.tuples(st.just(rows), st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
 

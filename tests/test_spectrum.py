@@ -1,12 +1,17 @@
 """Spectrum encoding, Hilbert bases, finiteness tests, dimension-3 classifier."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
-from nfkit.errors import GcdNotOne, NilpotentViolatesCommutation, RankMismatch
+import nfkit
+from nfkit.errors import GcdNotOne, NilpotentViolatesCommutation, RankMismatch, SearchCapReached
 from nfkit.spectrum import (
     build_spectrum,
     c_matrix_basis,
@@ -15,6 +20,7 @@ from nfkit.spectrum import (
     has_positive_relation,
     hilbert_basis,
     is_finite_linear_centralizer,
+    minimal_nonneg_solutions,
     uw_decomposition,
 )
 
@@ -24,7 +30,9 @@ from oracles import (
     decomposes_over,
     dim3_condition_a,
     is_monoid_minimal,
+    lambert_box_solutions,
     pairing,
+    reference_completion,
 )
 
 
@@ -203,3 +211,67 @@ def test_completion_cap_diagnostic():
 
     with pytest.raises(SearchCapReached):
         hilbert_basis(spec_saddle(), cap=1)
+
+
+def _completion_outcome(complete, eqs, nvars, cap):
+    try:
+        return ("done", complete(eqs, nvars, cap))
+    except SearchCapReached as exc:
+        return ("cap", str(exc), exc.partial)
+
+
+def _random_systems(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        q = rng.randint(1, 2)
+        yield [[rng.randint(-8, 8) for _ in range(n)] for _ in range(q)], n
+
+
+def test_completion_matches_the_reference_and_the_lambert_box():
+    """Same generators in the same order as the scan-based completion and, for
+    one equation, as a box search under Lambert's bound."""
+    compared = 0
+    for eqs, n in _random_systems(7, 320):
+        got = _completion_outcome(minimal_nonneg_solutions, eqs, n, 64)
+        assert got == _completion_outcome(reference_completion, eqs, n, 64), eqs
+        if got[0] == "cap":
+            continue
+        if len(eqs) == 1:
+            assert got[1] == lambert_box_solutions(eqs[0]), eqs
+        compared += 1
+    assert compared >= 250
+
+
+def test_completion_caps_match_the_reference():
+    for eqs, n in _random_systems(11, 120):
+        for cap in range(1, 5):
+            want = _completion_outcome(reference_completion, eqs, n, cap)
+            assert _completion_outcome(minimal_nonneg_solutions, eqs, n, cap) == want, (eqs, cap)
+
+
+MINIMALITY_SCRIPT = """
+import sys
+from nfkit import spectrum
+from nfkit.errors import CertificateFailure
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+spectrum._require_minimal([(0, 1, 1), (1, 1, 0), (2, 0, 1)])
+try:
+    spectrum._require_minimal([(0, 1, 1), (1, 1, 0), (1, 2, 1)])
+except CertificateFailure as exc:
+    print("api", exc.code, exc)
+"""
+
+
+def test_minimality_recheck_fires_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MINIMALITY_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "api certificate-failure completion kept [1, 2, 1], which lies on or above [0, 1, 1]"
+    ]
