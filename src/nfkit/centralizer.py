@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import (
     CertificateFailure,
@@ -24,6 +25,7 @@ from .errors import (
     InfiniteResonance,
     LinearPartMismatch,
     NotNormalizerPair,
+    ScopeError,
     ZeroSemisimplePart,
 )
 from .fields import (
@@ -35,7 +37,7 @@ from .fields import (
     series_times_field,
 )
 from .linalg import RatMatrix, mat_kernel
-from .resonance import finite_resonance_set, resonances_by_component
+from .resonance import NORMALIZER_UNKNOWN_LIMIT, finite_resonance_set, resonances_by_component
 from .spectrum import EigenSpectrum, compositions, is_finite_linear_centralizer, unit_row
 
 
@@ -46,28 +48,43 @@ class CommutantBasis:
 
 
 def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
-    """Kernel of B -> ([B, A_s], [B, A_n]) on the n^2 matrix entries.
+    """Kernel of B -> ([B, A_s], [B, A_n]), solved once per eigenvalue block.
 
-    Entry (i, k) of [B, A_s] is B_ik (lambda_k - lambda_i), so [B, A_s] = 0
-    is one unit row B_ik = 0 per pair (i, k) across eigenvalue blocks; the
-    [B, A_n] rows are assembled from the nilpotent entries.
+    Entry (i, k) of [B, A_s] is B_ik (lambda_k - lambda_i), so B vanishes
+    across blocks, and [B, A_n] = 0 splits into one |b|^2-column system per
+    block b on its own entries B_{b_a b_c} (column a |b| + c), with rows from
+    that block's nilpotent entries; a block without them has no rows and
+    its kernel is the identity.  Each kernel vector is placed in an n x n
+    matrix, and the union is ordered by free column, the vector's last
+    nonzero entry: that is exactly `mat_kernel`'s basis of the whole n^2
+    system, whose cross-block columns are all pivots.
     """
     n = s.n
-    columns = [{} for _ in range(n * n)]  # column i * n + k holds B_ik
-    block_of = {i: b for b, block in enumerate(s.blocks()) for i in block}
-    for i in range(n):
-        for k in range(n):
-            if block_of[i] != block_of[k]:
-                columns[i * n + k][("semisimple", i, k)] = 1
-    # N_ik = c enters (NB - BN)_ij as +c B_kj and (NB - BN)_jk as -c B_ji
-    for i, k, c in s.nilpotent:
-        for j in range(n):
-            col, key = columns[k * n + j], ("nilpotent", i, j)
-            col[key] = col.get(key, 0) + c
-            col, key = columns[j * n + i], ("nilpotent", j, k)
-            col[key] = col.get(key, 0) - c
-    vecs = mat_kernel(RatMatrix.from_columns(columns)).basis
-    basis = tuple(tuple(v[i * n:(i + 1) * n] for i in range(n)) for v in vecs)
+    placed = []
+    for block in s.blocks():
+        size = len(block)
+        local = {i: a for a, i in enumerate(block)}
+        columns = [{} for _ in range(size * size)]
+        # N_ik = c enters (NB - BN)_ij as +c B_kj and (NB - BN)_jk as -c B_ji
+        for i, k, c in s.nilpotent:
+            if i not in local:
+                continue
+            a, b = local[i], local[k]
+            for t in range(size):
+                col, key = columns[b * size + t], (a, t)
+                col[key] = col.get(key, 0) + c
+                col, key = columns[t * size + a], (t, b)
+                col[key] = col.get(key, 0) - c
+        for vec in mat_kernel(RatMatrix.from_columns(columns)).basis:
+            mat = [[Fraction(0)] * n for _ in range(n)]
+            last = 0
+            for t, x in enumerate(vec):
+                if x:
+                    i, k = block[t // size], block[t % size]
+                    mat[i][k] = x
+                    last = i * n + k
+            placed.append((last, tuple(tuple(row) for row in mat)))
+    basis = tuple(mat for _, mat in sorted(placed, key=lambda p: p[0]))
     return CommutantBasis(dimension=len(basis), basis=basis)
 
 
@@ -204,10 +221,18 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
     monomials of degree 0..D-1.  The linear part of f must be stored
     explicitly: unlike the centralizer case the unknowns are not confined
     to resonant monomials, so the semisimple part enters the equations as
-    actual rational numbers.
+    actual rational numbers.  Refuses up front, with a scope error, more than
+    `NORMALIZER_UNKNOWN_LIMIT` unknowns: n (C(D + n, n) - 1) vector and
+    C(D - 1 + n, n) scalar monomials.
     """
     _require_explicit(s, f)
     _check_truncation(f, D)
+    unknowns = s.n * (comb(D + s.n, s.n) - 1) + comb(D - 1 + s.n, s.n)
+    if unknowns > NORMALIZER_UNKNOWN_LIMIT:
+        raise ScopeError(
+            f"normalizer truncated at degree {D} has {unknowns} unknowns,"
+            f" above the limit {NORMALIZER_UNKNOWN_LIMIT}"
+        )
     fD = f.truncated(D)
     g_monos = [
         PolyVectorField.monomial(s.n, j, m)

@@ -71,15 +71,8 @@ class RatMatrix:
         matrix.cols = ncols  # a matrix without rows still has ncols columns
         return matrix
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def row(self, i) -> Vec:
         return self._data[i]
-
-    def entry(self, i, j) -> Fraction:
-        return self._data[i][j]
 
     def __iter__(self):
         return iter(self._data)
@@ -92,14 +85,6 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix({[list(map(str, r)) for r in self._data]})"
-
-    def mul_vec(self, v) -> Vec:
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length != cols")
-        return tuple(
-            sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
-            for row in self._data
-        )
 
 
 @dataclass(frozen=True)

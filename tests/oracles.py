@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 
 from nfkit.fields import PolySeries, PolyVectorField
-from nfkit.linalg import RatMatrix, mat_solve
-from nfkit.errors import DimensionMismatch, SearchCapReached
+from nfkit.linalg import RatMatrix, mat_kernel, mat_solve
+from nfkit.errors import DimensionMismatch, RankMismatch, SearchCapReached
 from nfkit.spectrum import (
     DEFAULT_COMPLETION_CAP,
     EigenSpectrum,
@@ -219,7 +219,7 @@ def vertex_lp_max(c, A: RatMatrix, b):
     feasible = False
     for size in range(0, n + 1):
         for cols in itertools.combinations(range(n), size):
-            sub = RatMatrix([[A.entry(i, j) for j in cols] for i in range(A.rows)])
+            sub = RatMatrix([[row[j] for j in cols] for row in A])
             sol = mat_solve(sub, b)
             if sol is None or sol.basis:
                 continue
@@ -233,6 +233,66 @@ def vertex_lp_max(c, A: RatMatrix, b):
             if best is None or val > best:
                 best, point = val, tuple(x)
     return feasible, best, point
+
+
+def per_coordinate_degree_bound(s: EigenSpectrum):
+    """max(1, floor max |m|) over {m >= 0 : <m, lambda> = lambda_j}, one LP per j.
+
+    Each LP is solved by vertex enumeration on rows read straight from
+    ``s.lam``; the callers pass finite spectra, whose LPs are bounded.
+    """
+    best = 1
+    for j in range(s.n):
+        A = RatMatrix([[s.lam[i][k] for i in range(s.n)] for k in range(s.q)])
+        feasible, value, _ = vertex_lp_max([1] * s.n, A, s.lam[j])
+        if feasible:
+            best = max(best, math.floor(value))
+    return best
+
+
+def whole_matrix_commutant(s: EigenSpectrum):
+    """Kernel of B -> ([B, A_s], [B, A_n]) as one system on all n^2 entries.
+
+    Column i * n + k holds B_ik; [B, A_s] = 0 is one unit row B_ik = 0 per
+    pair (i, k) with lambda_i != lambda_k, and the [B, A_n] rows come from
+    the nilpotent entries.  Returns the basis as n x n row tuples.
+    """
+    n = s.n
+    columns = [{} for _ in range(n * n)]
+    for i in range(n):
+        for k in range(n):
+            if s.lam[i] != s.lam[k]:
+                columns[i * n + k][("semisimple", i, k)] = 1
+    # N_ik = c enters (NB - BN)_ij as +c B_kj and (NB - BN)_jk as -c B_ji
+    for i, k, c in s.nilpotent:
+        for j in range(n):
+            col, key = columns[k * n + j], ("nilpotent", i, j)
+            col[key] = col.get(key, 0) + c
+            col, key = columns[j * n + i], ("nilpotent", j, k)
+            col[key] = col.get(key, 0) - c
+    vecs = mat_kernel(RatMatrix.from_columns(columns)).basis
+    return tuple(tuple(v[i * n:(i + 1) * n] for i in range(n)) for v in vecs)
+
+
+def random_block_spectrum(rng: random.Random, n: int, q: int):
+    """Eigenvalue rows drawn from a few values, so that blocks repeat, plus
+    nilpotent entries with random nonzero rational coefficients inside them.
+
+    Draws again until the rows have rank q <= n, as `build_spectrum` requires.
+    """
+    while True:
+        pool = [tuple(rand_frac(rng, sign=True) for _ in range(q)) for _ in range(rng.randint(q, 3))]
+        rows = [rng.choice(pool) for _ in range(n)]
+        nil = [
+            (i, k, rand_frac(rng, sign=True))
+            for i in range(n)
+            for k in range(i + 1, n)
+            if rows[i] == rows[k] and rng.random() < 0.5
+        ]
+        try:
+            return build_spectrum(n, q, rows, nil)
+        except RankMismatch:
+            continue
 
 
 def brute_semiinvariant_ladder(mu, value, smax):

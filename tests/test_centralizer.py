@@ -29,7 +29,13 @@ from nfkit.fields import (
 from nfkit.linalg import RatMatrix, mat_rank
 from nfkit.spectrum import build_spectrum, c_matrix_basis
 
-from oracles import linear_terms_of, pairing, random_pdnf
+from oracles import (
+    linear_terms_of,
+    pairing,
+    random_block_spectrum,
+    random_pdnf,
+    whole_matrix_commutant,
+)
 
 
 def diag_field(*values):
@@ -133,6 +139,39 @@ def test_linear_commutant_matches_sympy():
         ]
         got = [tuple(x for row in B for x in row) for B in linear_commutant(s).basis]
         assert got == expected, (lam, nil)
+
+
+COMMUTANT_CASES = [
+    # a 4-block Jordan chain with non-unit coefficients, a 2-block, a singleton
+    build_spectrum(
+        7, 1, [[2], [2], [2], [2], [-1], [-1], [5]],
+        [(0, 1, F(3, 2)), (1, 2, -2), (2, 3, F(1, 3)), (4, 5, 5)],
+    ),
+    # q = 2 with interleaved blocks, so block entries are not contiguous
+    build_spectrum(
+        6, 2, [[1, 0], [0, 1], [1, 0], [0, 1], [1, 0], [F(1, 2), 3]],
+        [(0, 2, F(2, 3)), (1, 3, -4), (2, 4, 7)],
+    ),
+    # a 5-block whose nilpotent part is not a single chain
+    build_spectrum(
+        5, 1, [[F(-1, 3)]] * 5, [(0, 2, F(5, 4)), (1, 3, -1), (1, 4, F(2, 7)), (3, 4, 6)]
+    ),
+]
+
+
+def test_linear_commutant_matches_whole_matrix_oracle():
+    """Per-block kernels give the whole n^2 system's basis, vector for vector."""
+    rng = random.Random(88)
+    spectra = list(COMMUTANT_CASES)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        spectra.append(random_block_spectrum(rng, n, rng.choice([1, 1, 2]) if n > 1 else 1))
+    assert any(s.q == 2 and s.nilpotent for s in spectra)
+    assert any(len(b) >= 4 and s.nilpotent for s in spectra for b in s.blocks())
+    for s in spectra:
+        comm = linear_commutant(s)
+        assert comm.basis == whole_matrix_commutant(s), (s.lam, s.nilpotent)
+        assert comm.dimension == len(comm.basis)
 
 
 def test_eg3_case_table():

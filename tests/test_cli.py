@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import nfkit
-from nfkit import fields, spectrum
+from nfkit import centralizer, fields, spectrum
 from nfkit.cli import main
+from nfkit.linalg import SolutionSpace
 
 EG3_SPECTRUM = {
     "n": 3,
@@ -222,6 +223,42 @@ def test_resonance_scan_too_large_is_refused_up_front(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("D, code", [(6, 0), (7, 3)])
+def test_normalizer_too_large_is_refused_up_front(tmp_path, capsys, monkeypatch, D, code):
+    spectrum_path = tmp_path / "spectrum.json"
+    spectrum_path.write_text(json.dumps({"n": 3, "q": 1, "lambda": [["1"], ["1"], ["-1"]]}))
+    field_path = tmp_path / "field.json"
+    field_path.write_text(json.dumps({
+        "n": 3,
+        "trunc": "inf",
+        "terms": [
+            {"j": 1, "m": [1, 0, 0], "c": "1"},
+            {"j": 2, "m": [0, 1, 0], "c": "1"},
+            {"j": 3, "m": [0, 0, 1], "c": "-1"},
+        ],
+    }))
+    # D = 6 (305 unknowns) is accepted; its elimination (about 20 s) is skipped
+    solved = []
+
+    def no_kernel(M):
+        solved.append(M.cols)
+        return SolutionSpace(particular=None, basis=())
+
+    monkeypatch.setattr(centralizer, "mat_kernel", no_kernel)
+    argv = ["normalizer", "--spectrum", str(spectrum_path), "--field", str(field_path)]
+    assert main(argv + ["--truncate", str(D)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert solved == [305]
+        return
+    assert solved == [] and captured.out == ""
+    # 3 (C(10, 3) - 1) vector and C(9, 3) scalar monomials
+    assert json.loads(captured.err) == {
+        "error": "scope-error",
+        "message": "normalizer truncated at degree 7 has 441 unknowns, above the limit 320",
+    }
+
+
 def test_exact_centralizer_of_infinite_spectrum_needs_truncate(files, tmp_path, capsys):
     field = tmp_path / "saddle_field.json"
     field.write_text(json.dumps({
@@ -311,6 +348,7 @@ CERTIFICATE_SCRIPT = """
 import sys
 from nfkit import centralizer
 from nfkit.cli import main
+from nfkit.linalg import SolutionSpace
 from nfkit.errors import CertificateFailure
 from nfkit.linalg import SolutionSpace
 from nfkit.serialize import field_from_json, load_json_file, spectrum_from_json
@@ -318,14 +356,24 @@ from nfkit.serialize import field_from_json, load_json_file, spectrum_from_json
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 real_kernel = centralizer.mat_kernel
+real_commutant = centralizer.linear_commutant
 
 
-def kernel_without_centralizer(M):
-    # the 3 x 3 commutant (9 unknowns) stays, the centralizer system loses its kernel
-    return real_kernel(M) if M.cols == 9 else SolutionSpace(particular=None, basis=())
+def no_kernel(M):
+    return SolutionSpace(particular=None, basis=())
 
 
-centralizer.mat_kernel = kernel_without_centralizer
+def commutant_with_real_kernel(s):
+    # the commutant (d = 3) keeps its kernel, the centralizer system loses its own
+    centralizer.mat_kernel = real_kernel
+    try:
+        return real_commutant(s)
+    finally:
+        centralizer.mat_kernel = no_kernel
+
+
+centralizer.mat_kernel = no_kernel
+centralizer.linear_commutant = commutant_with_real_kernel
 spectrum_path, field_path = sys.argv[1:]
 s = spectrum_from_json(load_json_file(spectrum_path))
 f = field_from_json(load_json_file(field_path))

@@ -1,9 +1,11 @@
 """Resonance enumeration, degree bounds, degree ladders."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from nfkit import resonance
 from nfkit.errors import InfiniteResonance, InfiniteResonanceWithoutCap
 from nfkit.resonance import (
     commuting_degree_ladder,
@@ -14,7 +16,14 @@ from nfkit.resonance import (
 )
 from nfkit.spectrum import build_spectrum
 
-from oracles import brute_commuting_degrees, brute_resonances, brute_semiinvariant_ladder, pairing
+from oracles import (
+    brute_commuting_degrees,
+    brute_resonances,
+    brute_semiinvariant_ladder,
+    pairing,
+    per_coordinate_degree_bound,
+    spectrum_pool_finite,
+)
 
 
 def spec_1263():
@@ -41,6 +50,30 @@ def test_degree_bound_examples():
     assert resonance_degree_bound(build_spectrum(3, 1, [[12], [3], [2]])) == 6
     assert resonance_degree_bound(spec_1263()) == 4
     assert resonance_degree_bound(build_spectrum(2, 1, [[1], [2]])) == 2
+
+
+def test_degree_bound_is_one_lp_per_eigenvalue(monkeypatch):
+    """The bound is the maximum of the per-coordinate LPs, solved once per block."""
+    calls = []
+    real_lp_max = resonance.lp_max
+
+    def counting_lp_max(*args):
+        calls.append(args)
+        return real_lp_max(*args)
+
+    monkeypatch.setattr(resonance, "lp_max", counting_lp_max)
+    rng = random.Random(31)
+    spectra = [spectrum_pool_finite(rng, rng.randint(1, 6)) for _ in range(40)]
+    # q = 2 with positive coordinates: the zero-resonance monoid is trivial
+    pool = [(F(1), F(2)), (F(3), F(1)), (F(2), F(2)), (F(1, 2), F(5))]
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        rows = [pool[0], pool[1]] + [rng.choice(pool) for _ in range(n - 2)]
+        spectra.append(build_spectrum(n, 2, rng.sample(rows, n)))
+    for s in spectra:
+        calls.clear()
+        assert resonance_degree_bound(s) == per_coordinate_degree_bound(s), s.lam
+        assert len(calls) == len(set(s.lam)) == len(s.blocks())
 
 
 def test_degree_bound_requires_finite():
