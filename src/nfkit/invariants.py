@@ -57,8 +57,9 @@ class InvariantAlgebra:
 
 
 def invariant_generators(s: EigenSpectrum, cap=DEFAULT_COMPLETION_CAP) -> InvariantAlgebra:
+    """Hilbert basis and its independence; more than n rows of Z^n are always dependent."""
     gens = hilbert_basis(s, cap).generators
-    independent = mat_rank(RatMatrix(gens)) == len(gens)
+    independent = len(gens) <= s.n and mat_rank(RatMatrix(gens)) == len(gens)
     return InvariantAlgebra(generators=gens, independent=independent)
 
 

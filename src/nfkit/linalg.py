@@ -303,18 +303,11 @@ def lp_max(c, A: RatMatrix, b) -> LpResult:
 
 
 def integer_rows(rows):
-    """Scale rational rows to primitive integer rows (zero rows preserved)."""
+    """Scale rows of ints or Fractions to primitive integer rows (zero rows preserved)."""
     out = []
     for row in rows:
-        row = [frac(x) for x in row]
-        mult = 1
-        for x in row:
-            mult = lcm(mult, x.denominator)
-        ints = [int(x * mult) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
+        mult = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (mult // x.denominator) for x in row]
+        g = gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
     return out

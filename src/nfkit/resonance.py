@@ -155,6 +155,11 @@ def semiinvariant_degree_ladder(mu, cofactor_value, cap=8) -> SemiInvariantLadde
 
     ``mu`` are the exact eigenvalues of the linearization at a fixed point c
     with p(c) = c, ``cofactor_value`` the cofactor evaluated at c.
+
+    Refuses up front, with a scope error, a scan over more than
+    `RESONANCE_SCAN_LIMIT` compositions: for each s the (k, k_1..k_r) are
+    the C(s + r, r) compositions of s into r + 1 parts, and the sum over
+    s = 2..bound telescopes to C(bound + r + 1, r + 1) - r - 2.
     """
     mu = tuple(frac(x) for x in mu)
     value = frac(cofactor_value)
@@ -162,6 +167,12 @@ def semiinvariant_degree_ladder(mu, cofactor_value, cap=8) -> SemiInvariantLadde
     bound = min(bound, cap) if not complete else bound
     sols = []
     r = len(mu)
+    count = comb(bound + r + 1, r + 1) - r - 2
+    if count > RESONANCE_SCAN_LIMIT:
+        raise ScopeError(
+            f"degree ladder up to degree {bound} tests {count} compositions,"
+            f" above the limit {RESONANCE_SCAN_LIMIT}"
+        )
     for s in range(2, bound + 1):
         for k in range(0, s + 1):
             for kvec in compositions(s - k, r):

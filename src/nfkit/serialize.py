@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .centralizer import CentralizerResult, NormalizerResult
@@ -26,9 +27,22 @@ def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# an optional sign, ASCII digits, and an optional "/" with ASCII digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_frac(text) -> Fraction:
+    """A JSON integer (not a bool) or a string "p" or "p/q"; anything else is refused.
+
+    Exponents, decimal points, blanks and digit separators are refused, so
+    a short input can never stand for a huge number.
+    """
+    if type(text) is int:
+        return Fraction(text)
+    if not (type(text) is str and _RATIONAL.fullmatch(text)):
+        raise InputError(f"bad rational {text!r}")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r}") from exc
 
@@ -187,5 +201,5 @@ def load_json_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, an integer past the digit limit
         raise InputError(f"cannot read {path}: {exc}") from exc

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import add, le, mul
 
 from .errors import (
     CertificateFailure,
@@ -27,7 +28,7 @@ from .errors import (
     ScopeError,
     SearchCapReached,
 )
-from .linalg import RatMatrix, frac, integer_rows, mat_rank
+from .linalg import RatMatrix, frac, mat_rank
 
 DEFAULT_COMPLETION_CAP = 64
 WITNESS_WINDOW_LIMIT = 1_000_000
@@ -60,12 +61,25 @@ class EigenSpectrum:
     holds the entries (i, j, c), i < j, only between equal eigenvalue rows.
     Other modules name an eigenvalue by a monomial (x_j for lambda_j,
     x_1...x_n for the divergence, 1 for zero) and ask the spectrum.
+
+    ``weights[k]`` is column k of ``lam`` scaled by the lcm of its
+    denominators: <m, lambda> has coordinate k zero exactly when
+    sum_i m_i weights[k][i] is, so integer questions never build a Fraction.
     """
 
     n: int
     q: int
     lam: tuple[tuple[Fraction, ...], ...]
     nilpotent: tuple[tuple[int, int, Fraction], ...] = field(default=())
+    weights: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        weights = []
+        for k in range(self.q):
+            column = [row[k] for row in self.lam]
+            mult = lcm(*(x.denominator for x in column))
+            weights.append(tuple(x.numerator * (mult // x.denominator) for x in column))
+        object.__setattr__(self, "weights", tuple(weights))
 
     def eigen_coords(self, m) -> tuple[Fraction, ...]:
         """<m, lambda> as a q-coordinate row."""
@@ -80,7 +94,7 @@ class EigenSpectrum:
 
     def is_integral_monomial(self, m) -> bool:
         """<m, lambda> = 0, i.e. x^m is a first integral of the linear flow."""
-        return not any(self.eigen_coords(m))
+        return not any(sum(map(mul, m, w)) for w in self.weights)
 
     def has_nilpotent(self) -> bool:
         return bool(self.nilpotent)
@@ -144,7 +158,7 @@ def minimal_nonneg_solutions(eqs, nvars, cap=DEFAULT_COMPLETION_CAP):
         raise DimensionMismatch(f"completion cap {cap} is below 1")
     rows = [r for r in (list(map(int, row)) for row in eqs) if any(r)]
     unit_images = [tuple(r[i] for r in rows) for i in range(nvars)]
-    gram = [tuple(sum(a * b for a, b in zip(u, v)) for v in unit_images) for u in unit_images]
+    gram = [tuple(sum(map(mul, u, v)) for v in unit_images) for u in unit_images]
 
     minimal: list[tuple[int, ...]] = []
     # by_value[i][v]: the solutions found so far with m_i = v
@@ -174,12 +188,9 @@ def minimal_nonneg_solutions(eqs, nvars, cap=DEFAULT_COMPLETION_CAP):
                 cand = t[:i] + (t[i] + 1,) + t[i + 1:]
                 if cand in nxt:
                     continue
-                if any(
-                    all(a <= b for a, b in zip(m, cand))
-                    for m in by_value[i].get(cand[i], ())
-                ):
+                if any(all(map(le, m, cand)) for m in by_value[i].get(cand[i], ())):
                     continue
-                nxt[cand] = tuple(a + b for a, b in zip(products, gram[i]))
+                nxt[cand] = tuple(map(add, products, gram[i]))
         frontier = nxt
         level += 1
     minimal.sort()
@@ -264,25 +275,27 @@ def uw_decomposition(s: EigenSpectrum, cap=DEFAULT_COMPLETION_CAP):
 def c_matrix_basis(s: EigenSpectrum):
     """Integer diagonals C_1..C_q with A_s = nu_1 C_1 + ... + nu_q C_q.
 
-    Column k of the coordinate matrix, cleared of denominators only, so that
-    round-trips preserve the input.
+    The spectrum's weights: column k of the coordinate matrix, cleared of
+    denominators only, so that round-trips preserve the input.
     """
-    cols = [[s.lam[i][k] for i in range(s.n)] for k in range(s.q)]
-    out = []
-    for col in cols:
-        mult = lcm(*(x.denominator for x in col))
-        out.append(tuple(int(x * mult) for x in col))
-    return tuple(out)
+    return s.weights
 
 
 def eigen_system(s: EigenSpectrum, target, drop=None):
     """Primitive integer rows [coefficients | rhs] of <m, lambda> = <target, lambda>.
 
     One row per coordinate; m runs over the indices other than ``drop``.
+    Each row is a positive multiple of the spectrum's weights, so dividing
+    by its gcd gives the unique primitive integer multiple of the rational
+    row.
     """
-    idx = [i for i in range(s.n) if i != drop]
-    rhs = s.eigen_coords(target)
-    return integer_rows([[s.lam[i][k] for i in idx] + [rhs[k]] for k in range(s.q)])
+    rows = []
+    for w in s.weights:
+        row = [x for i, x in enumerate(w) if i != drop]
+        row.append(sum(map(mul, target, w)))
+        g = gcd(*row)
+        rows.append([x // g for x in row] if g > 1 else row)
+    return rows
 
 
 def eigen_monomials(s: EigenSpectrum, target, d: int):

@@ -40,6 +40,41 @@ def pairing(s: EigenSpectrum, m):
     return tuple(sum(m[i] * s.lam[i][k] for i in range(s.n)) for k in range(s.q))
 
 
+def reference_eigen_system(s: EigenSpectrum, target, drop=None):
+    """Primitive integer rows [coefficients | rhs] of <m, lambda> = <target, lambda>.
+
+    Built from ``s.lam`` the way `eigen_system` did before the spectrum
+    held integer weights: the rational row of each coordinate, off the
+    index ``drop``, with <target, lambda> appended, scaled by the lcm of
+    its denominators and divided by the gcd of the result.
+    """
+    rhs = pairing(s, target)
+    out = []
+    for k in range(s.q):
+        row = [Fraction(s.lam[i][k]) for i in range(s.n) if i != drop] + [Fraction(rhs[k])]
+        mult = math.lcm(*(x.denominator for x in row))
+        ints = [int(x * mult) for x in row]
+        g = math.gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
+    return out
+
+
+def fraction_rank(rows) -> int:
+    """Rank over Q by Gaussian elimination on Fraction rows, pivoting column by column."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def brute_resonances(s: EigenSpectrum, j: int, dmax: int):
     """All resonant m with 2 <= |m| <= dmax for component j, by raw scan."""
     out = []

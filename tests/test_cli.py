@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,87 @@ def test_resonance_scan_too_large_is_refused_up_front(tmp_path, capsys):
         "message": "resonance scan up to degree 30 tests 48903483 monomials per component,"
                    " 391227864 in all, above the limit 200000",
     }
+
+
+BAD_RATIONALS = ["1e10000000", "1e1000000000000", "0.5", 0.5, " 1 ", "1_0", True, "1/-2", "١"]
+
+
+@pytest.mark.parametrize("value", BAD_RATIONALS, ids=repr)
+@pytest.mark.parametrize("where", ["lambda", "coefficient"])
+def test_only_strict_rationals_are_read(tmp_path, capsys, value, where):
+    spectrum = {"n": 2, "q": 1, "lambda": [["1"], ["-1"]]}
+    field = {"n": 2, "trunc": "inf", "terms": [{"j": 1, "m": [1, 0], "c": "1"},
+                                               {"j": 2, "m": [0, 1], "c": "-1"}]}
+    if where == "lambda":
+        spectrum["lambda"][0] = [value]
+    else:
+        field["terms"].append({"j": 1, "m": [2, 1], "c": value})
+    spectrum_path, field_path = tmp_path / "spectrum.json", tmp_path / "field.json"
+    spectrum_path.write_text(json.dumps(spectrum))
+    field_path.write_text(json.dumps(field))
+    start = time.perf_counter()
+    code = main(["check", "--spectrum", str(spectrum_path), "--field", str(field_path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err) == {"error": "input-error", "message": f"bad rational {value!r}"}
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"n": 1' + b"0" * 5000 + b', "q": 1, "lambda": [["1"]]}', b'{"n": 1, "q": 1, "lambda": [["\xff"]]}'],
+    ids=["integer-past-the-digit-limit", "not-utf-8"],
+)
+def test_unreadable_json_is_an_input_error(tmp_path, capsys, content):
+    path = tmp_path / "spectrum.json"
+    path.write_bytes(content)
+    assert main(["check", "--spectrum", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["message"].startswith(f"cannot read {path}: ")
+
+
+@pytest.mark.parametrize(
+    "a2, code, message",
+    [
+        # mu = (4, a2, 2) and cofactor 6 + a2 at the axis fixed point: bound 6 / a2 + 1
+        ("1/6", 0, "ladder complete with bound 37: orders in (5, 37] remain unexamined"),
+        # the smallest bound above the limit: C(49, 4) - 5 compositions
+        ("3/22", 3, "degree ladder up to degree 45 tests 211871 compositions,"
+                    " above the limit 200000"),
+        # C(125, 4) - 5 compositions
+        ("1/20", 3, "degree ladder up to degree 121 tests 9691370 compositions,"
+                    " above the limit 200000"),
+        ("1/40", 3, "degree ladder up to degree 241 tests 146475940 compositions,"
+                    " above the limit 200000"),
+    ],
+)
+def test_degree_ladder_too_large_is_refused_up_front(tmp_path, capsys, a2, code, message):
+    spectrum_path = tmp_path / "spectrum.json"
+    spectrum_path.write_text(json.dumps({"n": 3, "q": 1, "lambda": [["1"], ["-1"], ["0"]]}))
+    field_path = tmp_path / "field.json"
+    field_path.write_text(json.dumps({
+        "n": 3,
+        "trunc": "inf",
+        "terms": [
+            {"j": 1, "m": [1, 0, 0], "c": "1"},
+            {"j": 2, "m": [0, 1, 0], "c": "-1"},
+            {"j": 1, "m": [1, 0, 1], "c": "4"},
+            {"j": 2, "m": [0, 1, 1], "c": a2},
+            {"j": 3, "m": [0, 0, 2], "c": "1"},
+            {"j": 3, "m": [1, 1, 0], "c": "1"},
+        ],
+    }))
+    argv = ["jacobi", "--spectrum", str(spectrum_path), "--field", str(field_path),
+            "--r-min", "2", "--r-max", "5", "--truncate", "7"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["ladder_note"] == message
+        return
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "scope-error", "message": message}
 
 
 @pytest.mark.parametrize("D, code", [(6, 0), (7, 3)])

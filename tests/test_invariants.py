@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import nfkit
+from nfkit import invariants
 from nfkit.errors import (
     NFKitError,
     NotFreeModuleShape,
@@ -42,6 +43,7 @@ from oracles import (
     brute_free_module_witness,
     brute_onediv_witness,
     completion_witness,
+    fraction_rank,
     pairing,
 )
 
@@ -72,6 +74,30 @@ def test_invariant_generators_examples():
     inv3 = invariant_generators(s3)
     assert set(inv3.generators) == {(2, 0, 5), (0, 3, 5)}
     assert inv3.independent
+
+
+def test_independence_matches_the_rank_test(monkeypatch):
+    """Independent exactly when the generator rows have full rank, also when r > n."""
+    rng = random.Random(37)
+    cases = [[3, 5, -3, 6, -4, 5], [1, -1, 2, -2], [15, 10, -6], [1, 1, -1, -1, 2]]
+    for _ in range(40):
+        cases.append([rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) for _ in range(rng.randint(2, 5))])
+    seen = set()
+    for values in cases:
+        s = build_spectrum(len(values), 1, [[v] for v in values])
+        inv = invariant_generators(s)
+        full_rank = fraction_rank(inv.generators) == inv.r
+        assert inv.independent == full_rank, values
+        seen.add((inv.r > s.n, inv.independent))
+    assert {(False, True), (False, False), (True, False)} <= seen
+    # 28 generators in Z^6: dependent without a rank computation
+    def no_rank(M):
+        raise AssertionError("rank computed for more than n generators")
+
+    monkeypatch.setattr(invariants, "mat_rank", no_rank)
+    s = build_spectrum(6, 1, [[v] for v in [3, 5, -3, 6, -4, 5]])
+    inv = invariant_generators(s)
+    assert inv.r == 28 and not inv.independent
 
 
 def test_check_free_module_examples():

@@ -26,15 +26,19 @@ def test_runtime_imports_are_standard_library_only():
 
 
 def test_eigenvalue_coordinates_stay_in_spectrum():
-    """Only spectrum.py and serialize.py read the coordinate rows ``lam``."""
+    """Only spectrum.py and serialize.py read the coordinate rows ``lam``,
+    and only spectrum.py reads their integer ``weights``."""
     package = Path(nfkit.__file__).resolve().parent
+    owners = {"lam": ("spectrum.py", "serialize.py"), "weights": ("spectrum.py",)}
     readers = []
     for path in sorted(package.glob("*.py")):
-        if path.name in ("spectrum.py", "serialize.py"):
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "lam":
-                readers.append((path.name, node.lineno))
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in owners
+                and path.name not in owners[node.attr]
+            ):
+                readers.append((path.name, node.attr, node.lineno))
     assert not readers
 
 

@@ -29,6 +29,10 @@ def test_frac_strings():
         parse_frac("x")
     with pytest.raises(InputError):
         parse_frac("1/0")
+    assert parse_frac(5) == 5 and parse_frac("+4/6") == F(2, 3) and parse_frac("007") == 7
+    for text in ("1e3", "0.5", 0.5, " 1", "1 ", "1_0", True, False, None, "1/-2", "-", "", "1\n"):
+        with pytest.raises(InputError):
+            parse_frac(text)
 
 
 def test_spectrum_round_trip():

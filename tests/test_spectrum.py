@@ -22,6 +22,7 @@ from nfkit.spectrum import (
     is_finite_linear_centralizer,
     minimal_nonneg_solutions,
     uw_decomposition,
+    zero_spectrum,
 )
 
 from oracles import (
@@ -29,10 +30,13 @@ from oracles import (
     brute_positive_relation,
     decomposes_over,
     dim3_condition_a,
+    exponent_rows,
     is_monoid_minimal,
     lambert_box_solutions,
     pairing,
+    random_block_spectrum,
     reference_completion,
+    reference_eigen_system,
 )
 
 
@@ -162,6 +166,38 @@ def test_eigen_system_rows_are_primitive():
     assert eigen_system(spec_omega4(), (1, 1, 1, 1)) == [[1, -2, 0, 0, -1], [0, 0, 3, -1, 2]]
     s = build_spectrum(2, 1, [[F(1, 2)], [F(1, 3)]])
     assert eigen_system(s, (0, 1), drop=1) == [[3, 2]]
+    # row for row against the rows scaled from the rational coordinates
+    rng = random.Random(29)
+    for q in (1, 2, 3):
+        for _ in range(40):
+            s = random_block_spectrum(rng, rng.randint(q, 6), q)
+            for _ in range(3):
+                target = tuple(rng.randint(0, 3) for _ in range(s.n))
+                for drop in (None, *range(s.n)):
+                    assert eigen_system(s, target, drop) == reference_eigen_system(s, target, drop)
+
+
+def test_integral_monomials_agree_with_eigen_coordinates():
+    rng = random.Random(31)
+    spectra = [zero_spectrum(3), spec_omega4()]
+    for q in (1, 2, 3):
+        for _ in range(15):
+            n = rng.randint(q, 5)
+            spectra.append(random_block_spectrum(rng, n, q))
+            # small integer rows, so that many monomials are first integrals
+            rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(q)] for _ in range(n)]
+            try:
+                spectra.append(build_spectrum(n, q, rows))
+            except RankMismatch:
+                pass
+    integral = 0
+    for s in spectra:
+        for d in range(5):
+            for m in exponent_rows(d, s.n):
+                expected = not any(s.eigen_coords(m))
+                assert s.is_integral_monomial(m) == expected, (s.lam, m)
+                integral += expected and d > 0
+    assert integral > 50
 
 
 def test_c_matrix_clears_denominators():
