@@ -58,8 +58,7 @@ def _build_parser():
     p = add("normalizer", "orbital-symmetry generators", field=True)
     p.add_argument("--truncate", type=int, required=True)
 
-    p = add("invariants", "monomial first integrals and module checks")
-    p.add_argument("--search-bound", type=int, default=64)
+    add("invariants", "monomial first integrals and module checks")
 
     add("reduce", "reduction by invariants", field=True)
 
@@ -146,7 +145,7 @@ def _cmd_normalizer(args):
 
 def _cmd_invariants(args):
     s = serialize.spectrum_from_json(serialize.load_json_file(args.spectrum))
-    inv = invariant_generators(s, cap=args.search_bound)
+    inv = invariant_generators(s)
     doc = serialize.invariants_to_json(inv)
     try:
         free = check_free_module(s).free

@@ -87,10 +87,10 @@ class InfiniteResonanceWithoutCap(ScopeError):
 
 
 class SearchCapReached(ScopeError):
-    """A bounded completion search hit its degree cap before finishing.
+    """The Hilbert-basis completion passed its work limit before finishing.
 
-    ``partial`` holds the minimal solutions found below the cap; the CLI
-    prints them in its error report.
+    The message names the degree reached, the work, the limit and the open
+    candidates; ``partial``, printed by the CLI, holds the solutions so far.
     """
 
     code = "search-cap-reached"

@@ -375,7 +375,8 @@ def deviation_part(s: EigenSpectrum, f: PolyVectorField):
 
 
 def _all_resonant(s: EigenSpectrum, ftilde: PolyVectorField) -> bool:
-    return all(sum(m) < 2 or s.is_resonant(m, j) for j, m in ftilde.terms)
+    """No constant term, and every term of degree >= 2 resonant (degree 1 is the nilpotent part)."""
+    return all(s.is_resonant(m, j) if sum(m) > 1 else sum(m) == 1 for j, m in ftilde.terms)
 
 
 def normal_form_deviation(s: EigenSpectrum, f: PolyVectorField):

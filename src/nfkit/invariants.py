@@ -30,7 +30,6 @@ from .fields import (
 from .linalg import RatMatrix, mat_kernel, mat_rank, mat_solve
 from .resonance import commuting_degree_ladder, semiinvariant_degree_ladder
 from .spectrum import (
-    DEFAULT_COMPLETION_CAP,
     EigenSpectrum,
     compositions,
     hilbert_basis,
@@ -56,10 +55,11 @@ class InvariantAlgebra:
         return len(self.generators)
 
 
-def invariant_generators(s: EigenSpectrum, cap=DEFAULT_COMPLETION_CAP) -> InvariantAlgebra:
-    """Hilbert basis and its independence; more than n rows of Z^n are always dependent."""
-    gens = hilbert_basis(s, cap).generators
-    independent = len(gens) <= s.n and mat_rank(RatMatrix(gens)) == len(gens)
+def invariant_generators(s: EigenSpectrum) -> InvariantAlgebra:
+    """Hilbert basis and its independence; more than n - q generators are dependent,
+    since all lie in the (n - q)-dimensional kernel of the q weight rows."""
+    gens = hilbert_basis(s).generators
+    independent = len(gens) <= s.n - s.q and mat_rank(RatMatrix(gens)) == len(gens)
     return InvariantAlgebra(generators=gens, independent=independent)
 
 
@@ -248,7 +248,7 @@ def quadratic_from_nu(nu) -> PolyVectorField:
     return PolyVectorField(r, terms)
 
 
-def triviality_certificate(red: ReducedField, cap=12) -> TrivialityCertificate:
+def triviality_certificate(red: ReducedField) -> TrivialityCertificate:
     """Certify that the reduced quadratic part has trivial centralizer.
 
     Certification needs (i) the commuting degree ladder at the fixed point
@@ -264,7 +264,7 @@ def triviality_certificate(red: ReducedField, cap=12) -> TrivialityCertificate:
             certified=False, reasons=("nu[1][1] = 0: no fixed point on the first axis",)
         )
     mu = tuple([Fraction(2)] + [nu[j][0] / nu[0][0] for j in range(1, r)])
-    ladder = commuting_degree_ladder(mu, cap)
+    ladder = commuting_degree_ladder(mu)
     if not ladder.complete:
         reasons.append("commuting degree ladder only complete up to the cap")
     if set(ladder.degrees) - {2}:
@@ -275,7 +275,7 @@ def triviality_certificate(red: ReducedField, cap=12) -> TrivialityCertificate:
     kdim = mat_kernel(RatMatrix.from_columns(columns)).dimension
     if kdim != 1:
         reasons.append(f"degree-2 commutator kernel has dimension {kdim}")
-    fi_ladder = semiinvariant_degree_ladder(mu, 0, cap)
+    fi_ladder = semiinvariant_degree_ladder(mu, 0)
     certified = not reasons
     return TrivialityCertificate(
         certified=certified,

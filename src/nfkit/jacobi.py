@@ -110,12 +110,7 @@ def _jacobian_eigenvalues(dev: PolyVectorField, axis: int, theta: Fraction):
 
 
 def solve_multiplier(
-    s: EigenSpectrum,
-    f: PolyVectorField,
-    r_min: int,
-    r_max: int,
-    D: int,
-    ladder_cap: int = 12,
+    s: EigenSpectrum, f: PolyVectorField, r_min: int, r_max: int, D: int
 ) -> MultiplierLadder:
     """Search for multipliers with lowest order r in [r_min, r_max], truncated at D.
 
@@ -208,7 +203,7 @@ def solve_multiplier(
             point = [Fraction(0)] * s.n
             point[i] = 1 / theta
             cofactor = divergence(dev.graded_part(2)).eval_at(point)
-            semiinv = semiinvariant_degree_ladder(mu, cofactor, ladder_cap)
+            semiinv = semiinvariant_degree_ladder(mu, cofactor)
             if semiinv.complete and semiinv.bound <= r_max:
                 note = f"ladder complete: no lowest order beyond {semiinv.bound} is possible"
             elif semiinv.complete:

@@ -27,6 +27,8 @@ RESONANCE_SCAN_LIMIT = 200_000
 # unknowns of the dense truncated normalizer: 305 (n = 3, D = 6) take about
 # 20 s on a 2-core Xeon under Python 3.11, and the time grows about cubically
 NORMALIZER_UNKNOWN_LIMIT = 320
+# degree up to which a ladder without a proven finite bound is scanned
+LADDER_DEPTH = 12
 
 
 def resonant_multiindices(s: EigenSpectrum, j: int, d: int):
@@ -140,17 +142,7 @@ class SemiInvariantLadder:
     bound: int
 
 
-def _positive_bound(mu, value, cap):
-    """When all mu_i > 0 the ladder is finite: s*min(1, min mu) <= value."""
-    if all(m > 0 for m in mu):
-        a = min([Fraction(1)] + list(mu))
-        if value <= 0:
-            return 1, True  # no s >= 2 feasible at all
-        return int((value / a).__floor__()), True
-    return cap, False
-
-
-def semiinvariant_degree_ladder(mu, cofactor_value, cap=8) -> SemiInvariantLadder:
+def semiinvariant_degree_ladder(mu, cofactor_value) -> SemiInvariantLadder:
     """Degree ladder for homogeneous semi-invariants of a quadratic field.
 
     ``mu`` are the exact eigenvalues of the linearization at a fixed point c
@@ -163,8 +155,14 @@ def semiinvariant_degree_ladder(mu, cofactor_value, cap=8) -> SemiInvariantLadde
     """
     mu = tuple(frac(x) for x in mu)
     value = frac(cofactor_value)
-    bound, complete = _positive_bound(mu, value, cap)
-    bound = min(bound, cap) if not complete else bound
+    # all mu_i > 0 makes the ladder finite: s * min(1, min mu) <= value
+    complete = all(m > 0 for m in mu)
+    if not complete:
+        bound = LADDER_DEPTH
+    elif value <= 0:
+        bound = 1  # no s >= 2 feasible at all
+    else:
+        bound = int((value / min([Fraction(1), *mu])).__floor__())
     sols = []
     r = len(mu)
     count = comb(bound + r + 1, r + 1) - r - 2
@@ -190,10 +188,10 @@ class CommutingLadder:
     bound: int
 
 
-def commuting_degree_ladder(mu, cap=8) -> CommutingLadder:
+def commuting_degree_ladder(mu) -> CommutingLadder:
     """Union over k of the semi-invariant ladders at value mu_k."""
     mu = tuple(frac(x) for x in mu)
-    ladders = [semiinvariant_degree_ladder(mu, value, cap) for value in mu]
+    ladders = [semiinvariant_degree_ladder(mu, value) for value in mu]
     return CommutingLadder(
         degrees=tuple(sorted({sol.s for ladder in ladders for sol in ladder.solutions})),
         complete=all(ladder.complete for ladder in ladders),

@@ -13,9 +13,8 @@ from fractions import Fraction
 
 from nfkit.fields import PolySeries, PolyVectorField
 from nfkit.linalg import RatMatrix, mat_kernel, mat_solve
-from nfkit.errors import DimensionMismatch, RankMismatch, SearchCapReached
+from nfkit.errors import RankMismatch, SearchCapReached
 from nfkit.spectrum import (
-    DEFAULT_COMPLETION_CAP,
     EigenSpectrum,
     build_spectrum,
     minimal_nonneg_solutions,
@@ -129,20 +128,18 @@ def is_monoid_minimal(s: EigenSpectrum, g, dmax):
 
 # The scan-based completion: every candidate is compared with every solution
 # found so far, each direction costs one dot product, and a pairwise filter
-# ends it.  An independent oracle for the generators, their order, the cap
-# message and ``partial``.
+# ends it.  An independent oracle for the generators, their order and, under
+# a degree cap, ``partial``.
 
-def reference_completion(eqs, nvars, cap=DEFAULT_COMPLETION_CAP):
+def reference_completion(eqs, nvars, cap=None):
     """Minimal nonzero solutions of eqs.x = 0 over Z_+^nvars.
 
     Contejean-Devie completion: grow candidates from the unit vectors, one
     unit at a time, only in directions that shrink the defect (negative
     scalar product of images), pruning anything dominated by a solution
-    already found.  Terminates for every homogeneous system; ``cap`` bounds
-    the explored degree as a guard and raises if ever reached.
+    already found.  Terminates for every homogeneous system; a ``cap``
+    bounds the explored degree and raises when reached.
     """
-    if cap < 1:
-        raise DimensionMismatch(f"completion cap {cap} is below 1")
     eqs = [list(map(int, row)) for row in eqs]
     rows = [r for r in eqs if any(r)]
 
@@ -160,7 +157,7 @@ def reference_completion(eqs, nvars, cap=DEFAULT_COMPLETION_CAP):
     level = 1
     zero = tuple(0 for _ in rows)
     while frontier:
-        if level > cap:
+        if cap is not None and level > cap:
             raise SearchCapReached(
                 f"completion cap {cap} reached with {len(frontier)} open candidates",
                 partial=sorted(minimal),
@@ -378,7 +375,7 @@ def brute_onediv_witness(s: EigenSpectrum, bound):
     return None
 
 
-def completion_witness(s: EigenSpectrum, target, j, cap=64):
+def completion_witness(s: EigenSpectrum, target, j):
     """(degree, lex)-least m with m_j = 0 and <m, lambda> = <target, lambda>, or None.
 
     Homogenizes the system with a slack variable and completes it; the
@@ -392,7 +389,7 @@ def completion_witness(s: EigenSpectrum, target, j, cap=64):
         scale = math.lcm(*(x.denominator for x in row))
         rows.append([int(x * scale) for x in row])
     best = None
-    for g in minimal_nonneg_solutions(rows, len(idx) + 1, cap):
+    for g in minimal_nonneg_solutions(rows, len(idx) + 1):
         if g[-1] != 1 or not any(g[:-1]):
             continue
         m = g[:j] + (0,) + g[j:-1]

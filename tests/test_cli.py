@@ -12,7 +12,7 @@ import pytest
 
 import nfkit
 from nfkit import centralizer, fields, spectrum
-from nfkit.cli import main
+from nfkit.cli import _PARSER, main
 from nfkit.linalg import SolutionSpace
 
 EG3_SPECTRUM = {
@@ -170,6 +170,19 @@ def test_check_command(files, capsys):
     assert doc["pdnf"] is True and doc["divergence_integral"] is True
 
 
+def test_check_refuses_a_constant_term(files, tmp_path, capsys):
+    # 5 e_1 moves the stationary point off the origin
+    field = dict(SADDLE_FIELD, terms=SADDLE_FIELD["terms"] + [{"j": 1, "m": [0, 0], "c": "5"}])
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps(field))
+    code, out = run(capsys, ["check", "--spectrum", files["saddle"], "--field", str(path)])
+    assert code == 0
+    assert json.loads(out) == {"n": 2, "pdnf": False, "q": 1, "spectrum": "ok"}
+    code = main(["centralizer", "--spectrum", files["saddle"], "--field", str(path), "--truncate", "3"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "not-pdnf"
+
+
 def test_byte_determinism(files, capsys):
     argv = ["centralizer", "--spectrum", files["eg3"], "--field", files["eg3_field"]]
     _, out1 = run(capsys, argv)
@@ -194,19 +207,27 @@ def test_exit_code_scope_error(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "values, bound, partial",
-    [(["1", "-1"], "1", []), (["1", "-1", "2", "-2"], "2", [[0, 0, 1, 1], [1, 1, 0, 0]])],
+    "values, limit, partial",
+    [
+        (["1", "-1"], "1", []),
+        (["0", "1", "-1"], "2", [[1, 0, 0]]),
+        # degree 1 creates four candidates of 4 units each; degree 2 passes 16
+        (["1", "-1", "2", "-2"], "16", [[0, 0, 1, 1], [1, 1, 0, 0]]),
+    ],
 )
-def test_search_cap_reports_partial_generators(tmp_path, capsys, values, bound, partial):
+def test_search_cap_reports_partial_generators(tmp_path, capsys, monkeypatch, values, limit, partial):
+    monkeypatch.setattr(spectrum, "COMPLETION_WORK_LIMIT", int(limit))
     path = tmp_path / "spectrum.json"
     path.write_text(json.dumps({"n": len(values), "q": 1, "lambda": [[v] for v in values]}))
-    code = main(["invariants", "--spectrum", str(path), "--search-bound", bound])
+    code = main(["invariants", "--spectrum", str(path)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"] == "search-cap-reached"
     assert err["partial"] == partial
+    degree = max((sum(g) for g in partial), default=1)
+    assert f" passed the limit {limit} at degree {degree} with " in err["message"]
 
 
 def test_resonance_scan_too_large_is_refused_up_front(tmp_path, capsys):
@@ -545,8 +566,6 @@ def test_reduce_command(capsys, tmp_path):
          "max_degree must be at least 2"),
         (["resonances", "--spectrum", "empty"], "a spectrum needs n >= 1, got n = 0"),
         (["check", "--spectrum", "empty"], "a spectrum needs n >= 1, got n = 0"),
-        (["invariants", "--spectrum", "saddle", "--search-bound", "-5"],
-         "completion cap -5 is below 1"),
     ],
 )
 def test_out_of_range_budgets_are_input_errors(files, capsys, argv, message):
@@ -601,3 +620,21 @@ def test_text_format(files, capsys):
     )
     assert code == 0
     assert "dimension: 3" in out
+
+
+def test_readme_commands_match_the_parser():
+    """Every subcommand and --option in README's Commands block exists, and back."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\nCommands:\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        program, command, *rest = line.split()
+        assert program == "nfkit", line
+        documented[command] = {w.strip("[]") for w in rest if w.strip("[]").startswith("--")}
+    commands = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+        - {"--format", "--help"}
+        for name, p in commands.choices.items()
+    }
+    assert documented == parsed

@@ -191,11 +191,12 @@ NORMAL_FORM_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(NORMAL_FORM_ENTRY_POINTS))
 def test_solvers_refuse_a_field_not_in_normal_form(entry):
     s = build_spectrum(3, 1, [[12], [6], [3]])
-    # x1^2 e1 is not resonant: 2 * 12 != 12
-    f = diag_field(12, 6, 3) + PolyVectorField.monomial(3, 0, (2, 0, 0))
-    assert not is_pdnf(s, f)
-    with pytest.raises(NotPDNF, match="^field is not in normal form for this spectrum$"):
-        NORMAL_FORM_ENTRY_POINTS[entry](s, f)
+    # x1^2 e1 is not resonant: 2 * 12 != 12; a constant 5 e1 moves the stationary point
+    for extra in (PolyVectorField.monomial(3, 0, (2, 0, 0)), PolyVectorField(3, {(0, (0, 0, 0)): 5})):
+        f = diag_field(12, 6, 3) + extra
+        assert not is_pdnf(s, f)
+        with pytest.raises(NotPDNF, match="^field is not in normal form for this spectrum$"):
+            NORMAL_FORM_ENTRY_POINTS[entry](s, f)
 
 
 def test_is_pdnf_linear_mismatch():

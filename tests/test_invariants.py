@@ -77,7 +77,7 @@ def test_invariant_generators_examples():
 
 
 def test_independence_matches_the_rank_test(monkeypatch):
-    """Independent exactly when the generator rows have full rank, also when r > n."""
+    """Independent exactly when the generator rows have full rank, also when r > n - q."""
     rng = random.Random(37)
     cases = [[3, 5, -3, 6, -4, 5], [1, -1, 2, -2], [15, 10, -6], [1, 1, -1, -1, 2]]
     for _ in range(40):
@@ -92,12 +92,16 @@ def test_independence_matches_the_rank_test(monkeypatch):
     assert {(False, True), (False, False), (True, False)} <= seen
     # 28 generators in Z^6: dependent without a rank computation
     def no_rank(M):
-        raise AssertionError("rank computed for more than n generators")
+        raise AssertionError("rank computed for more than n - q generators")
 
     monkeypatch.setattr(invariants, "mat_rank", no_rank)
     s = build_spectrum(6, 1, [[v] for v in [3, 5, -3, 6, -4, 5]])
     inv = invariant_generators(s)
     assert inv.r == 28 and not inv.independent
+    # n = 4 generators in the 3-dimensional kernel of one weight row
+    s = build_spectrum(4, 1, [[v] for v in [1, -1, 2, -2]])
+    inv = invariant_generators(s)
+    assert inv.r == 4 and not inv.independent
 
 
 def test_check_free_module_examples():

@@ -126,7 +126,7 @@ def test_resonance_set_infinite_needs_cap():
 def test_semiinvariant_ladder_rational_instance():
     mu = (F(1, 2), F(1, 3), 2)
     value = F(1, 2) + F(1, 3) + 2
-    ladder = semiinvariant_degree_ladder(mu, value, 8)
+    ladder = semiinvariant_degree_ladder(mu, value)
     assert ladder.complete
     found = {(sol.s, sol.k, sol.kvec) for sol in ladder.solutions}
     assert (3, 0, (1, 1, 1)) in found
@@ -135,35 +135,35 @@ def test_semiinvariant_ladder_rational_instance():
 
 
 def test_semiinvariant_ladder_single():
-    ladder = semiinvariant_degree_ladder([2], 2, 8)
+    ladder = semiinvariant_degree_ladder([2], 2)
     assert {(sol.s, sol.k, sol.kvec) for sol in ladder.solutions} == {(2, 2, (0,))}
     assert ladder.complete
 
 
 def test_semiinvariant_ladder_zero_cofactor_positive_mu():
-    ladder = semiinvariant_degree_ladder([2, 3], 0, 8)
+    ladder = semiinvariant_degree_ladder([2, 3], 0)
     assert ladder.solutions == () and ladder.complete
 
 
 def test_commuting_ladder_examples():
-    lad = commuting_degree_ladder([2], 8)
+    lad = commuting_degree_ladder([2])
     assert lad.degrees == (2,) and lad.complete
-    lad = commuting_degree_ladder([2, F(5, 2)], 8)
+    lad = commuting_degree_ladder([2, F(5, 2)])
     assert set(lad.degrees) <= {2} and lad.complete
-    lad = commuting_degree_ladder([2, 1, 1], 8)
+    lad = commuting_degree_ladder([2, 1, 1])
     assert 2 in lad.degrees
 
 
 def test_ladders_match_brute_force():
     cases = [((2, 3), 5), ((F(1, 2), 2), F(5, 2)), ((2, -1), 1)]
     for mu, value in cases:
-        ladder = semiinvariant_degree_ladder(mu, value, 8)
-        bound = min(ladder.bound, 8)
+        ladder = semiinvariant_degree_ladder(mu, value)
+        bound = min(ladder.bound, resonance.LADDER_DEPTH)
         got = {(s.s, s.k, s.kvec) for s in ladder.solutions if s.s <= bound}
         assert got == brute_semiinvariant_ladder(mu, value, bound)
     for mu in [(2,), (2, F(5, 2)), (2, 1, 1), (2, -2)]:
-        lad = commuting_degree_ladder(mu, 8)
-        bound = min(lad.bound, 8)
+        lad = commuting_degree_ladder(mu)
+        bound = min(lad.bound, resonance.LADDER_DEPTH)
         assert set(d for d in lad.degrees if d <= bound) == {
             d for d in brute_commuting_degrees(mu, bound)
         }

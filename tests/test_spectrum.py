@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import nfkit
+from nfkit import spectrum
 from nfkit.errors import GcdNotOne, NilpotentViolatesCommutation, RankMismatch, SearchCapReached
 from nfkit.spectrum import (
     build_spectrum,
@@ -212,6 +214,15 @@ def test_classify_dim3_examples():
     assert not classify_dim3(2, 3, 1).holds
 
 
+def test_classify_dim3_large_entries():
+    # a closed form: a search over the divisors of d3 would not finish
+    l1, l2 = 10**9 + 7, 10**9 + 9
+    v = classify_dim3(l2, l1, l1 * l2)
+    assert v.holds and (v.l1, v.l2) == (l1, l2) and len(str(l1 * l2)) == 19
+    assert not classify_dim3(3, 2, 2000000011).holds
+    assert not classify_dim3(l2, 2 * l1, 4 * l1 * l2).holds
+
+
 def test_classify_dim3_gcd_error():
     with pytest.raises(GcdNotOne):
         classify_dim3(2, 4, 2)
@@ -242,18 +253,36 @@ def test_generator_equations_exact():
             assert pairing(s, g) == zero
 
 
-def test_completion_cap_diagnostic():
-    from nfkit.errors import SearchCapReached
+def test_completion_cap_diagnostic(monkeypatch):
+    # (0, 1) extends to (1, 1): one candidate of nvars = 2 units, no stored solution
+    monkeypatch.setattr(spectrum, "COMPLETION_WORK_LIMIT", 0)
+    message = "^completion work 2 passed the limit 0 at degree 1 with 2 open candidates$"
+    with pytest.raises(SearchCapReached, match=message) as info:
+        hilbert_basis(spec_saddle())
+    assert info.value.partial == []
 
-    with pytest.raises(SearchCapReached):
-        hilbert_basis(spec_saddle(), cap=1)
+
+def test_completion_work_limit_refuses_the_costly_search():
+    s = build_spectrum(6, 1, [[v] for v in [-11, 12, -11, 1, 12, 1]])
+    assert len(hilbert_basis(s).generators) == 2730
+    s = build_spectrum(6, 1, [[v] for v in [-17, 18, -17, 1, 18, 1]])
+    with pytest.raises(SearchCapReached) as info:
+        hilbert_basis(s)
+    message = str(info.value)
+    assert re.fullmatch(
+        rf"completion work \d+ passed the limit {spectrum.COMPLETION_WORK_LIMIT}"
+        r" at degree \d+ with \d+ open candidates",
+        message,
+    ), message
+    assert info.value.partial
 
 
-def _completion_outcome(complete, eqs, nvars, cap):
+def _reference_up_to(eqs, nvars, cap):
+    """Every minimal solution of degree <= cap, read off the reference at that cap."""
     try:
-        return ("done", complete(eqs, nvars, cap))
+        return reference_completion(eqs, nvars, cap)
     except SearchCapReached as exc:
-        return ("cap", str(exc), exc.partial)
+        return exc.partial
 
 
 def _random_systems(seed, count):
@@ -267,23 +296,29 @@ def _random_systems(seed, count):
 def test_completion_matches_the_reference_and_the_lambert_box():
     """Same generators in the same order as the scan-based completion and, for
     one equation, as a box search under Lambert's bound."""
-    compared = 0
     for eqs, n in _random_systems(7, 320):
-        got = _completion_outcome(minimal_nonneg_solutions, eqs, n, 64)
-        assert got == _completion_outcome(reference_completion, eqs, n, 64), eqs
-        if got[0] == "cap":
-            continue
+        got = minimal_nonneg_solutions(eqs, n)
+        assert got == reference_completion(eqs, n), eqs
         if len(eqs) == 1:
-            assert got[1] == lambert_box_solutions(eqs[0]), eqs
-        compared += 1
-    assert compared >= 250
+            assert got == lambert_box_solutions(eqs[0]), eqs
 
 
-def test_completion_caps_match_the_reference():
+def test_completion_caps_match_the_reference(monkeypatch):
+    """Under a low work limit the completion finishes with the reference's list,
+    or stops at degree L with the reference's solutions of degree <= L."""
+    stops = set()
     for eqs, n in _random_systems(11, 120):
-        for cap in range(1, 5):
-            want = _completion_outcome(reference_completion, eqs, n, cap)
-            assert _completion_outcome(minimal_nonneg_solutions, eqs, n, cap) == want, (eqs, cap)
+        for limit in (0, 6, 25, 100, 400):
+            monkeypatch.setattr(spectrum, "COMPLETION_WORK_LIMIT", limit)
+            try:
+                got = minimal_nonneg_solutions(eqs, n)
+            except SearchCapReached as exc:
+                degree = int(re.search(r" at degree (\d+) ", str(exc)).group(1))
+                assert exc.partial == _reference_up_to(eqs, n, degree), (eqs, limit)
+                stops.add((degree, bool(exc.partial)))
+            else:
+                assert got == reference_completion(eqs, n), (eqs, limit)
+    assert len(stops) >= 6
 
 
 MINIMALITY_SCRIPT = """
