@@ -1,10 +1,13 @@
-"""Exact rational linear algebra: kernels, solves, and a simplex LP.
+"""Exact rational linear algebra: kernels, solves, and a reference simplex LP.
 
 All coefficients are `fractions.Fraction`; there is no floating point
 anywhere.  Kernels are computed by fraction-free (Bareiss) elimination on
 a primitive integer copy of the matrix (`integer_rows`), which keeps
 intermediate entries to single determinant-sized integers.  The simplex
-uses Bland's rule, so it terminates on every input.
+uses Bland's rule, so it terminates on every input.  No request runs it:
+the resonance degree bound takes the basic points of its LP in integers
+(`resonance.lp_degree_bound`), and `lp_max` stays public as the
+reference those points are tested against.
 
 Every structural system in nfkit comes as sparse columns, one per unknown,
 keyed by equation (mostly a monomial).  `RatMatrix.from_columns` is the one

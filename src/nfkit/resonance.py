@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .errors import (
@@ -13,7 +14,7 @@ from .errors import (
     InfiniteResonanceWithoutCap,
     ScopeError,
 )
-from .linalg import OPTIMAL, INFEASIBLE, RatMatrix, frac, lp_max
+from .linalg import frac
 from .spectrum import (
     EigenSpectrum,
     compositions,
@@ -24,6 +25,10 @@ from .spectrum import (
 )
 
 RESONANCE_SCAN_LIMIT = 200_000
+# column systems of the degree bound: 1.2 to 1.7 us each for q <= 2, more
+# for larger q, on a 2-core Xeon under Python 3.11, so a refused bound
+# would run over 1 s
+DEGREE_BOUND_SYSTEM_LIMIT = 1_000_000
 # unknowns of the dense truncated normalizer: 305 (n = 3, D = 6) take about
 # 20 s on a 2-core Xeon under Python 3.11, and the time grows about cubically
 NORMALIZER_UNKNOWN_LIMIT = 320
@@ -46,23 +51,78 @@ def resonance_degree_bound(s: EigenSpectrum) -> int:
 def lp_degree_bound(s: EigenSpectrum) -> int:
     """`resonance_degree_bound` for a spectrum already known to be finite.
 
-    Maximizes |m| over {m >= 0 : Lambda^T m = lambda_j}, an exact LP with q
-    equality rows: with a trivial zero-resonance monoid its recession cone is
-    trivial, so it is bounded.  The LP depends on lambda_j alone, so one LP
-    per eigenvalue block, on its first component, covers every j.
+    Maximizes |m| over {m >= 0 : A m = t}, with [A | t] the integer rows of
+    `eigen_system` for lambda_j, and returns max(1, floor of the maximum).
+    A has rank q, and with a trivial zero-resonance monoid the region is
+    bounded, so the maximum sits at a basic point: m = A_B^-1 t on a set B
+    of q columns with A_B invertible, zero elsewhere.  Every column set is
+    solved once by integer Gauss-Jordan elimination, with the target of each
+    eigenvalue block (its first component) as one right-hand side, since A
+    is the same for every block.  For q = 1 the points are t / w_i over the
+    weights w_i of the sign of t.
+
+    Refuses up front, with a scope error, more than `DEGREE_BOUND_SYSTEM_LIMIT`
+    column systems: C(n, q) column sets times the eigenvalue blocks.
     """
-    best = 1
-    for block in s.blocks():
-        j = block[0]
-        rows = eigen_system(s, unit_row(s.n, j))
-        A = RatMatrix([row[:-1] for row in rows])
-        res = lp_max([1] * s.n, A, [row[-1] for row in rows])
-        if res.status == INFEASIBLE:
+    blocks = s.blocks()
+    sets = comb(s.n, s.q)
+    if sets * len(blocks) > DEGREE_BOUND_SYSTEM_LIMIT:
+        raise ScopeError(
+            f"degree bound solves C({s.n}, {s.q}) = {sets} column sets for {len(blocks)}"
+            f" eigenvalue blocks, {sets * len(blocks)} systems, above the limit"
+            f" {DEGREE_BOUND_SYSTEM_LIMIT}"
+        )
+    systems = [eigen_system(s, unit_row(s.n, block[0])) for block in blocks]
+    coefficients = [row[:-1] for row in systems[0]]
+    targets = [[row[-1] for row in rows] for rows in systems]
+    best = None  # (sum of numerators, det, columns, numerators, target)
+    for cols in combinations(range(s.n), s.q):
+        solved = _solve_square(
+            [[row[c] for c in cols] + [t[k] for t in targets] for k, row in enumerate(coefficients)]
+        )
+        if solved is None:
             continue
-        if res.status != OPTIMAL:
-            raise CertificateFailure(f"degree LP for component {j + 1} is {res.status}")
-        best = max(best, int(res.value.__floor__()))
-    return best
+        det, points = solved
+        for x, t in zip(points, targets):
+            if min(x) >= 0 and (best is None or sum(x) * best[1] > best[0] * det):
+                best = (sum(x), det, cols, x, t)
+    if best is None:
+        raise CertificateFailure("degree bound found no basic point, although m = e_j is feasible")
+    total, det, cols, x, t = best
+    if det <= 0 or min(x) < 0 or not all(
+        sum(row[c] * xi for c, xi in zip(cols, x)) == tk * det
+        for row, tk in zip(coefficients, t)
+    ):
+        raise CertificateFailure(f"degree bound point {list(x)}/{det} on columns {list(cols)}"
+                                 f" misses the target {list(t)}")
+    return max(1, total // det)
+
+
+def _solve_square(rows):
+    """(det, numerators per right-hand side) of a q x (q + r) integer system [A | T].
+
+    Fraction-free Gauss-Jordan elimination: every division is exact, and at
+    the end each diagonal entry is the last pivot, +-det A, so column q + k
+    holds det A times the solution for the k-th right-hand side.  The sign
+    is normalized to det > 0; returns None when A is singular.
+    """
+    q = len(rows)
+    prev = 1
+    for c in range(q):
+        p = next((i for i in range(c, q) if rows[i][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot_row = rows[c]
+        piv = pivot_row[c]
+        for i in range(q):
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], pivot_row)]
+        prev = piv
+    sign = 1 if prev > 0 else -1
+    points = zip(*(row[q:] for row in rows))
+    return sign * prev, [tuple(sign * v for v in x) for x in points]
 
 
 def resonances_by_component(s: EigenSpectrum, dmin: int, dmax: int):

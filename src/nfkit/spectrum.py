@@ -92,7 +92,7 @@ class EigenSpectrum:
 
     def is_resonant(self, m, j) -> bool:
         """<m, lambda> = lambda_j, checked in all q coordinates."""
-        return self.eigen_coords(m) == self.lam[j]
+        return all(sum(map(mul, m, w)) == w[j] for w in self.weights)
 
     def is_integral_monomial(self, m) -> bool:
         """<m, lambda> = 0, i.e. x^m is a first integral of the linear flow."""
@@ -361,7 +361,9 @@ def least_witness(s: EigenSpectrum, target, drop):
     m = _lex_least(steps, t, degree)
     if m is not None:
         m = m[:drop] + (0,) + m[drop:]
-    if m is None or m[drop] or sum(m) != degree or s.eigen_coords(m) != s.eigen_coords(target):
+    if m is None or m[drop] or sum(m) != degree or any(
+        sum(map(mul, m, w)) != sum(map(mul, target, w)) for w in s.weights
+    ):
         raise CertificateFailure(
             f"search found no witness of degree {degree} for target {target} off index {drop}"
         )

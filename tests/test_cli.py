@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nfkit
-from nfkit import centralizer, fields, spectrum
+from nfkit import centralizer, fields, linalg, spectrum
 from nfkit.cli import _PARSER, main
 from nfkit.linalg import SolutionSpace
 
@@ -393,6 +393,46 @@ def test_completion_runs_once_per_request(files, capsys, monkeypatch, command):
     if command == "centralizer":
         assert json.loads(out)["exact"] is True
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["centralizer", "resonances", "pdnf-basis"])
+def test_degree_bound_needs_no_simplex(files, capsys, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("the simplex is not on the request path")
+
+    monkeypatch.setattr(linalg, "lp_max", refuse)
+    argv = [command, "--spectrum", files["eg3"]]
+    if command == "centralizer":
+        argv += ["--field", files["eg3_field"]]
+    code, out = run(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    if command == "centralizer":
+        assert doc["exact"] is True and doc["dimension"] == 3
+    elif command == "resonances":
+        assert doc["degree_bound"] == 4
+
+
+@pytest.mark.parametrize("n, code", [(126, 0), (127, 3)])
+def test_degree_bound_too_large_is_refused_up_front(tmp_path, capsys, n, code):
+    # distinct rows (100 + i, i) with positive first coordinates below 200:
+    # finite, and no resonance of degree 2, so the bound is 1 and the scan empty
+    path = tmp_path / "spectrum.json"
+    lam = [[str(100 + i), str(i)] for i in range(n)]
+    path.write_text(json.dumps({"n": n, "q": 2, "lambda": lam}))
+    assert main(["resonances", "--spectrum", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        # C(126, 2) = 7875 column sets for 126 blocks: 992250 systems
+        doc = json.loads(captured.out)
+        assert doc == {"finite": True, "degree_bound": 1, "r": 0, "R": {}}
+        return
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "scope-error",
+        "message": "degree bound solves C(127, 2) = 8001 column sets for 127 eigenvalue blocks,"
+                   " 1016127 systems, above the limit 1000000",
+    }
 
 
 # every subcommand on the fixtures, after a bad argv and --help

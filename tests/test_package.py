@@ -70,3 +70,15 @@ def test_completion_serves_only_the_hilbert_basis():
         ("spectrum.py", "hilbert_basis"),
         ("spectrum.py", "inhomogeneous_minimal_solutions"),
     }
+
+
+def test_simplex_is_off_the_request_path():
+    """Only `linalg` (which defines it) and `__init__` (which exports it) name `lp_max`."""
+    package = Path(nfkit.__file__).resolve().parent
+    named = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for field in ("id", "attr", "name"):  # Name, Attribute; alias, def
+                if getattr(node, field, None) == "lp_max":
+                    named.add(path.name)
+    assert named == {"__init__.py", "linalg.py"}

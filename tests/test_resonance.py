@@ -1,7 +1,13 @@
 """Resonance enumeration, degree bounds, degree ladders."""
 
+import json
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +20,8 @@ from nfkit.resonance import (
     resonant_multiindices,
     semiinvariant_degree_ladder,
 )
-from nfkit.spectrum import build_spectrum
+from nfkit.linalg import OPTIMAL, RatMatrix, lp_max, mat_rank
+from nfkit.spectrum import build_spectrum, eigen_system, is_finite_linear_centralizer, unit_row
 
 from oracles import (
     brute_commuting_degrees,
@@ -52,28 +59,90 @@ def test_degree_bound_examples():
     assert resonance_degree_bound(build_spectrum(2, 1, [[1], [2]])) == 2
 
 
-def test_degree_bound_is_one_lp_per_eigenvalue(monkeypatch):
-    """The bound is the maximum of the per-coordinate LPs, solved once per block."""
-    calls = []
-    real_lp_max = resonance.lp_max
+def simplex_degree_bound(s):
+    """max(1, floor) of the exact simplex LP of each eigenvalue block."""
+    best = 1
+    for block in s.blocks():
+        rows = eigen_system(s, unit_row(s.n, block[0]))
+        res = lp_max([1] * s.n, RatMatrix([row[:-1] for row in rows]), [row[-1] for row in rows])
+        assert res.status == OPTIMAL
+        best = max(best, math.floor(res.value))
+    return best
 
-    def counting_lp_max(*args):
-        calls.append(args)
-        return real_lp_max(*args)
 
-    monkeypatch.setattr(resonance, "lp_max", counting_lp_max)
+def test_degree_bound_is_one_lp_per_eigenvalue():
+    """The integer bound is the maximum of the per-block simplex LPs and of
+    the per-coordinate vertex-enumeration oracle, for q = 1, 2, 3."""
     rng = random.Random(31)
     spectra = [spectrum_pool_finite(rng, rng.randint(1, 6)) for _ in range(40)]
-    # q = 2 with positive coordinates: the zero-resonance monoid is trivial
-    pool = [(F(1), F(2)), (F(3), F(1)), (F(2), F(2)), (F(1, 2), F(5))]
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        rows = [pool[0], pool[1]] + [rng.choice(pool) for _ in range(n - 2)]
-        spectra.append(build_spectrum(n, 2, rng.sample(rows, n)))
+    # positive first coordinates: the zero-resonance monoid is trivial
+    pools = {
+        2: [(F(1), F(2)), (F(3), F(1)), (F(2), F(2)), (F(1, 2), F(5)), (F(6), F(-1)),
+            (F(8), F(7))],
+        3: [(F(1), F(0), F(0)), (F(2), F(1), F(-1)), (F(1, 2), F(1), F(3)),
+            (F(5), F(-1), F(-4)), (F(7), F(2), F(3)), (F(9), F(1), F(1)),
+            (F(12), F(-3), F(2))],
+    }
+    for q, pool in pools.items():
+        for _ in range(20):
+            n = rng.randint(q, 6)
+            while True:
+                rows = rng.sample(pool, q) + [rng.choice(pool) for _ in range(n - q)]
+                if mat_rank(RatMatrix(rows)) == q:
+                    break
+            spectra.append(build_spectrum(n, q, rng.sample(rows, n)))
+    above_one = set()
     for s in spectra:
-        calls.clear()
-        assert resonance_degree_bound(s) == per_coordinate_degree_bound(s), s.lam
-        assert len(calls) == len(set(s.lam)) == len(s.blocks())
+        assert is_finite_linear_centralizer(s), s.lam
+        bound = resonance_degree_bound(s)
+        assert bound == simplex_degree_bound(s) == per_coordinate_degree_bound(s), s.lam
+        if bound > 1:
+            above_one.add(s.q)
+    assert above_one == {1, 2, 3}
+
+
+DEGREE_CERTIFICATE_SCRIPT = """
+import sys
+from nfkit import resonance
+from nfkit.cli import main
+from nfkit.errors import CertificateFailure
+from nfkit.spectrum import build_spectrum
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real_solve = resonance._solve_square
+
+
+def doubled(rows):
+    # same determinant, every point twice as far: none satisfies its rows
+    det, points = real_solve(rows)
+    return det, [tuple(2 * v for v in x) for x in points]
+
+
+resonance._solve_square = doubled
+try:
+    resonance.resonance_degree_bound(build_spectrum(3, 1, [[12], [6], [3]]))
+except CertificateFailure as exc:
+    print("api", exc.code, exc)
+print("cli", main(["resonances", "--spectrum", sys.argv[1]]))
+"""
+
+
+def test_degree_bound_certificate_fires_under_optimize(tmp_path):
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"n": 3, "q": 1, "lambda": [["12"], ["6"], ["3"]]}')
+    env = dict(os.environ, PYTHONPATH=str(Path(resonance.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DEGREE_CERTIFICATE_SCRIPT, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == (
+        "api certificate-failure degree bound point [8]/1 on columns [2] misses the target [4]"
+    )
+    assert lines[1] == "cli 4"
+    assert json.loads(proc.stderr)["error"] == "certificate-failure"
 
 
 def test_degree_bound_requires_finite():
