@@ -33,6 +33,16 @@ from .resonance import resonance_set
 from .spectrum import classify_dim3
 
 
+def _integer(text):
+    """An integer argument: an optional sign and ASCII digits, as `serialize` reads them.
+
+    Blanks, digit separators and non-ASCII digits, which `int` accepts, exit 2.
+    """
+    if not serialize.INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="nfkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -47,28 +57,28 @@ def _build_parser():
         return p
 
     p = add("resonances", "enumerate resonant multi-indices")
-    p.add_argument("--max-degree", type=int, default=None, help="cap for infinite sets")
+    p.add_argument("--max-degree", type=_integer, default=None, help="cap for infinite sets")
 
     p = add("pdnf-basis", "unit vector monomials spanning the normal-form space")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_integer, default=None)
 
     p = add("centralizer", "commuting vector fields", field=True)
-    p.add_argument("--truncate", type=int, default=None, help="force the truncated solver")
+    p.add_argument("--truncate", type=_integer, default=None, help="force the truncated solver")
 
     p = add("normalizer", "orbital-symmetry generators", field=True)
-    p.add_argument("--truncate", type=int, required=True)
+    p.add_argument("--truncate", type=_integer, required=True)
 
     add("invariants", "monomial first integrals and module checks")
 
     add("reduce", "reduction by invariants", field=True)
 
     p = add("jacobi", "inverse Jacobi multiplier ladder", field=True)
-    p.add_argument("--r-min", type=int, required=True)
-    p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--truncate", type=int, required=True)
+    p.add_argument("--r-min", type=_integer, required=True)
+    p.add_argument("--r-max", type=_integer, required=True)
+    p.add_argument("--truncate", type=_integer, required=True)
 
     p = sub.add_parser("classify3", help="dimension-3 distinguished-setting test")
-    p.add_argument("d", type=int, nargs=3)
+    p.add_argument("d", type=_integer, nargs=3)
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = add("check", "validate inputs and the normal-form property", field=False)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .errors import CertificateFailure, DimensionMismatch, RewriteFailure, WrongShape
+from .errors import CertificateFailure, DimensionMismatch, RewriteFailure, ScopeError, WrongShape
 from .fields import (
     INF,
     PolySeries,
@@ -28,7 +29,7 @@ from .invariants import (
     substitute_generators,
 )
 from .linalg import RatMatrix, mat_kernel, mat_rank
-from .resonance import SemiInvariantLadder, semiinvariant_degree_ladder
+from .resonance import RESONANCE_SCAN_LIMIT, SemiInvariantLadder, semiinvariant_degree_ladder
 from .spectrum import EigenSpectrum, eigen_monomials
 
 
@@ -118,12 +119,22 @@ def solve_multiplier(
     phi_r..phi_D and the equations the graded components of
     X_f(phi) - div f * phi; the degree sweep reports the first degree at
     which the lowest-order block is forced to zero.
+
+    Refuses up front, with a scope error, a support scan over more than
+    `RESONANCE_SCAN_LIMIT` monomials: the sum over d = 1..D of
+    C(d + n - 1, n - 1), which telescopes to C(D + n, n) - 1.
     """
     dev, _ = normal_form_deviation(s, f)
     if not (1 <= r_min <= r_max <= D):
         raise DimensionMismatch("need 1 <= r_min <= r_max <= D")
     if f.trunc < D:
         raise DimensionMismatch(f"field truncation {f.trunc} is below D = {D}")
+    count = comb(D + s.n, s.n) - 1
+    if count > RESONANCE_SCAN_LIMIT:
+        raise ScopeError(
+            f"multiplier support scan up to degree {D} tests {count} monomials,"
+            f" above the limit {RESONANCE_SCAN_LIMIT}"
+        )
     div_dev = divergence(dev)
     support = {d: multiplier_support(s, d) for d in range(1, D + 1)}
     mindeg = dev.min_degree() or 2

@@ -19,6 +19,7 @@ fixed by the column order alone, so callers need not sort their row keys.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -144,16 +145,24 @@ def mat_rank(M: RatMatrix) -> int:
 
 
 def _kernel_basis(ech, pivots, n):
-    """Kernel basis of the first n columns of an echelon form, as in `mat_kernel`."""
-    free = [j for j in range(n) if j not in pivots]
+    """Kernel basis of the first n columns of an echelon form, as in `mat_kernel`.
+
+    The vector of free column f is back-substituted only inside its
+    triangle, the pivots c < f and the columns c < j <= f.  This is exact:
+    x_f = 1 and every other free entry is 0, so, from the last pivot down,
+    each pivot c > f sums only zeros and gets x_c = 0; every skipped
+    product has a zero factor.
+    """
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
     basis = []
     for f in free:
         x = [Fraction(0)] * n
         x[f] = Fraction(1)
-        for k in range(len(pivots) - 1, -1, -1):
+        for k in range(bisect_left(pivots, f) - 1, -1, -1):
             c = pivots[k]
             row = ech[k]
-            acc = sum((frac(row[j]) * x[j] for j in range(c + 1, n)), Fraction(0))
+            acc = sum((frac(row[j]) * x[j] for j in range(c + 1, f + 1)), Fraction(0))
             x[c] = -acc / row[c]
         basis.append(tuple(x))
     return tuple(basis)

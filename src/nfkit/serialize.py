@@ -27,8 +27,9 @@ def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# an optional sign, ASCII digits, and an optional "/" with ASCII digits
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# an optional sign and ASCII digits; a rational may add "/" and ASCII digits
+INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(INTEGER.pattern + r"(?:/[0-9]+)?")
 
 
 def parse_frac(text) -> Fraction:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nfkit
-from nfkit import centralizer, fields, linalg, spectrum
+from nfkit import centralizer, fields, jacobi, linalg, spectrum
 from nfkit.cli import _PARSER, main
 from nfkit.linalg import SolutionSpace
 
@@ -326,6 +326,42 @@ def test_degree_ladder_too_large_is_refused_up_front(tmp_path, capsys, a2, code,
     assert json.loads(captured.err) == {"error": "scope-error", "message": message}
 
 
+@pytest.mark.parametrize(
+    "D, limit, message",
+    [
+        # C(9, 3) - 1 = 83 support monomials up to degree 6, at a lowered limit of 83
+        (6, 83, None),
+        (7, 83, "multiplier support scan up to degree 7 tests 119 monomials, above the limit 83"),
+        # the smallest refused degree at the real limit: C(108, 3) - 1 monomials
+        (105, None, "multiplier support scan up to degree 105 tests 204155 monomials,"
+                    " above the limit 200000"),
+    ],
+)
+def test_multiplier_support_scan_too_large_is_refused_up_front(
+    files, capsys, monkeypatch, D, limit, message
+):
+    if limit is not None:
+        monkeypatch.setattr(jacobi, "RESONANCE_SCAN_LIMIT", limit)
+    scanned = []
+    support = jacobi.multiplier_support
+
+    def counted(s, d):
+        scanned.append(d)
+        return support(s, d)
+
+    monkeypatch.setattr(jacobi, "multiplier_support", counted)
+    argv = ["jacobi", "--spectrum", files["ifac"], "--field", files["ifac_field"],
+            "--r-min", "2", "--r-max", "5", "--truncate", str(D)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and scanned == list(range(1, D + 1))
+        assert json.loads(captured.out)["D"] == D
+        return
+    assert code == 3 and scanned == [] and captured.out == ""
+    assert json.loads(captured.err) == {"error": "scope-error", "message": message}
+
+
 @pytest.mark.parametrize("D, code", [(6, 0), (7, 3)])
 def test_normalizer_too_large_is_refused_up_front(tmp_path, capsys, monkeypatch, D, code):
     spectrum_path = tmp_path / "spectrum.json"
@@ -475,6 +511,39 @@ def test_one_parser_serves_every_call_in_a_process(files, capsys, monkeypatch):
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(got[0])
     assert codes == [2] + [0] * (len(SHARED_PARSER_CALLS) - 1)
+
+
+# every integer argument; {} stands for the value under test
+INTEGER_ARGUMENTS = [
+    ["resonances", "--spectrum", "saddle", "--max-degree", "{}"],
+    ["pdnf-basis", "--spectrum", "saddle", "--max-degree", "{}"],
+    ["centralizer", "--spectrum", "saddle", "--field", "saddle_field", "--truncate", "{}"],
+    ["normalizer", "--spectrum", "saddle", "--field", "saddle_field", "--truncate", "{}"],
+    ["jacobi", "--spectrum", "ifac", "--field", "ifac_field",
+     "--r-min", "{}", "--r-max", "4", "--truncate", "4"],
+    ["jacobi", "--spectrum", "ifac", "--field", "ifac_field",
+     "--r-min", "2", "--r-max", "{}", "--truncate", "4"],
+    ["jacobi", "--spectrum", "ifac", "--field", "ifac_field",
+     "--r-min", "2", "--r-max", "4", "--truncate", "{}"],
+    ["classify3", "{}", "2", "6"],
+    ["classify3", "3", "{}", "6"],
+    ["classify3", "3", "2", "{}"],
+]
+# int() reads each of these as a number; "\u0663" is the Arabic-Indic digit three
+BAD_INTEGERS = ["1_0", " 3", "3 ", "\u0663", "3.0", "1e1", "0x3", "+-3", ""]
+
+
+@pytest.mark.parametrize("template", INTEGER_ARGUMENTS, ids=lambda t: " ".join(t))
+def test_integer_arguments_are_strict(files, capsys, template):
+    for value in BAD_INTEGERS:
+        argv = [files.get(a, a).replace("{}", value) for a in template]
+        code, out, err = _in_process(capsys, argv)
+        assert code == 2 and out == b"", argv
+        assert f"invalid integer {value!r}".encode() in err, argv
+    # a sign and leading zeros are ASCII digits too
+    signed = _in_process(capsys, [files.get(a, a).replace("{}", "+03") for a in template])
+    plain = _in_process(capsys, [files.get(a, a).replace("{}", "3") for a in template])
+    assert signed == plain
 
 
 def test_main_builds_no_parser(files, capsys, monkeypatch):

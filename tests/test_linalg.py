@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfkit.errors import DimensionMismatch
@@ -110,11 +110,27 @@ def _from_sympy(vec):
     return tuple(F(int(x.p), int(x.q)) for x in vec)
 
 
-@settings(max_examples=150, deadline=None)
-@given(RATIONAL_MATRICES)
-def test_kernel_and_rank_match_sympy(sympy, rows):
-    M = RatMatrix(rows)
-    S = _to_sympy(sympy, rows)
+# wide sparse systems as the solvers build them: up to 12 columns over at
+# most 6 row keys, so most columns are free, many of them left of later
+# pivots, and empty columns are common
+WIDE_SPARSE_MATRICES = st.lists(
+    st.dictionaries(st.integers(0, 5), RATIONALS, max_size=3), min_size=1, max_size=12
+).map(RatMatrix.from_columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=st.one_of(RATIONAL_MATRICES.map(RatMatrix), WIDE_SPARSE_MATRICES))
+@example(
+    # pivots 1, 4 and 7; empty columns 0 and 3; columns 2, 5 and 6 are free left of pivot 7
+    M=RatMatrix.from_columns(
+        [{}, {0: F(1)}, {0: F(2)}, {}, {0: F(1), 1: F(3)}, {1: F(-1)}, {0: F(1, 2)},
+         {2: F(5)}, {1: F(4), 2: F(-1)}]
+    )
+)
+def test_kernel_and_rank_match_sympy(sympy, M):
+    S = sympy.Matrix(
+        M.rows, M.cols, [sympy.Rational(x.numerator, x.denominator) for row in M for x in row]
+    )
     assert mat_kernel(M).basis == tuple(_from_sympy(v) for v in S.nullspace())
     assert mat_rank(M) == S.rank()
 
