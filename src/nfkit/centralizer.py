@@ -41,6 +41,11 @@ from .resonance import NORMALIZER_UNKNOWN_LIMIT, finite_resonance_set, resonance
 from .spectrum import EigenSpectrum, compositions, is_finite_linear_centralizer, unit_row
 
 
+# dense entries of the commutant basis matrices or of a truncated kernel: both grow as
+# n^4 for one eigenvalue block; n = 40 took 3 s and 64-85 MB (2-core Xeon, Python 3.11)
+CENTRALIZER_ENTRY_LIMIT = 10**6
+
+
 @dataclass(frozen=True)
 class CommutantBasis:
     dimension: int
@@ -57,11 +62,19 @@ def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
     its kernel is the identity.  Each kernel vector is placed in an n x n
     matrix, and the union is ordered by free column, the vector's last
     nonzero entry: that is exactly `mat_kernel`'s basis of the whole n^2
-    system, whose cross-block columns are all pivots.
+    system, whose cross-block columns are all pivots.  Refuses up front more
+    than `CENTRALIZER_ENTRY_LIMIT` basis-matrix entries, sum |b|^2 n^2.
     """
     n = s.n
+    blocks = s.blocks()
+    entries = sum(len(b) ** 2 for b in blocks) * n * n
+    if entries > CENTRALIZER_ENTRY_LIMIT:
+        raise ScopeError(
+            f"linear commutant has up to {entries} basis-matrix entries,"
+            f" above the limit {CENTRALIZER_ENTRY_LIMIT}"
+        )
     placed = []
-    for block in s.blocks():
+    for block in blocks:
         size = len(block)
         local = {i: a for a, i in enumerate(block)}
         columns = [{} for _ in range(size * size)]
@@ -170,13 +183,22 @@ def _check_truncation(f: PolyVectorField, D: int):
 
 
 def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> CentralizerResult:
-    """Solve [g, f] = 0 mod degree > D with g on resonant monomials of degree <= D."""
+    """Solve [g, f] = 0 mod degree > D with g on resonant monomials of degree <= D.
+
+    Refuses up front a kernel of up to unknowns^2 > `CENTRALIZER_ENTRY_LIMIT` entries.
+    """
     ftilde, _ = normal_form_deviation(s, f)
     _check_truncation(f, D)
     ftilde = ftilde.truncated(D)
     unknown_keys = sorted(
         (sum(m), j, m) for j, rj in enumerate(resonances_by_component(s, 1, D)) for m in rj
     )
+    entries = len(unknown_keys) ** 2
+    if entries > CENTRALIZER_ENTRY_LIMIT:
+        raise ScopeError(
+            f"truncated centralizer has {len(unknown_keys)} unknowns, a kernel of up to"
+            f" {entries} entries, above the limit {CENTRALIZER_ENTRY_LIMIT}"
+        )
     generators = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in unknown_keys]
     brackets = [lie_bracket(g, ftilde).truncated(D) for g in generators]
     kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets])).basis

@@ -152,17 +152,6 @@ class PolySeries(_SparseTerms):
                 data[m] = data.get(m, Fraction(0)) + c1 * c2
         return PolySeries(self.n, data, trunc)
 
-    def eval_at(self, point):
-        point = [frac(x) for x in point]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    v *= point[i] ** e
-            total += v
-        return total
-
     def __hash__(self):
         return hash((self.n, tuple(self.sorted_terms())))
 
@@ -227,19 +216,13 @@ class PolyVectorField(_SparseTerms):
 
 
 def series_times_field(psi: PolySeries, h: PolyVectorField) -> PolyVectorField:
+    """psi * h: one series product per component of h, at the smaller budget."""
     if psi.n != h.n:
         raise DimensionMismatch("dimension mismatch")
-    trunc = min(psi.trunc, h.trunc)
     data = {}
-    for m1, c1 in psi.terms.items():
-        d1 = sum(m1)
-        for (j, m2), c2 in h.terms.items():
-            if d1 + sum(m2) > trunc:
-                continue
-            m = tuple(a + b for a, b in zip(m1, m2))
-            key = (j, m)
-            data[key] = data.get(key, Fraction(0)) + c1 * c2
-    return PolyVectorField(h.n, data, trunc)
+    for j in range(h.n):
+        data.update(((j, m), c) for m, c in (psi * h.component(j)).terms.items())
+    return PolyVectorField(h.n, data, min(psi.trunc, h.trunc))
 
 
 def _by_component(g: PolyVectorField):

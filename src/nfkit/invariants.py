@@ -152,7 +152,7 @@ def decompose_eta(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorField):
         raise NotFreeModuleShape("free-module shape requires a vanishing nilpotent part")
     r = inv.r
     etas = [PolySeries.zero(r, trunc=INF) for _ in range(s.n)]
-    for (j, m), c in sorted(ftilde.terms.items(), key=lambda t: (t[0][0], sum(t[0][1]), t[0][1])):
+    for (j, m), c in ftilde.sorted_terms():
         if m[j] == 0:
             raise NotFreeModuleShape(f"term ({j}, {m}) lacks the coordinate factor x_{j}")
         v = tuple(x - (1 if t == j else 0) for t, x in enumerate(m))
@@ -186,8 +186,10 @@ def substitute_generators(series: PolySeries, inv: InvariantAlgebra, n: int) -> 
 def reduce_vectorfield(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorField) -> ReducedField:
     """Push the field through the generator map: f_hat_i = y_i sum_j M[i][j] eta_hat_j.
 
-    The defining identity D(Psi) f = f_hat(Psi) is re-verified monomial by
-    monomial up to the truncation budget before returning.
+    ``nu[i][j]`` is read off f_hat as its coefficient of y_i y_j in
+    component i.  The defining identity D(Psi) f = f_hat(Psi) is
+    re-verified monomial by monomial up to the truncation budget before
+    returning.
     """
     etas = decompose_eta(s, inv, f)
     r = inv.r
@@ -202,14 +204,7 @@ def reduce_vectorfield(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorFie
                 terms[key] = terms.get(key, Fraction(0)) + M[i][j] * c
     fhat = PolyVectorField(r, terms, trunc=1 + _eta_budget(inv, f.trunc))
     nu = tuple(
-        tuple(
-            sum(
-                (Fraction(M[i][kk]) * etas[kk].coefficient(tuple(1 if a == j else 0 for a in range(r)))
-                 for kk in range(s.n)),
-                Fraction(0),
-            )
-            for j in range(r)
-        )
+        tuple(fhat.coefficient(i, [(t == i) + (t == j) for t in range(r)]) for j in range(r))
         for i in range(r)
     )
     # X_{A_s} kills every generator monomial, so X_f and X_ftilde agree on them

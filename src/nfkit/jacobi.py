@@ -30,7 +30,7 @@ from .invariants import (
 )
 from .linalg import RatMatrix, mat_kernel, mat_rank
 from .resonance import RESONANCE_SCAN_LIMIT, SemiInvariantLadder, semiinvariant_degree_ladder
-from .spectrum import EigenSpectrum, eigen_monomials
+from .spectrum import EigenSpectrum, eigen_monomials, unit_row
 
 
 def multiplier_support(s: EigenSpectrum, d: int):
@@ -74,27 +74,20 @@ class MultiplierLadder:
         raise KeyError(r)
 
 
-def _axis_fixed_point(dev: PolyVectorField):
+def _axis_fixed_point(f2: PolyVectorField):
     """A point c = e_i / theta with f_2(c) = c, from the quadratic part; None if no axis works."""
-    n = dev.n
-    f2 = dev.graded_part(2)
+    n = f2.n
     for i in range(n):
         m2 = tuple(2 if t == i else 0 for t in range(n))
         theta = f2.coefficient(i, m2)
-        if theta == 0:
-            continue
-        clean = all(
-            f2.coefficient(j, m2) == 0 for j in range(n) if j != i
-        )
-        if clean:
+        if theta != 0 and all(f2.coefficient(j, m2) == 0 for j in range(n) if j != i):
             return i, theta
     return None
 
 
-def _jacobian_eigenvalues(dev: PolyVectorField, axis: int, theta: Fraction):
+def _jacobian_eigenvalues(f2: PolyVectorField, axis: int, theta: Fraction):
     """Eigenvalues of Df_2(c) at c = e_axis / theta when that matrix is triangular."""
-    n = dev.n
-    f2 = dev.graded_part(2)
+    n = f2.n
     mat = [[Fraction(0)] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
@@ -116,9 +109,11 @@ def solve_multiplier(
     """Search for multipliers with lowest order r in [r_min, r_max], truncated at D.
 
     For each candidate r the unknowns are the support coefficients of
-    phi_r..phi_D and the equations the graded components of
-    X_f(phi) - div f * phi; the degree sweep reports the first degree at
-    which the lowest-order block is forced to zero.
+    phi_r..phi_D, ordered by degree, and the equations the graded
+    components of X_f(phi) - div f * phi; the degree sweep reports the
+    first degree at which the lowest-order block is forced to zero.  Since
+    the unknowns are ordered by degree, the unknowns of a sweep are a
+    prefix and the lowest-order block is its first len(support[r]) columns.
 
     Refuses up front, with a scope error, a support scan over more than
     `RESONANCE_SCAN_LIMIT` monomials: the sum over d = 1..D of
@@ -147,73 +142,53 @@ def solve_multiplier(
 
     entries = []
     for r in range(r_min, r_max + 1):
-        if not support[r]:
+        low = len(support[r])
+        if not low:
             entries.append(LadderEntry(r=r, status=INCONSISTENT, failed_degree=r))
             continue
-        unknowns = [(d, m) for d in range(r, D + 1) for m in support[d]]
-        columns = [column_of[u] for u in unknowns]
-        status = SOLVED
-        failed = None
-        multiplier = None
-        soldim = 0
-        lowdim = 0
+        unknowns = [(m, column_of[(d, m)]) for d in range(r, D + 1) for m in support[d]]
+        active = 0
         for sweep in range(r, D + 1):
-            active = [t for t, (d, _m) in enumerate(unknowns) if d <= sweep]
+            active += len(support[sweep])
             maxrow = sweep + mindeg - 1
             if f.trunc != INF:
                 # rows past the field budget would miss unknown field terms
                 maxrow = min(maxrow, int(f.trunc) + r - 1)
             system = RatMatrix.from_columns(
-                [{v: c for v, c in columns[t].terms.items() if sum(v) <= maxrow} for t in active]
+                [{v: c for v, c in col.terms.items() if sum(v) <= maxrow}
+                 for _m, col in unknowns[:active]]
             )
             kernel = mat_kernel(system).basis
-            low_cols = [i for i, t in enumerate(active) if unknowns[t][0] == r]
-            low_rank_vecs = [vec for vec in kernel if any(vec[i] != 0 for i in low_cols)]
+            low_rank_vecs = [vec for vec in kernel if any(vec[:low])]
             if not low_rank_vecs:
-                status = INCONSISTENT
-                failed = sweep
+                entries.append(LadderEntry(r=r, status=INCONSISTENT, failed_degree=sweep))
                 break
-            if sweep == D:
-                soldim = len(kernel)
-                lowdim = mat_rank(RatMatrix([[vec[i] for i in low_cols] for vec in kernel]))
-                vec = low_rank_vecs[0]
-                lead = next(vec[i] for i in low_cols if vec[i] != 0)
-                multiplier = PolySeries(
-                    s.n,
-                    {
-                        unknowns[active[i]][1]: vec[i] / lead
-                        for i in range(len(active))
-                        if vec[i] != 0
-                    },
-                    trunc=D,
-                )
-        if status == SOLVED:
-            entries.append(
-                LadderEntry(
-                    r=r,
-                    status=SOLVED,
-                    multiplier=multiplier,
-                    solution_dimension=soldim,
-                    lowest_order_dimension=lowdim,
-                )
-            )
         else:
-            entries.append(LadderEntry(r=r, status=INCONSISTENT, failed_degree=failed))
+            vec = low_rank_vecs[0]
+            lead = next(x for x in vec if x != 0)
+            phi = {m: x / lead for (m, _col), x in zip(unknowns, vec) if x != 0}
+            entries.append(LadderEntry(
+                r=r,
+                status=SOLVED,
+                multiplier=PolySeries(s.n, phi, trunc=D),
+                solution_dimension=len(kernel),
+                lowest_order_dimension=mat_rank(RatMatrix([v[:low] for v in kernel])),
+            ))
 
     semiinv = None
-    note = None
-    axis = _axis_fixed_point(dev)
+    f2 = dev.graded_part(2)
+    axis = _axis_fixed_point(f2)
     if axis is None:
         note = "no axis fixed point of the quadratic part; degree ladder not attached"
     else:
         i, theta = axis
-        mu = _jacobian_eigenvalues(dev, i, theta)
+        mu = _jacobian_eigenvalues(f2, i, theta)
         if mu is None:
             note = "quadratic Jacobian at the fixed point is not triangular; ladder not attached"
         else:
-            point = [Fraction(0)] * s.n
-            point[i] = 1 / theta
-            cofactor = divergence(dev.graded_part(2)).eval_at(point)
+            # div f_2 is linear and equals the degree-1 part of div dev, so its
+            # value at e_i / theta is the x_i coefficient of div dev over theta
+            cofactor = div_dev.coefficient(unit_row(s.n, i)) / theta
             semiinv = semiinvariant_degree_ladder(mu, cofactor)
             if semiinv.complete and semiinv.bound <= r_max:
                 note = f"ladder complete: no lowest order beyond {semiinv.bound} is possible"
@@ -281,30 +256,23 @@ def transfer_reduced(
     """Carry sigma * rho(invariants) across the reduction, in either direction.
 
     Ambient candidates must be divisible by x_1*...*x_n with an invariant
-    cofactor; reduced candidates by y_1*...*y_r.  When the corresponding
-    field is supplied the multiplier property of the image is re-verified.
+    cofactor; reduced candidates by y_1*...*y_r.  Both directions divide by
+    the coordinate product, map the cofactor across and multiply by the
+    coordinate product on the other side.  When the field of the target
+    side is supplied the multiplier property of the image is re-verified.
     """
-    n = len(inv.generators[0]) if inv.generators else 0
+    if direction not in (AMBIENT_TO_REDUCED, REDUCED_TO_AMBIENT):
+        raise WrongShape(f"unknown direction {direction!r}")
+    rho = _divide_by_all_coordinates(candidate)
     if direction == AMBIENT_TO_REDUCED:
-        rho = _rewrite_series(inv, _divide_by_all_coordinates(candidate))
-        sigma_red = PolySeries.monomial(inv.r, tuple(1 for _ in range(inv.r)))
-        out = sigma_red * rho
-        if reduced_field is not None:
-            _verify_multiplier(
-                reduced_field, out, check_budget if check_budget is not None else reduced_field.trunc
-            )
-        return out
-    if direction == REDUCED_TO_AMBIENT:
-        rho_hat = _divide_by_all_coordinates(candidate)
-        rho = substitute_generators(rho_hat, inv, n)
-        sigma = PolySeries.monomial(n, tuple(1 for _ in range(n)))
-        out = sigma * rho
-        if ambient_field is not None:
-            _verify_multiplier(
-                ambient_field, out, check_budget if check_budget is not None else ambient_field.trunc
-            )
-        return out
-    raise WrongShape(f"unknown direction {direction!r}")
+        size, rho, field = inv.r, _rewrite_series(inv, rho), reduced_field
+    else:
+        size = len(inv.generators[0]) if inv.generators else 0
+        rho, field = substitute_generators(rho, inv, size), ambient_field
+    out = PolySeries.monomial(size, (1,) * size) * rho
+    if field is not None:
+        _verify_multiplier(field, out, field.trunc if check_budget is None else check_budget)
+    return out
 
 
 NO_MULTIPLIER = "no-multiplier"

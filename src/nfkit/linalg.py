@@ -81,15 +81,6 @@ class RatMatrix:
     def __iter__(self):
         return iter(self._data)
 
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self._data == other._data
-
-    def __hash__(self):
-        return hash(self._data)
-
-    def __repr__(self):
-        return f"RatMatrix({[list(map(str, r)) for r in self._data]})"
-
 
 @dataclass(frozen=True)
 class SolutionSpace:

@@ -202,5 +202,6 @@ def load_json_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, an integer past the digit limit
+    # bad JSON, bad UTF-8, an integer past the digit limit, nesting past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

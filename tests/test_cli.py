@@ -272,8 +272,12 @@ def test_only_strict_rationals_are_read(tmp_path, capsys, value, where):
 
 @pytest.mark.parametrize(
     "content",
-    [b'{"n": 1' + b"0" * 5000 + b', "q": 1, "lambda": [["1"]]}', b'{"n": 1, "q": 1, "lambda": [["\xff"]]}'],
-    ids=["integer-past-the-digit-limit", "not-utf-8"],
+    [
+        b'{"n": 1' + b"0" * 5000 + b', "q": 1, "lambda": [["1"]]}',
+        b'{"n": 1, "q": 1, "lambda": [["\xff"]]}',
+        b"[" * 100000,
+    ],
+    ids=["integer-past-the-digit-limit", "not-utf-8", "nested-past-the-recursion-limit"],
 )
 def test_unreadable_json_is_an_input_error(tmp_path, capsys, content):
     path = tmp_path / "spectrum.json"
@@ -469,6 +473,44 @@ def test_degree_bound_too_large_is_refused_up_front(tmp_path, capsys, n, code):
         "message": "degree bound solves C(127, 2) = 8001 column sets for 127 eigenvalue blocks,"
                    " 1016127 systems, above the limit 1000000",
     }
+
+
+
+@pytest.mark.parametrize(
+    "n, truncate, message",
+    [
+        (31, None, None),
+        (31, "1", None),
+        # one block of 32: 32^2 basis matrices of 32^2 entries each
+        (32, None, "linear commutant has up to 1048576 basis-matrix entries,"
+                   " above the limit 1000000"),
+        # every x_k e_j is a degree-1 resonance: 32^2 unknowns
+        (32, "1", "truncated centralizer has 1024 unknowns, a kernel of up to 1048576 entries,"
+                  " above the limit 1000000"),
+    ],
+    ids=["31-exact", "31-truncated", "32-exact", "32-truncated"],
+)
+def test_centralizer_of_a_huge_eigenvalue_block_is_refused_up_front(
+    tmp_path, capsys, n, truncate, message
+):
+    spectrum_path = tmp_path / "spectrum.json"
+    spectrum_path.write_text(json.dumps({"n": n, "q": 1, "lambda": [["1"]] * n}))
+    field_path = tmp_path / "field.json"
+    field_path.write_text(json.dumps({"n": n, "trunc": "inf", "terms": []}))
+    argv = ["centralizer", "--spectrum", str(spectrum_path), "--field", str(field_path)]
+    if truncate is not None:
+        argv += ["--truncate", truncate]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    if message is None:
+        doc = json.loads(captured.out)
+        assert code == 0 and doc["dimension"] == n * n and doc["exact"] is (truncate is None)
+        return
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err) == {"error": "scope-error", "message": message}
+    assert elapsed < 0.5
 
 
 # every subcommand on the fixtures, after a bad argv and --help

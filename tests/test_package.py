@@ -82,3 +82,60 @@ def test_simplex_is_off_the_request_path():
                 if getattr(node, field, None) == "lp_max":
                     named.add(path.name)
     assert named == {"__init__.py", "linalg.py"}
+
+
+def _modules():
+    package = Path(nfkit.__file__).resolve().parent
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+
+
+def _used_names(tree):
+    """Names a module reads: loaded names, attribute names and names it imports from siblings."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level > 0:
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_module_level_import_is_used():
+    """A leftover import after a deletion fails here; `__init__` only re-exports."""
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [(name, b) for b in bound if b not in used]
+    assert not unused
+
+
+def test_every_private_top_level_name_is_referenced():
+    """A private helper that lost its last caller fails here."""
+    modules = _modules()
+    used = set().union(*(_used_names(tree) for tree in modules.values()))
+    unreferenced = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unreferenced += [
+                (name, d) for d in defined
+                if d.startswith("_") and not d.startswith("__") and d not in used
+            ]
+    assert not unreferenced
