@@ -52,6 +52,25 @@ class CommutantBasis:
     basis: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
+def _block_kernels(s: EigenSpectrum, blocks):
+    """Per eigenvalue block b, the kernel basis of its [B, A_n] = 0 system on B_{b_a b_c}."""
+    for block in blocks:
+        size = len(block)
+        local = {i: a for a, i in enumerate(block)}
+        columns = [{} for _ in range(size * size)]
+        # N_ik = c enters (NB - BN)_ij as +c B_kj and (NB - BN)_jk as -c B_ji
+        for i, k, c in s.nilpotent:
+            if i not in local:
+                continue
+            a, b = local[i], local[k]
+            for t in range(size):
+                col, key = columns[b * size + t], (a, t)
+                col[key] = col.get(key, 0) + c
+                col, key = columns[t * size + a], (t, b)
+                col[key] = col.get(key, 0) - c
+        yield block, mat_kernel(RatMatrix.from_columns(columns)).basis
+
+
 def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
     """Kernel of B -> ([B, A_s], [B, A_n]), solved once per eigenvalue block.
 
@@ -74,21 +93,9 @@ def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
             f" above the limit {CENTRALIZER_ENTRY_LIMIT}"
         )
     placed = []
-    for block in blocks:
+    for block, kernel in _block_kernels(s, blocks):
         size = len(block)
-        local = {i: a for a, i in enumerate(block)}
-        columns = [{} for _ in range(size * size)]
-        # N_ik = c enters (NB - BN)_ij as +c B_kj and (NB - BN)_jk as -c B_ji
-        for i, k, c in s.nilpotent:
-            if i not in local:
-                continue
-            a, b = local[i], local[k]
-            for t in range(size):
-                col, key = columns[b * size + t], (a, t)
-                col[key] = col.get(key, 0) + c
-                col, key = columns[t * size + a], (t, b)
-                col[key] = col.get(key, 0) - c
-        for vec in mat_kernel(RatMatrix.from_columns(columns)).basis:
+        for vec in kernel:
             mat = [[Fraction(0)] * n for _ in range(n)]
             last = 0
             for t, x in enumerate(vec):
@@ -207,7 +214,8 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
     for vec in kernel:
         lead = next(unknown_keys[t][0] for t, c in enumerate(vec) if c != 0)
         graded_count[lead] = graded_count.get(lead, 0) + 1
-    dcomm = linear_commutant(s).dimension
+    # the commutant dimension, without building its n x n basis matrices
+    dcomm = sum(len(kernel) for _, kernel in _block_kernels(s, s.blocks()))
     return CentralizerResult(
         dimension=len(basis),
         basis=tuple(basis),

@@ -63,7 +63,13 @@ class NotFreeModuleShape(InputError):
 
 
 class RewriteFailure(InputError):
+    """An exponent row, kept as ``row``, that does not rewrite over the generators."""
+
     code = "rewrite-failure"
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row
 
 
 class WrongShape(InputError):

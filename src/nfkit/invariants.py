@@ -27,7 +27,7 @@ from .fields import (
     lie_derivative,
     normal_form_deviation,
 )
-from .linalg import RatMatrix, mat_kernel, mat_rank, mat_solve
+from .linalg import RatMatrix, mat_kernel, mat_rank, pivot_columns, solve_square
 from .resonance import commuting_degree_ladder, semiinvariant_degree_ladder
 from .spectrum import (
     EigenSpectrum,
@@ -111,24 +111,43 @@ def check_onediv(s: EigenSpectrum) -> OneDivVerdict:
     return OneDivVerdict(holds=True)
 
 
-def _rewrite_in_generators(inv: InvariantAlgebra, v):
-    """Solve M^T k = v over Z_+; unique under independence."""
-    r = inv.r
-    n = len(v)
-    cols = [[inv.generators[a][i] for a in range(r)] for i in range(n)]
-    sol = mat_solve(RatMatrix(cols), list(v))
-    if sol is None:
-        raise RewriteFailure(f"exponent row {v} is not a combination of the generators")
-    if sol.basis:
-        raise CertificateFailure("generator exponents must be independent here")
-    k = []
-    for x in sol.particular:
-        if x.denominator != 1 or x < 0:
+def _rewrite_in_generators(inv: InvariantAlgebra, rows):
+    """Solve M^T k = v over Z_+ for every exponent row v, in one elimination.
+
+    The pivot columns of the generator rows M are independent coordinates,
+    r of them exactly when the generators are independent; the square
+    system on those coordinates, with one right-hand side per row, gives
+    det * k in integers.  Each row is then checked in order, on all n
+    coordinates, for integrality and for k >= 0, so the first failing row
+    raises.  A consistent row over dependent generators has no unique k.
+    """
+    gens = inv.generators
+    coords = pivot_columns(gens)
+    used = range(inv.r)
+    if len(coords) < inv.r:  # independent generator columns on those coordinates
+        used = pivot_columns([[g[i] for g in gens] for i in coords])
+    system = [[gens[a][i] for a in used] + [v[i] for v in rows] for i in coords]
+    solved = solve_square(system) if coords else (1, [()] * len(rows))
+    det, points = solved if solved is not None else (0, [])
+    if det <= 0 or len(points) != len(rows):
+        raise CertificateFailure(
+            f"generator system on coordinates {coords} gave det {det} and"
+            f" {len(points)} points for {len(rows)} exponent rows"
+        )
+    out = []
+    for v, x in zip(rows, points):
+        if any(
+            sum(gens[a][i] * xa for a, xa in zip(used, x)) != vi * det for i, vi in enumerate(v)
+        ):
+            raise RewriteFailure(f"exponent row {v} is not a combination of the generators", v)
+        if len(used) < inv.r:
+            raise CertificateFailure("generator exponents must be independent here")
+        if any(xa % det or xa < 0 for xa in x):
             raise RewriteFailure(
-                f"exponent row {v} needs a non-integer or negative generator combination"
+                f"exponent row {v} needs a non-integer or negative generator combination", v
             )
-        k.append(int(x))
-    return tuple(k)
+        out.append(tuple(xa // det for xa in x))
+    return out
 
 
 def _eta_budget(inv: InvariantAlgebra, trunc):
@@ -150,16 +169,19 @@ def decompose_eta(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorField):
         raise NotFreeModuleShape("generator exponents are not independent")
     if s.nilpotent:
         raise NotFreeModuleShape("free-module shape requires a vanishing nilpotent part")
-    r = inv.r
-    etas = [PolySeries.zero(r, trunc=INF) for _ in range(s.n)]
-    for (j, m), c in ftilde.sorted_terms():
-        if m[j] == 0:
-            raise NotFreeModuleShape(f"term ({j}, {m}) lacks the coordinate factor x_{j}")
-        v = tuple(x - (1 if t == j else 0) for t, x in enumerate(m))
-        k = _rewrite_in_generators(inv, v)
-        etas[j] = etas[j] + PolySeries.monomial(r, k, c)
+    terms = ftilde.sorted_terms()
+    # the first term without x_j, if any, fails after every rewrite before it
+    bare = next((t for t, ((j, m), _) in enumerate(terms) if m[j] == 0), len(terms))
+    rows = [tuple(x - (t == j) for t, x in enumerate(m)) for (j, m), _ in terms[:bare]]
+    ks = _rewrite_in_generators(inv, rows)
+    if bare < len(terms):
+        (j, m), _ = terms[bare]
+        raise NotFreeModuleShape(f"term ({j}, {m}) lacks the coordinate factor x_{j}")
+    data = [{} for _ in range(s.n)]
+    for ((j, _), c), k in zip(terms, ks):
+        data[j][k] = c  # independent generators: distinct rows give distinct k
     budget = _eta_budget(inv, f.trunc)
-    return tuple(e.truncated(budget) for e in etas)
+    return tuple(PolySeries(inv.r, d, trunc=budget) for d in data)
 
 
 @dataclass(frozen=True)

@@ -228,12 +228,12 @@ def _divide_by_all_coordinates(series: PolySeries) -> PolySeries:
 
 
 def _rewrite_series(inv: InvariantAlgebra, series: PolySeries) -> PolySeries:
+    try:
+        ks = _rewrite_in_generators(inv, list(series.terms))
+    except RewriteFailure as exc:
+        raise WrongShape(f"factor monomial {exc.row} is not invariant: {exc}") from exc
     data = {}
-    for m, c in series.terms.items():
-        try:
-            k = _rewrite_in_generators(inv, m)
-        except RewriteFailure as exc:
-            raise WrongShape(f"factor monomial {m} is not invariant: {exc}") from exc
+    for k, c in zip(ks, series.terms.values()):
         data[k] = data.get(k, Fraction(0)) + c
     return PolySeries(inv.r, data, trunc=INF)
 

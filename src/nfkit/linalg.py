@@ -3,11 +3,16 @@
 All coefficients are `fractions.Fraction`; there is no floating point
 anywhere.  Kernels are computed by fraction-free (Bareiss) elimination on
 a primitive integer copy of the matrix (`integer_rows`), which keeps
-intermediate entries to single determinant-sized integers.  The simplex
-uses Bland's rule, so it terminates on every input.  No request runs it:
-the resonance degree bound takes the basic points of its LP in integers
-(`resonance.lp_degree_bound`), and `lp_max` stays public as the
-reference those points are tested against.
+intermediate entries to single determinant-sized integers.  Square
+integer systems with many right-hand sides go through one fraction-free
+Gauss-Jordan elimination, `solve_square`, which returns integer numerators
+over one determinant: the resonance degree bound solves every column set
+with it, and the rewrite over the invariant generators solves every
+exponent row of a field in one call, on coordinates chosen by
+`pivot_columns`.  The simplex uses Bland's rule, so it terminates on every
+input.  No request runs it: the resonance degree bound takes the basic
+points of its LP in integers (`resonance.lp_degree_bound`), and `lp_max`
+stays public as the reference those points are tested against.
 
 Every structural system in nfkit comes as sparse columns, one per unknown,
 keyed by equation (mostly a monomial).  `RatMatrix.from_columns` is the one
@@ -100,7 +105,7 @@ def _bareiss_echelon(mat):
     Pivot columns are scanned left to right; the produced matrix is upper
     trapezoidal with integer entries.
     """
-    rows = [row[:] for row in mat]
+    rows = [list(row) for row in mat]
     m = len(rows)
     n = len(rows[0]) if rows else 0
     pivots = []
@@ -131,8 +136,40 @@ def _bareiss_echelon(mat):
 
 
 def mat_rank(M: RatMatrix) -> int:
-    _, pivots = _bareiss_echelon(integer_rows(M))
-    return len(pivots)
+    return len(pivot_columns(integer_rows(M)))
+
+
+def pivot_columns(rows) -> list[int]:
+    """Pivot columns of integer rows, left to right: a maximal independent set of columns."""
+    return _bareiss_echelon(rows)[1]
+
+
+def solve_square(rows):
+    """(det, numerators per right-hand side) of a q x (q + r) integer system [A | T].
+
+    Fraction-free Gauss-Jordan elimination: every division is exact, and at
+    the end each diagonal entry is the last pivot, +-det A, so column q + k
+    holds det A times the solution for the k-th right-hand side.  The sign
+    is normalized to det > 0; returns None when A is singular.  With q = 0
+    there is no row to read a right-hand side from, and the list is empty.
+    """
+    q = len(rows)
+    prev = 1
+    for c in range(q):
+        p = next((i for i in range(c, q) if rows[i][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot_row = rows[c]
+        piv = pivot_row[c]
+        for i in range(q):
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], pivot_row)]
+        prev = piv
+    sign = 1 if prev > 0 else -1
+    points = zip(*(row[q:] for row in rows))
+    return sign * prev, [tuple(sign * v for v in x) for x in points]
 
 
 def _kernel_basis(ech, pivots, n):

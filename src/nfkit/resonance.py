@@ -14,7 +14,7 @@ from .errors import (
     InfiniteResonanceWithoutCap,
     ScopeError,
 )
-from .linalg import frac
+from .linalg import frac, solve_square
 from .spectrum import (
     EigenSpectrum,
     compositions,
@@ -77,7 +77,7 @@ def lp_degree_bound(s: EigenSpectrum) -> int:
     targets = [[row[-1] for row in rows] for rows in systems]
     best = None  # (sum of numerators, det, columns, numerators, target)
     for cols in combinations(range(s.n), s.q):
-        solved = _solve_square(
+        solved = solve_square(
             [[row[c] for c in cols] + [t[k] for t in targets] for k, row in enumerate(coefficients)]
         )
         if solved is None:
@@ -96,33 +96,6 @@ def lp_degree_bound(s: EigenSpectrum) -> int:
         raise CertificateFailure(f"degree bound point {list(x)}/{det} on columns {list(cols)}"
                                  f" misses the target {list(t)}")
     return max(1, total // det)
-
-
-def _solve_square(rows):
-    """(det, numerators per right-hand side) of a q x (q + r) integer system [A | T].
-
-    Fraction-free Gauss-Jordan elimination: every division is exact, and at
-    the end each diagonal entry is the last pivot, +-det A, so column q + k
-    holds det A times the solution for the k-th right-hand side.  The sign
-    is normalized to det > 0; returns None when A is singular.
-    """
-    q = len(rows)
-    prev = 1
-    for c in range(q):
-        p = next((i for i in range(c, q) if rows[i][c]), None)
-        if p is None:
-            return None
-        rows[c], rows[p] = rows[p], rows[c]
-        pivot_row = rows[c]
-        piv = pivot_row[c]
-        for i in range(q):
-            if i != c:
-                f = rows[i][c]
-                rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], pivot_row)]
-        prev = piv
-    sign = 1 if prev > 0 else -1
-    points = zip(*(row[q:] for row in rows))
-    return sign * prev, [tuple(sign * v for v in x) for x in points]
 
 
 def resonances_by_component(s: EigenSpectrum, dmin: int, dmax: int):

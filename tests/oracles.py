@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from nfkit.fields import PolySeries, PolyVectorField
 from nfkit.linalg import RatMatrix, mat_kernel, mat_solve
-from nfkit.errors import RankMismatch, SearchCapReached
+from nfkit.errors import CertificateFailure, RankMismatch, RewriteFailure, SearchCapReached
 from nfkit.spectrum import (
     EigenSpectrum,
     build_spectrum,
@@ -72,6 +72,41 @@ def fraction_rank(rows) -> int:
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def fraction_rewrite(generators, v):
+    """The k >= 0 in Z^r with sum_a k_a g_a = v, for one exponent row v.
+
+    Gauss-Jordan over Fraction on the n x (r + 1) rows [G^T | v], pivoting
+    column by column.  Raises the errors of the rewrite over the generators,
+    with their messages, in their order: v off the span, then dependent
+    generators, then a non-integral or negative k.
+    """
+    r, n = len(generators), len(v)
+    rows = [[Fraction(g[i]) for g in generators] + [Fraction(v[i])] for i in range(n)]
+    pivots = []
+    for c in range(r + 1):
+        top = len(pivots)
+        p = next((i for i in range(top, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[top], rows[p] = rows[p], rows[top]
+        rows[top] = [x / rows[top][c] for x in rows[top]]
+        for i in range(n):
+            if i != top and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(c)
+    if r in pivots:
+        raise RewriteFailure(f"exponent row {v} is not a combination of the generators", v)
+    if len(pivots) < r:
+        raise CertificateFailure("generator exponents must be independent here")
+    k = [rows[t][r] for t in range(r)]
+    if any(x.denominator != 1 or x < 0 for x in k):
+        raise RewriteFailure(
+            f"exponent row {v} needs a non-integer or negative generator combination", v
+        )
+    return tuple(int(x) for x in k)
 
 
 def brute_resonances(s: EigenSpectrum, j: int, dmax: int):

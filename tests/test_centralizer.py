@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nfkit import centralizer
 from nfkit.centralizer import (
     centralizer_exact,
     centralizer_truncated,
@@ -172,6 +173,28 @@ def test_linear_commutant_matches_whole_matrix_oracle():
         comm = linear_commutant(s)
         assert comm.basis == whole_matrix_commutant(s), (s.lam, s.nilpotent)
         assert comm.dimension == len(comm.basis)
+
+
+def test_truncated_d_is_the_commutant_dimension(monkeypatch):
+    """d of a truncated centralizer sums the per-block kernel dimensions,
+    without building the commutant's basis matrices."""
+    rng = random.Random(61)
+    spectra = list(COMMUTANT_CASES) + [
+        jordan_spectrum(),
+        build_spectrum(6, 1, [[12], [12], [6], [6], [6], [3]]),
+        build_spectrum(4, 2, [[1, 0], [-1, 0], [0, 1], [0, -1]]),
+    ]
+    spectra += [random_block_spectrum(rng, rng.randint(2, 5), 1) for _ in range(20)]
+    assert any(len(s.blocks()) > 1 and s.nilpotent for s in spectra)
+    expected = [linear_commutant(s).dimension for s in spectra]
+
+    def no_commutant(s):
+        raise AssertionError("the truncated centralizer built the commutant basis")
+
+    monkeypatch.setattr(centralizer, "linear_commutant", no_commutant)
+    for s, d in zip(spectra, expected, strict=True):
+        f = random_pdnf(s, rng, 2, explicit=False)
+        assert centralizer_truncated(s, f, 2).d == d, (s.lam, s.nilpotent)
 
 
 def test_eg3_case_table():

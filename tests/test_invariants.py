@@ -9,12 +9,16 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nfkit
 from nfkit import invariants
 from nfkit.errors import (
+    CertificateFailure,
     NFKitError,
     NotFreeModuleShape,
+    RewriteFailure,
     ScopeError,
     SearchCapReached,
     ZeroEigenvalue,
@@ -27,6 +31,7 @@ from nfkit.fields import (
 )
 from nfkit.invariants import (
     FreeModuleVerdict,
+    InvariantAlgebra,
     OneDivVerdict,
     check_free_module,
     check_onediv,
@@ -44,6 +49,7 @@ from oracles import (
     brute_onediv_witness,
     completion_witness,
     fraction_rank,
+    fraction_rewrite,
     pairing,
 )
 
@@ -340,6 +346,139 @@ def test_decompose_eta_rewrite_roundtrip():
         for m, c in expanded.terms.items():
             full = tuple(m[t] + (1 if t == j else 0) for t in range(3))
             assert f.coefficient(j, full) == c
+
+
+@st.composite
+def generators_and_rows(draw):
+    """Independent generator rows (r <= n <= 5, r = 0 included) and exponent rows:
+    combinations, arbitrary rows, and combinations with negative or fractional k."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n))
+    gens = draw(
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=r, max_size=r).filter(
+            lambda g: fraction_rank(g) == len(g)
+        )
+    )
+
+    def combination(k, d=1):
+        w = tuple(sum(ka * g[i] for ka, g in zip(k, gens)) for i in range(n))
+        return tuple(x // d for x in w) if all(x % d == 0 for x in w) else w
+
+    ks = st.tuples(*[st.integers(0, 3)] * r)
+    row = st.one_of(
+        ks.map(combination),
+        st.tuples(*[st.integers(0, 4)] * n),
+        st.builds(combination, st.tuples(*[st.integers(-2, 3)] * r), st.integers(1, 3)),
+    )
+    return tuple(gens), draw(st.lists(row, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generators_and_rows())
+@example(((), [(0, 0), (0, 0)]))  # r = 0: the zero row rewrites to k = (), once per row
+@example(((), [(0, 0), (1, 0)]))  # r = 0: any other row is off the span
+@example((((2, 0, 2), (0, 1, 1)), [(2, 1, 3), (1, 0, 1), (0, 0, 0)]))  # k = (1/2, 0) second
+@example((((1, 1),), [(2, 2), (-1, -1), (1, 2)]))  # k = -1 before a row off the span
+def test_batched_rewrite_matches_one_fraction_solve_per_row(case):
+    gens, rows = case
+    inv = InvariantAlgebra(generators=gens, independent=True)
+    expected = []
+    for v in rows:
+        try:
+            expected.append(fraction_rewrite(gens, v))
+        except RewriteFailure as exc:
+            with pytest.raises(RewriteFailure) as info:
+                invariants._rewrite_in_generators(inv, rows)
+            assert (str(info.value), info.value.row) == (str(exc), exc.row)
+            return
+    got = invariants._rewrite_in_generators(inv, rows)
+    assert len(got) == len(rows)  # one point per row, r = 0 included
+    assert got == expected
+
+
+def test_rewrite_over_dependent_generators_fails_row_by_row():
+    inv = InvariantAlgebra(generators=((1, 1, 0), (0, 1, 1), (1, 2, 1)), independent=False)
+    with pytest.raises(RewriteFailure, match=r"^exponent row \(1, 0, 0\) is not a combination"):
+        invariants._rewrite_in_generators(inv, [(1, 0, 0), (1, 1, 0)])
+    with pytest.raises(CertificateFailure, match="must be independent"):
+        invariants._rewrite_in_generators(inv, [(1, 1, 0), (1, 0, 0)])
+
+
+def test_rewrite_needs_one_point_per_row(monkeypatch):
+    real_solve = invariants.solve_square
+    monkeypatch.setattr(invariants, "solve_square", lambda rows: (real_solve(rows)[0], []))
+    inv = InvariantAlgebra(generators=((1, 1),), independent=True)
+    with pytest.raises(CertificateFailure, match=r"gave det 1 and 0 points for 2 exponent rows"):
+        invariants._rewrite_in_generators(inv, [(1, 1), (2, 2)])
+
+
+def test_decompose_eta_error_precedence():
+    """The first failing term in sorted order wins, rewrite or missing x_j."""
+    s = build_spectrum(3, 1, [[1], [1], [-1]])
+    # x1 x3 = (x1^2 x3^2)^(1/2) does not rewrite over these generators
+    inv = InvariantAlgebra(generators=((2, 0, 2), (0, 1, 1)), independent=True)
+    A = diag_field(1, 1, -1)
+    rewrite_first = A + PolyVectorField(3, {(0, (2, 0, 1)): 1, (1, (2, 0, 1)): 1})
+    with pytest.raises(RewriteFailure) as info:
+        decompose_eta(s, inv, rewrite_first)
+    assert str(info.value) == (
+        "exponent row (1, 0, 1) needs a non-integer or negative generator combination"
+    )
+    bare_first = A + PolyVectorField(3, {(0, (0, 2, 1)): 1, (1, (1, 1, 1)): 1})
+    with pytest.raises(NotFreeModuleShape) as info:
+        decompose_eta(s, inv, bare_first)
+    assert str(info.value) == "term (0, (0, 2, 1)) lacks the coordinate factor x_0"
+
+
+REWRITE_CERTIFICATE_SCRIPT = """
+import sys
+from nfkit import invariants
+from nfkit.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real_solve = invariants.solve_square
+
+
+def doubled(rows):
+    # same determinant, every point twice as far: no row meets its coordinates
+    det, points = real_solve(rows)
+    return det, [tuple(2 * v for v in x) for x in points]
+
+
+def dropped(rows):
+    det, points = real_solve(rows)
+    return det, points[:-1]
+
+
+for solver in (doubled, dropped):
+    invariants.solve_square = solver
+    print(solver.__name__, main(["reduce", "--spectrum", sys.argv[1], "--field", sys.argv[2]]))
+"""
+
+
+def test_rewrite_checks_fire_under_optimize(tmp_path):
+    spectrum = tmp_path / "saddle.json"
+    spectrum.write_text('{"n": 2, "q": 1, "lambda": [["1"], ["-1"]]}')
+    field = tmp_path / "field.json"
+    # diag(1, -1) with x1^2 x2 e_1 and 2 x1 x2^2 e_2: both cofactors are x1 x2
+    field.write_text(json.dumps({"n": 2, "trunc": "inf", "terms": [
+        {"j": 1, "m": [1, 0], "c": "1"}, {"j": 2, "m": [0, 1], "c": "-1"},
+        {"j": 1, "m": [2, 1], "c": "1"}, {"j": 2, "m": [1, 2], "c": "2"},
+    ]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", REWRITE_CERTIFICATE_SCRIPT, str(spectrum), str(field)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["doubled 2", "dropped 4"]
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+        {"error": "rewrite-failure",
+         "message": "exponent row (1, 1) is not a combination of the generators"},
+        {"error": "certificate-failure",
+         "message": "generator system on coordinates [0] gave det 1 and 1 points for 2 exponent rows"},
+    ]
 
 
 def test_reduce_saddle_to_one_variable():

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import nfkit
+from nfkit import resonance
 
 
 def test_runtime_imports_are_standard_library_only():
@@ -82,6 +83,40 @@ def test_simplex_is_off_the_request_path():
                 if getattr(node, field, None) == "lp_max":
                     named.add(path.name)
     assert named == {"__init__.py", "linalg.py"}
+
+
+def _fraction_free_steps(tree):
+    """Top-level functions holding an exact division (a * x - b * y) // d, the
+    update step of a fraction-free (Bareiss or Gauss-Jordan) elimination."""
+    def is_step(node):
+        return (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+            and all(
+                isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                for side in (node.left.left, node.left.right)
+            )
+        )
+    return {
+        top.name for top in tree.body
+        if isinstance(top, ast.FunctionDef) and any(is_step(node) for node in ast.walk(top))
+    }
+
+
+def test_linalg_is_the_one_fraction_free_elimination():
+    """Kernels, ranks and pivots use Bareiss; square systems with many right-hand
+    sides use `solve_square`, for the degree bound and the generator rewrite alike."""
+    steps = {
+        (name, fn) for name, tree in _modules().items() for fn in _fraction_free_steps(tree)
+    }
+    assert steps == {("linalg.py", "_bareiss_echelon"), ("linalg.py", "solve_square")}
+    assert not hasattr(resonance, "_solve_square")
+    assert set(_callers("solve_square")) == {
+        ("resonance.py", "lp_degree_bound"),
+        ("invariants.py", "_rewrite_in_generators"),
+    }
+    # `mat_solve` stays public (the benchmark wraps it by name) but serves no request
+    assert _callers("mat_solve") == []
 
 
 def _modules():

@@ -110,7 +110,7 @@ from nfkit.spectrum import build_spectrum
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-real_solve = resonance._solve_square
+real_solve = resonance.solve_square
 
 
 def doubled(rows):
@@ -119,7 +119,7 @@ def doubled(rows):
     return det, [tuple(2 * v for v in x) for x in points]
 
 
-resonance._solve_square = doubled
+resonance.solve_square = doubled
 try:
     resonance.resonance_degree_bound(build_spectrum(3, 1, [[12], [6], [3]]))
 except CertificateFailure as exc:
