@@ -209,11 +209,15 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
     generators = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in unknown_keys]
     brackets = [lie_bracket(g, ftilde).truncated(D) for g in generators]
     kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets])).basis
-    basis = [PolyVectorField.linear_combination(s.n, zip(vec, generators), D) for vec in kernel]
+    basis = []
     graded_count: dict[int, int] = {}
     for vec in kernel:
-        lead = next(unknown_keys[t][0] for t, c in enumerate(vec) if c != 0)
+        # each nonzero entry, read once; the first fixes the graded count
+        support = [t for t, c in enumerate(vec) if c]
+        lead = unknown_keys[support[0]][0]
         graded_count[lead] = graded_count.get(lead, 0) + 1
+        pairs = [(vec[t], generators[t]) for t in support]
+        basis.append(PolyVectorField.linear_combination(s.n, pairs, D))
     # the commutant dimension, without building its n x n basis matrices
     dcomm = sum(len(kernel) for _, kernel in _block_kernels(s, s.blocks()))
     return CentralizerResult(

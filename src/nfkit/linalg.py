@@ -1,9 +1,13 @@
 """Exact rational linear algebra: kernels, solves, and a reference simplex LP.
 
 All coefficients are `fractions.Fraction`; there is no floating point
-anywhere.  Kernels are computed by fraction-free (Bareiss) elimination on
-a primitive integer copy of the matrix (`integer_rows`), which keeps
-intermediate entries to single determinant-sized integers.  Square
+anywhere.  A `RatMatrix` holds each row as a primitive integer row (the
+rational row times the lcm of its denominators, divided by the gcd of
+the result) with that scale, so it can give back the rational rows.
+Kernels are computed by fraction-free (Bareiss) elimination on those
+integer rows, which keeps intermediate entries to single
+determinant-sized integers, and the back-substitution multiplies the
+integer echelon entries straight into its `Fraction` unknowns.  Square
 integer systems with many right-hand sides go through one fraction-free
 Gauss-Jordan elimination, `solve_square`, which returns integer numerators
 over one determinant: the resonance degree bound solves every column set
@@ -16,10 +20,12 @@ stays public as the reference those points are tested against.
 
 Every structural system in nfkit comes as sparse columns, one per unknown,
 keyed by equation (mostly a monomial).  `RatMatrix.from_columns` is the one
-path from those columns to a matrix; a system without rows is an ordinary
-0 x n matrix whose kernel is the identity basis.  Kernel bases do not
-depend on row order: in `mat_kernel`'s normalization each basis vector is
-fixed by the column order alone, so callers need not sort their row keys.
+path from those columns to a matrix: it builds each primitive integer row
+from the row's nonzero entries, with no dense rational matrix in between.
+A system without rows is an ordinary 0 x n matrix whose kernel is the
+identity basis.  Kernel bases do not depend on row order: in
+`mat_kernel`'s normalization each basis vector is fixed by the column
+order alone, so callers need not sort their row keys.
 """
 
 from __future__ import annotations
@@ -41,50 +47,73 @@ def frac(x) -> Fraction:
 
 
 class RatMatrix:
-    """Immutable dense matrix over the rationals."""
+    """Immutable matrix over the rationals, held as primitive integer rows.
 
-    __slots__ = ("rows", "cols", "_data")
+    Row i is stored as the primitive integer row ``mult / g`` times the
+    rational one, with its scale (g, mult): g = 0 marks a zero row.  The
+    eliminations read the integer rows; `row` and iteration give back the
+    rational rows.
+    """
+
+    __slots__ = ("rows", "cols", "_ints", "_scales")
 
     def __init__(self, data):
-        data = tuple(tuple(frac(x) for x in row) for row in data)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise DimensionMismatch("ragged rows")
-        else:
-            width = 0
-        self.rows = len(data)
-        self.cols = width
-        self._data = data
+        data = [[frac(x) for x in row] for row in data]
+        width = len(data[0]) if data else 0
+        if any(len(row) != width for row in data):
+            raise DimensionMismatch("ragged rows")
+        self._fill([list(enumerate(row)) for row in data], width)
 
     @classmethod
     def from_columns(cls, columns):
         """Matrix whose column t holds the sparse column ``columns[t]``.
 
-        Each column maps row keys to coefficients; rows are indexed by the
-        union of the keys in order of first appearance.  The matrix has
-        ``len(columns)`` columns, also when no column has a key (a 0 x n
-        matrix).
+        Each column maps row keys to coefficients (ints or Fractions); rows
+        are indexed by the union of the keys in order of first appearance.
+        The matrix has ``len(columns)`` columns, also when no column has a
+        key (a 0 x n matrix).  Each row's primitive integer row is built
+        from its nonzero entries alone, with one lcm of their denominators
+        and one gcd; no dense rational matrix is made.
         """
-        ncols = len(columns)
         index = {}
-        data = []
+        entries = []
         for t, col in enumerate(columns):
             for key, c in col.items():
                 i = index.get(key)
                 if i is None:
-                    i = index[key] = len(data)
-                    data.append([Fraction(0)] * ncols)
-                data[i][t] = c
-        matrix = cls(data)
-        matrix.cols = ncols  # a matrix without rows still has ncols columns
+                    i = index[key] = len(entries)
+                    entries.append([])
+                entries[i].append((t, c))
+        matrix = cls.__new__(cls)
+        matrix._fill(entries, len(columns))
         return matrix
 
+    def _fill(self, entries, ncols):
+        """Primitive integer rows of the (column, coefficient) lists ``entries``."""
+        ints = []
+        scales = []
+        for row in entries:
+            mult = lcm(*[c.denominator for _, c in row])
+            nums = [c.numerator * (mult // c.denominator) for _, c in row]
+            g = gcd(*nums)
+            if g > 1:
+                nums = [v // g for v in nums]
+            dense = [0] * ncols
+            for (t, _), v in zip(row, nums):
+                dense[t] = v
+            ints.append(dense)
+            scales.append((g, mult))
+        self.rows = len(ints)
+        self.cols = ncols
+        self._ints = ints
+        self._scales = scales
+
     def row(self, i) -> Vec:
-        return self._data[i]
+        g, mult = self._scales[i]
+        return tuple(Fraction(v * g, mult) for v in self._ints[i])
 
     def __iter__(self):
-        return iter(self._data)
+        return (self.row(i) for i in range(self.rows))
 
 
 @dataclass(frozen=True)
@@ -122,7 +151,7 @@ def _bareiss_echelon(mat):
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         piv = rows[r][c]
         for i in range(r + 1, m):
-            if all(x == 0 for x in rows[i]):
+            if not any(rows[i]):
                 continue
             factor = rows[i][c]
             for j in range(n):
@@ -136,7 +165,7 @@ def _bareiss_echelon(mat):
 
 
 def mat_rank(M: RatMatrix) -> int:
-    return len(pivot_columns(integer_rows(M)))
+    return len(pivot_columns(M._ints))
 
 
 def pivot_columns(rows) -> list[int]:
@@ -173,13 +202,15 @@ def solve_square(rows):
 
 
 def _kernel_basis(ech, pivots, n):
-    """Kernel basis of the first n columns of an echelon form, as in `mat_kernel`.
+    """Kernel basis of the first n columns of an integer echelon form, as in `mat_kernel`.
 
     The vector of free column f is back-substituted only inside its
     triangle, the pivots c < f and the columns c < j <= f.  This is exact:
     x_f = 1 and every other free entry is 0, so, from the last pivot down,
     each pivot c > f sums only zeros and gets x_c = 0; every skipped
-    product has a zero factor.
+    product has a zero factor.  Each product is an integer echelon entry
+    times a `Fraction` unknown, which has the value of the rational
+    product, so no entry is first made into a `Fraction`.
     """
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
@@ -190,7 +221,7 @@ def _kernel_basis(ech, pivots, n):
         for k in range(bisect_left(pivots, f) - 1, -1, -1):
             c = pivots[k]
             row = ech[k]
-            acc = sum((frac(row[j]) * x[j] for j in range(c + 1, f + 1)), Fraction(0))
+            acc = sum((row[j] * x[j] for j in range(c + 1, f + 1)), Fraction(0))
             x[c] = -acc / row[c]
         basis.append(tuple(x))
     return tuple(basis)
@@ -203,7 +234,7 @@ def mat_kernel(M: RatMatrix) -> SolutionSpace:
     other free column, ordered by free column index.
     """
     n = M.cols
-    ech, pivots = _bareiss_echelon(integer_rows(M))
+    ech, pivots = _bareiss_echelon(M._ints)
     return SolutionSpace(
         particular=tuple(Fraction(0) for _ in range(n)), basis=_kernel_basis(ech, pivots, n)
     )
@@ -221,8 +252,8 @@ def mat_solve(M: RatMatrix, b) -> SolutionSpace | None:
     if len(b) != M.rows:
         raise DimensionMismatch("rhs length != rows")
     n = M.cols
-    aug = [list(M.row(i)) + [b[i]] for i in range(M.rows)]
-    ech, pivots = _bareiss_echelon(integer_rows(aug))
+    aug = RatMatrix([(*M.row(i), b[i]) for i in range(M.rows)])
+    ech, pivots = _bareiss_echelon(aug._ints)
     if n in pivots:
         return None
     *kernel, last = _kernel_basis(ech, pivots, n + 1)
@@ -340,14 +371,3 @@ def lp_max(c, A: RatMatrix, b) -> LpResult:
         if bv < n:
             point[bv] = T[i][rhs]
     return LpResult(OPTIMAL, value, tuple(point))
-
-
-def integer_rows(rows):
-    """Scale rows of ints or Fractions to primitive integer rows (zero rows preserved)."""
-    out = []
-    for row in rows:
-        mult = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (mult // x.denominator) for x in row]
-        g = gcd(*ints)
-        out.append([x // g for x in ints] if g > 1 else ints)
-    return out

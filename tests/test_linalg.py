@@ -150,6 +150,85 @@ def test_kernel_vectors_annihilate_their_columns(columns):
             assert sum(col.get(key, 0) * x for col, x in zip(columns, v)) == 0
 
 
+def _dense_rows(columns):
+    """The rows of ``from_columns(columns)`` built entry by entry, zeros included."""
+    keys = list(dict.fromkeys(key for col in columns for key in col))
+    return [[F(col.get(key, 0)) for col in columns] for key in keys]
+
+
+EDGE_COLUMNS = {
+    # the pair rows of `reduced_multiplier_obstruction`: nu[i][j] - nu[j][j] may be 0
+    "explicit-zeros": [{(0, 1): F(0), (0, 2): F(2)}, {(0, 1): F(0), (1, 2): F(-1)},
+                       {(0, 2): F(0), (1, 2): F(0)}],
+    # rows (a) and (b) hold only zeros: their gcd is 0 and nothing is divided
+    "zero-rows": [{"a": 0, "c": F(3, 2)}, {"a": F(0), "b": F(0)}, {"c": F(-9, 4)}],
+    "mixed-denominators": [{0: F(1, 6), 1: F(-2, 3)}, {0: F(-5, 4), 2: F(7, 10)},
+                           {1: F(3, 14), 2: F(-1, 15)}, {0: 2, 1: F(-9, 7), 2: F(4, 9)}],
+    "negative-entries": [{0: -4, 1: -6}, {0: F(-2, 3), 1: -1}, {1: F(-8, 5)}],
+    "no-rows": [{}, {}, {}],
+}
+
+
+@pytest.mark.parametrize("columns", EDGE_COLUMNS.values(), ids=EDGE_COLUMNS.keys())
+def test_integer_rows_from_sparse_columns(sympy, columns):
+    """`from_columns` builds each primitive integer row from the row's own entries."""
+    system = RatMatrix.from_columns(columns)
+    rows = _dense_rows(columns)
+    assert tuple(system) == tuple(tuple(row) for row in rows)
+    assert (system.rows, system.cols) == (len(rows), len(columns))
+    basis = mat_kernel(system).basis
+    S = sympy.Matrix(
+        len(rows), len(columns), [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row]
+    )
+    assert basis == tuple(_from_sympy(v) for v in S.nullspace())
+    if rows:
+        assert basis == mat_kernel(RatMatrix(rows)).basis
+        assert mat_rank(system) == mat_rank(RatMatrix(rows)) == S.rank()
+    else:
+        assert basis == tuple(IDENTITY_3)
+
+
+@st.composite
+def block_diagonal_systems(draw):
+    """Sparse blocks on disjoint row keys, their columns interleaved in one system.
+
+    Returns (columns of the whole system, per block the list of its column
+    positions in it, per block its own columns).
+    """
+    nblocks = draw(st.integers(2, 3))
+    blocks = [
+        draw(st.lists(st.dictionaries(st.integers(0, 3), RATIONALS, max_size=3),
+                      min_size=1, max_size=5))
+        for _ in range(nblocks)
+    ]
+    owner = draw(st.permutations([b for b, cols in enumerate(blocks) for _ in cols]))
+    positions = [[t for t, b in enumerate(owner) if b == k] for k in range(nblocks)]
+    columns = [None] * len(owner)
+    for k, cols in enumerate(blocks):
+        for t, col in zip(positions[k], cols):
+            columns[t] = {(k, key): c for key, c in col.items()}
+    return columns, positions, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_diagonal_systems())
+def test_kernel_of_a_block_diagonal_system_is_the_union_of_block_kernels(system):
+    """The basis is fixed by the column order alone (the reduced echelon form is unique):
+    each block's kernel vectors, placed at its columns, ordered by free column."""
+    columns, positions, blocks = system
+    n = len(columns)
+    embedded = []
+    for cols, at in zip(blocks, positions):
+        for v in mat_kernel(RatMatrix.from_columns(cols)).basis:
+            x = [F(0)] * n
+            for t, c in zip(at, v):
+                x[t] = c
+            # the free column of a basis vector is its last nonzero entry
+            embedded.append((max(t for t, c in enumerate(x) if c), tuple(x)))
+    expected = tuple(x for _, x in sorted(embedded))
+    assert mat_kernel(RatMatrix.from_columns(columns)).basis == expected
+
+
 def _with_rhs(rows):
     return st.tuples(st.just(rows), st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
 

@@ -119,6 +119,36 @@ def test_linalg_is_the_one_fraction_free_elimination():
     assert _callers("mat_solve") == []
 
 
+def _function(tree, name):
+    """The function (or method) called ``name`` in a module."""
+    return next(
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def _called_names(fn):
+    """(name, call) of every call in a function, by its plain or attribute name."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)), node
+
+
+def test_kernels_run_on_integer_rows():
+    """The back-substitution multiplies integer echelon entries into its unknowns
+    without making them `Fraction`s, and `from_columns` builds the integer rows
+    from the sparse entries, with no dense rational pass."""
+    linalg = _modules()["linalg.py"]
+    for name, call in _called_names(_function(linalg, "_kernel_basis")):
+        assert name != "frac"
+        if name == "Fraction":  # only the constants 0 and 1 of a fresh unknown
+            assert all(isinstance(arg, ast.Constant) for arg in call.args)
+    called = {
+        name for fn in ("from_columns", "_fill") for name, _ in _called_names(_function(linalg, fn))
+    }
+    assert not called & {"integer_rows", "frac", "Fraction", "cls"}
+
+
 def _modules():
     package = Path(nfkit.__file__).resolve().parent
     return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
