@@ -5,7 +5,7 @@ are the coordinates of the linear part over a commutant basis plus one
 coefficient per resonant vector monomial, and commuting with the field is a
 homogeneous linear system whose rows are indexed by resonant monomials.
 All brackets against the semisimple part vanish structurally (commutant
-matrices and resonant monomials commute with it by construction), so only
+fields and resonant monomials commute with it by construction), so only
 the rational data, nilpotent part and nonlinear terms, enters the system.
 
 Not provided: rescaling a normalizer element into an honest commuting field
@@ -37,25 +37,40 @@ from .fields import (
     series_times_field,
 )
 from .linalg import RatMatrix, mat_kernel
-from .resonance import NORMALIZER_UNKNOWN_LIMIT, finite_resonance_set, resonances_by_component
+from .resonance import finite_resonance_set, resonances_by_component
 from .spectrum import EigenSpectrum, compositions, is_finite_linear_centralizer, unit_row
 
 
-# dense entries of the commutant basis matrices or of a truncated kernel: both grow as
-# n^4 for one eigenvalue block; n = 40 took 3 s and 64-85 MB (2-core Xeon, Python 3.11)
+# dense entries of a kernel over u unknowns, up to u^2: they grow as n^4 for one
+# eigenvalue block; n = 40 took 3 s and 64-85 MB (2-core Xeon, Python 3.11)
 CENTRALIZER_ENTRY_LIMIT = 10**6
+# unknowns of the dense truncated normalizer: 305 (n = 3, D = 6) take about
+# 20 s on a 2-core Xeon under Python 3.11, and the time grows about cubically
+NORMALIZER_UNKNOWN_LIMIT = 320
+
+
+def _check_kernel_size(what: str, unknowns: int):
+    """Refuse a kernel over ``unknowns`` unknowns, up to unknowns^2 entries, above the limit."""
+    entries = unknowns * unknowns
+    if entries > CENTRALIZER_ENTRY_LIMIT:
+        raise ScopeError(
+            f"{what} has {unknowns} unknowns, a kernel of up to {entries} entries,"
+            f" above the limit {CENTRALIZER_ENTRY_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
 class CommutantBasis:
     dimension: int
-    basis: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    basis: tuple[PolyVectorField, ...]
 
 
 def _block_kernels(s: EigenSpectrum, blocks):
-    """Per eigenvalue block b, the kernel basis of its [B, A_n] = 0 system on B_{b_a b_c}."""
+    """Per eigenvalue block b, the kernel basis of its [B, A_n] = 0 system on B_{b_a b_c},
+    each block's |b|^2 unknowns first sized by `_check_kernel_size`."""
     for block in blocks:
         size = len(block)
+        _check_kernel_size(f"commutant block of size {size}", size * size)
         local = {i: a for a, i in enumerate(block)}
         columns = [{} for _ in range(size * size)]
         # N_ik = c enters (NB - BN)_ij as +c B_kj and (NB - BN)_jk as -c B_ji
@@ -78,33 +93,24 @@ def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
     across blocks, and [B, A_n] = 0 splits into one |b|^2-column system per
     block b on its own entries B_{b_a b_c} (column a |b| + c), with rows from
     that block's nilpotent entries; a block without them has no rows and
-    its kernel is the identity.  Each kernel vector is placed in an n x n
-    matrix, and the union is ordered by free column, the vector's last
-    nonzero entry: that is exactly `mat_kernel`'s basis of the whole n^2
-    system, whose cross-block columns are all pivots.  Refuses up front more
-    than `CENTRALIZER_ENTRY_LIMIT` basis-matrix entries, sum |b|^2 n^2.
+    its kernel is the identity.  Each kernel vector B becomes the linear
+    field Bx, and the union is ordered by free column, the vector's last
+    nonzero entry B_ik at i n + k: that is exactly `mat_kernel`'s basis of
+    the whole n^2 system, whose cross-block columns are all pivots.
     """
     n = s.n
-    blocks = s.blocks()
-    entries = sum(len(b) ** 2 for b in blocks) * n * n
-    if entries > CENTRALIZER_ENTRY_LIMIT:
-        raise ScopeError(
-            f"linear commutant has up to {entries} basis-matrix entries,"
-            f" above the limit {CENTRALIZER_ENTRY_LIMIT}"
-        )
     placed = []
-    for block, kernel in _block_kernels(s, blocks):
+    for block, kernel in _block_kernels(s, s.blocks()):
         size = len(block)
         for vec in kernel:
-            mat = [[Fraction(0)] * n for _ in range(n)]
-            last = 0
+            terms = {}
             for t, x in enumerate(vec):
                 if x:
                     i, k = block[t // size], block[t % size]
-                    mat[i][k] = x
+                    terms[(i, unit_row(n, k))] = x
                     last = i * n + k
-            placed.append((last, tuple(tuple(row) for row in mat)))
-    basis = tuple(mat for _, mat in sorted(placed, key=lambda p: p[0]))
+            placed.append((last, PolyVectorField(n, terms)))
+    basis = tuple(field for _, field in sorted(placed, key=lambda p: p[0]))
     return CommutantBasis(dimension=len(basis), basis=basis)
 
 
@@ -121,31 +127,25 @@ class CentralizerResult:
     note: str | None = None
 
 
-def _block_data(s: EigenSpectrum, rset):
-    """Multiplicity and per-block resonance counts for the A_n = 0 bounds."""
-    blocks = s.blocks()
-    lo = sum(len(b) * len(b) for b in blocks)
-    hi = sum(len(b) * (len(b) + len(rset.by_component[b[0]])) for b in blocks)
-    return lo, hi
-
-
 def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult:
     """Exact formal centralizer for finite resonance sets.
 
     Unknowns: d commutant coordinates + one coefficient per resonance;
     equations: vanishing of every resonant coefficient of the bracket with
-    the nilpotent-plus-nonlinear part of f.
+    the nilpotent-plus-nonlinear part of f.  Refuses up front, once the
+    resonances are listed, a kernel over sum |b|^2 + r unknowns that
+    `_check_kernel_size` rejects.
     """
     if not is_finite_linear_centralizer(s):
         raise InfiniteResonance("exact centralizer requires a finite resonance set")
     ftilde, _ = normal_form_deviation(s, f)
     rset = finite_resonance_set(s)
+    r = rset.total
+    _check_kernel_size("exact centralizer", sum(len(b) ** 2 for b in s.blocks()) + r)
     comm = linear_commutant(s)
     d = comm.dimension
     res_keys = sorted(rset.pairs(), key=lambda k: (sum(k[1]), k[0], k[1]))
-    generators = [PolyVectorField.from_matrix(mat) for mat in comm.basis] + [
-        PolyVectorField.monomial(s.n, j, m) for j, m in res_keys
-    ]
+    generators = list(comm.basis) + [PolyVectorField.monomial(s.n, j, m) for j, m in res_keys]
     brackets = [lie_bracket(g, ftilde) for g in generators]
     if any(sum(m) < 2 or not rset.contains(j, m) for br in brackets for j, m in br.terms):
         raise CertificateFailure(
@@ -155,17 +155,13 @@ def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult
 
     basis = [PolyVectorField.linear_combination(s.n, zip(vec, generators)) for vec in kernel]
     dim = len(basis)
-    r = rset.total
     if not d <= dim <= d + r:
         raise CertificateFailure(f"dimension {dim} violates d = {d} <= dim <= d + r = {d + r}")
     if dim < s.n:
         raise CertificateFailure(f"dimension {dim} is below the space dimension {s.n}")
-    block_bounds = None
-    if not s.has_nilpotent():
-        lo, hi = _block_data(s, rset)
-        block_bounds = (lo, hi)
-        if not lo <= dim <= hi:
-            raise CertificateFailure(f"dimension {dim} violates the block bounds [{lo}, {hi}]")
+    # with A_n = 0 the commutant holds all |b|^2 entries of each block b, and each
+    # component of b has the same r_b resonances: sum |b|^2 = d, sum |b| r_b = r
+    block_bounds = None if s.has_nilpotent() else (d, d + r)
     return CentralizerResult(
         dimension=dim,
         basis=tuple(basis),
@@ -192,7 +188,7 @@ def _check_truncation(f: PolyVectorField, D: int):
 def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> CentralizerResult:
     """Solve [g, f] = 0 mod degree > D with g on resonant monomials of degree <= D.
 
-    Refuses up front a kernel of up to unknowns^2 > `CENTRALIZER_ENTRY_LIMIT` entries.
+    Refuses up front a kernel over as many unknowns as `_check_kernel_size` rejects.
     """
     ftilde, _ = normal_form_deviation(s, f)
     _check_truncation(f, D)
@@ -200,14 +196,9 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
     unknown_keys = sorted(
         (sum(m), j, m) for j, rj in enumerate(resonances_by_component(s, 1, D)) for m in rj
     )
-    entries = len(unknown_keys) ** 2
-    if entries > CENTRALIZER_ENTRY_LIMIT:
-        raise ScopeError(
-            f"truncated centralizer has {len(unknown_keys)} unknowns, a kernel of up to"
-            f" {entries} entries, above the limit {CENTRALIZER_ENTRY_LIMIT}"
-        )
+    _check_kernel_size("truncated centralizer", len(unknown_keys))
     generators = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in unknown_keys]
-    brackets = [lie_bracket(g, ftilde).truncated(D) for g in generators]
+    brackets = [lie_bracket(g, ftilde) for g in generators]
     kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets])).basis
     basis = []
     graded_count: dict[int, int] = {}
@@ -218,7 +209,7 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
         graded_count[lead] = graded_count.get(lead, 0) + 1
         pairs = [(vec[t], generators[t]) for t in support]
         basis.append(PolyVectorField.linear_combination(s.n, pairs, D))
-    # the commutant dimension, without building its n x n basis matrices
+    # the commutant dimension, without building its basis fields
     dcomm = sum(len(kernel) for _, kernel in _block_kernels(s, s.blocks()))
     return CentralizerResult(
         dimension=len(basis),
@@ -275,8 +266,8 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
         for m in compositions(deg, s.n)
     ]
     lam_monos = [PolySeries.monomial(s.n, m) for deg in range(D) for m in compositions(deg, s.n)]
-    columns = [lie_bracket(g, fD).truncated(D) for g in g_monos]
-    columns += [series_times_field(lam, fD).scale(-1).truncated(D) for lam in lam_monos]
+    columns = [lie_bracket(g, fD) for g in g_monos]
+    columns += [series_times_field(lam, fD).scale(-1) for lam in lam_monos]
     kernel = mat_kernel(RatMatrix.from_columns([c.terms for c in columns])).basis
     ng = len(g_monos)
     basis = [
@@ -314,19 +305,14 @@ def normalizer_reduce(
         raise NotNormalizerPair("[g, f] - lambda*f does not vanish mod degree > D")
 
     nilfield = PolyVectorField(s.n, {(i, unit_row(s.n, j)): c for i, j, c in s.nilpotent})
-    # rational because the linear part is explicit (q = 1, basis value 1)
-    eigenvalues = s.rational_eigenvalues()
-
-    def eigenvalue(m) -> Fraction:
-        return sum((m[i] * eigenvalues[i] for i in range(s.n)), Fraction(0))
-
     beta = PolySeries.zero(s.n, trunc=D - 1)
     alpha = lam.truncated(D - 1)
     for k in range(1, D):
         part = alpha.graded_part(k)
         groups: dict[Fraction, dict] = {}
         for m, c in part.terms.items():
-            groups.setdefault(eigenvalue(m), {})[m] = c
+            # q = 1 because the linear part is explicit: <m, lambda> is one rational
+            groups.setdefault(s.eigen_coords(m)[0], {})[m] = c
         bk = PolySeries.zero(s.n, trunc=D - 1)
         for ev, terms in groups.items():
             if ev == 0:
@@ -344,7 +330,7 @@ def normalizer_reduce(
             continue
         beta = beta + bk
         alpha = (lam + lie_derivative(f, beta)).truncated(D - 1)
-    if any(eigenvalue(m) != 0 for m in alpha.terms):
+    if not all(s.is_integral_monomial(m) for m in alpha.terms):
         raise CertificateFailure("alpha must lie in the kernel of X_{A_s}")
     if alpha.coefficient(tuple(0 for _ in range(s.n))) != 0:
         raise CertificateFailure("alpha(0) must vanish")

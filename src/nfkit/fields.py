@@ -152,9 +152,6 @@ class PolySeries(_SparseTerms):
                 data[m] = data.get(m, Fraction(0)) + c1 * c2
         return PolySeries(self.n, data, trunc)
 
-    def __hash__(self):
-        return hash((self.n, tuple(self.sorted_terms())))
-
 
 class PolyVectorField(_SparseTerms):
     """Vector field with terms keyed by (component, exponent row), 0-based."""
@@ -181,19 +178,6 @@ class PolyVectorField(_SparseTerms):
     def monomial(cls, n, j, m, c=1, trunc=INF):
         return cls(n, {(j, tuple(m)): frac(c)}, trunc)
 
-    @classmethod
-    def from_matrix(cls, mat, trunc=INF):
-        """Linear field M x from a square matrix (rows of rationals)."""
-        n = len(mat)
-        terms = {}
-        for i in range(n):
-            for k in range(n):
-                c = frac(mat[i][k])
-                if c != 0:
-                    m = tuple(1 if t == k else 0 for t in range(n))
-                    terms[(i, m)] = c
-        return cls(n, terms, trunc)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (t[0][0], sum(t[0][1]), t[0][1]))
 
@@ -204,13 +188,6 @@ class PolyVectorField(_SparseTerms):
         return PolySeries(
             self.n,
             {m: c for (i, m), c in self.terms.items() if i == j},
-            self.trunc,
-        )
-
-    def nonlinear_part(self):
-        return PolyVectorField(
-            self.n,
-            {(j, m): c for (j, m), c in self.terms.items() if sum(m) >= 2},
             self.trunc,
         )
 

@@ -251,7 +251,6 @@ def transfer_reduced(
     candidate: PolySeries,
     ambient_field: PolyVectorField | None = None,
     reduced_field: PolyVectorField | None = None,
-    check_budget=None,
 ) -> PolySeries:
     """Carry sigma * rho(invariants) across the reduction, in either direction.
 
@@ -271,7 +270,7 @@ def transfer_reduced(
         rho, field = substitute_generators(rho, inv, size), ambient_field
     out = PolySeries.monomial(size, (1,) * size) * rho
     if field is not None:
-        _verify_multiplier(field, out, field.trunc if check_budget is None else check_budget)
+        _verify_multiplier(field, out, field.trunc)
     return out
 
 

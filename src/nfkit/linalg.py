@@ -208,9 +208,9 @@ def _kernel_basis(ech, pivots, n):
     triangle, the pivots c < f and the columns c < j <= f.  This is exact:
     x_f = 1 and every other free entry is 0, so, from the last pivot down,
     each pivot c > f sums only zeros and gets x_c = 0; every skipped
-    product has a zero factor.  Each product is an integer echelon entry
-    times a `Fraction` unknown, which has the value of the rational
-    product, so no entry is first made into a `Fraction`.
+    product has a zero factor.  Each product is a `Fraction` unknown times an
+    integer echelon entry: `Fraction.__mul__` takes the int directly, with the
+    value of the rational product, so no entry is first made into a `Fraction`.
     """
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
@@ -221,7 +221,7 @@ def _kernel_basis(ech, pivots, n):
         for k in range(bisect_left(pivots, f) - 1, -1, -1):
             c = pivots[k]
             row = ech[k]
-            acc = sum((row[j] * x[j] for j in range(c + 1, f + 1)), Fraction(0))
+            acc = sum((x[j] * row[j] for j in range(c + 1, f + 1)), Fraction(0))
             x[c] = -acc / row[c]
         basis.append(tuple(x))
     return tuple(basis)

@@ -29,9 +29,6 @@ RESONANCE_SCAN_LIMIT = 200_000
 # for larger q, on a 2-core Xeon under Python 3.11, so a refused bound
 # would run over 1 s
 DEGREE_BOUND_SYSTEM_LIMIT = 1_000_000
-# unknowns of the dense truncated normalizer: 305 (n = 3, D = 6) take about
-# 20 s on a 2-core Xeon under Python 3.11, and the time grows about cubically
-NORMALIZER_UNKNOWN_LIMIT = 320
 # degree up to which a ladder without a proven finite bound is scanned
 LADDER_DEPTH = 12
 

@@ -166,6 +166,7 @@ def test_criterion_04_eg2_family():
 
 def test_criterion_05_dimension_bounds_property():
     rng = random.Random(42)
+    seen = set()
     for trial in range(100):
         n = rng.randint(2, 6)
         s = spectrum_pool_finite(rng, n)
@@ -176,15 +177,23 @@ def test_criterion_05_dimension_bounds_property():
         d, r = res.d, res.r
         assert d <= res.dimension <= d + r
         assert res.dimension >= n
-        p_zero = f.nonlinear_part().is_zero()
+        p_zero = all(sum(m) < 2 for _, m in f.terms)
         if res.dimension == d + r:
             assert p_zero, "upper bound attained with nontrivial nonlinearity"
-        if not s.has_nilpotent():
-            lo, hi = res.block_bounds
+        seen.add(s.has_nilpotent())
+        if s.has_nilpotent():
+            assert res.block_bounds is None
+        else:
+            # sum |b|^2 and sum |b| (|b| + r_b), r_b read off the block's first component
+            blocks = s.blocks()
+            lo = sum(len(b) ** 2 for b in blocks)
+            hi = sum(len(b) * (len(b) + len(rs.by_component[b[0]])) for b in blocks)
+            assert res.block_bounds == (lo, hi) == (d, d + r)
             assert lo <= res.dimension <= hi
             if p_zero:
                 assert res.dimension == d + r
-    _report(5, "100 random normal forms: d <= dim <= d + r, dim >= n, block bounds hold")
+    assert seen == {False, True}
+    _report(5, "100 random normal forms: d <= dim <= d + r, dim >= n, block bounds are (d, d + r)")
 
 
 # -- 6 ---------------------------------------------------------------------

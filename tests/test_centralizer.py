@@ -18,6 +18,7 @@ from nfkit.errors import (
     LinearPartMismatch,
     NotNormalizerPair,
     NotPDNF,
+    ScopeError,
     ZeroSemisimplePart,
 )
 from nfkit.fields import (
@@ -28,7 +29,7 @@ from nfkit.fields import (
     series_times_field,
 )
 from nfkit.linalg import RatMatrix, mat_rank
-from nfkit.spectrum import build_spectrum, c_matrix_basis
+from nfkit.spectrum import build_spectrum, c_matrix_basis, unit_row
 
 from oracles import (
     linear_terms_of,
@@ -81,6 +82,13 @@ def jordan_field(avals):
     return PolyVectorField(6, terms)
 
 
+def as_matrix(field):
+    """The n x n matrix B of a linear field Bx, as row tuples."""
+    n = field.n
+    assert all(sum(m) == 1 for _, m in field.terms)
+    return tuple(tuple(field.coefficient(i, unit_row(n, k)) for k in range(n)) for i in range(n))
+
+
 def test_linear_commutant_dimensions():
     assert linear_commutant(spec_1263()).dimension == 3
     assert linear_commutant(build_spectrum(6, 1, [[12], [12], [6], [6], [6], [3]])).dimension == 14
@@ -92,7 +100,7 @@ def test_linear_commutant_matrices_commute():
     N = [[F(0)] * 6 for _ in range(6)]
     for i, j, c in s.nilpotent:
         N[i][j] = c
-    for B in linear_commutant(s).basis:
+    for B in map(as_matrix, linear_commutant(s).basis):
         # [B, A_n] = 0 entrywise
         for i in range(6):
             for j in range(6):
@@ -138,7 +146,7 @@ def test_linear_commutant_matches_sympy():
         expected = [
             tuple(F(int(x.p), int(x.q)) for x in v) for v in system.nullspace()
         ]
-        got = [tuple(x for row in B for x in row) for B in linear_commutant(s).basis]
+        got = [tuple(x for row in as_matrix(B) for x in row) for B in linear_commutant(s).basis]
         assert got == expected, (lam, nil)
 
 
@@ -171,13 +179,13 @@ def test_linear_commutant_matches_whole_matrix_oracle():
     assert any(len(b) >= 4 and s.nilpotent for s in spectra for b in s.blocks())
     for s in spectra:
         comm = linear_commutant(s)
-        assert comm.basis == whole_matrix_commutant(s), (s.lam, s.nilpotent)
+        assert tuple(map(as_matrix, comm.basis)) == whole_matrix_commutant(s), (s.lam, s.nilpotent)
         assert comm.dimension == len(comm.basis)
 
 
 def test_truncated_d_is_the_commutant_dimension(monkeypatch):
     """d of a truncated centralizer sums the per-block kernel dimensions,
-    without building the commutant's basis matrices."""
+    without building the commutant's basis fields."""
     rng = random.Random(61)
     spectra = list(COMMUTANT_CASES) + [
         jordan_spectrum(),
@@ -195,6 +203,49 @@ def test_truncated_d_is_the_commutant_dimension(monkeypatch):
     for s, d in zip(spectra, expected, strict=True):
         f = random_pdnf(s, rng, 2, explicit=False)
         assert centralizer_truncated(s, f, 2).d == d, (s.lam, s.nilpotent)
+
+
+def test_linear_commutant_of_two_blocks_of_twenty():
+    """The size rule counts |b|^2 unknowns per block: 2 * 400 fields x_k e_i with
+    lambda_i = lambda_k, in row-major order, where sum |b|^2 n^2 refused them."""
+    n = 40
+    s = build_spectrum(n, 1, [[1]] * 20 + [[2]] * 20)
+    comm = linear_commutant(s)
+    assert comm.dimension == len(comm.basis) == 800
+    expected = [
+        PolyVectorField.monomial(n, i, unit_row(n, k))
+        for i in range(n)
+        for k in range(n)
+        if (i < 20) == (k < 20)
+    ]
+    assert list(comm.basis) == expected
+
+
+def test_linear_commutant_refuses_a_block_of_32():
+    s = build_spectrum(33, 1, [[1]] * 32 + [[2]])
+    with pytest.raises(ScopeError, match="commutant block of size 32 has 1024 unknowns,"
+                                         " a kernel of up to 1048576 entries"):
+        linear_commutant(s)
+
+
+def test_exact_centralizer_size_rule_at_the_limit(monkeypatch):
+    """eg3 has sum |b|^2 + r = 3 + 4 = 7 unknowns: a limit of 49 entries
+    solves it, 48 refuses it before the commutant is built."""
+    s = spec_1263()
+    f = eg3_field(1, 1, 1, 1)
+    monkeypatch.setattr(centralizer, "CENTRALIZER_ENTRY_LIMIT", 49)
+    assert centralizer_exact(s, f).dimension == 3
+    monkeypatch.setattr(centralizer, "CENTRALIZER_ENTRY_LIMIT", 48)
+
+    def no_commutant(s):
+        raise AssertionError("the commutant was built before the size rule")
+
+    monkeypatch.setattr(centralizer, "linear_commutant", no_commutant)
+    with pytest.raises(ScopeError) as exc:
+        centralizer_exact(s, f)
+    assert str(exc.value) == (
+        "exact centralizer has 7 unknowns, a kernel of up to 49 entries, above the limit 48"
+    )
 
 
 def test_eg3_case_table():

@@ -481,8 +481,8 @@ def test_degree_bound_too_large_is_refused_up_front(tmp_path, capsys, n, code):
     [
         (31, None, None),
         (31, "1", None),
-        # one block of 32: 32^2 basis matrices of 32^2 entries each
-        (32, None, "linear commutant has up to 1048576 basis-matrix entries,"
+        # one block of 32 and no resonances: 32^2 unknowns
+        (32, None, "exact centralizer has 1024 unknowns, a kernel of up to 1048576 entries,"
                    " above the limit 1000000"),
         # every x_k e_j is a degree-1 resonance: 32^2 unknowns
         (32, "1", "truncated centralizer has 1024 unknowns, a kernel of up to 1048576 entries,"
@@ -511,6 +511,42 @@ def test_centralizer_of_a_huge_eigenvalue_block_is_refused_up_front(
     assert code == 3 and captured.out == ""
     assert json.loads(captured.err) == {"error": "scope-error", "message": message}
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize(
+    "block, lead, m, unknowns",
+    [
+        # blocks 1 and 17 (d <= 1 + 289), r = C(19, 3) = 969 resonances x^m e_1, |m| = 3
+        (17, 3, [0, 2, 1], 1259),
+        # blocks 1 and 30 (d <= 1 + 900), r = C(31, 2) = 465 resonances x^m e_1, |m| = 2
+        (30, 2, [0, 1, 1], 1366),
+    ],
+    ids=["3-1x17", "2-1x30"],
+)
+def test_exact_centralizer_of_many_resonances_is_refused_up_front(
+    tmp_path, capsys, block, lead, m, unknowns
+):
+    n = block + 1
+    spectrum_path = tmp_path / "spectrum.json"
+    spectrum_path.write_text(
+        json.dumps({"n": n, "q": 1, "lambda": [[str(lead)]] + [["1"]] * block})
+    )
+    field_path = tmp_path / "field.json"
+    row = m + [0] * (n - len(m))
+    field_path.write_text(
+        json.dumps({"n": n, "trunc": "inf", "terms": [{"j": 1, "m": row, "c": "1"}]})
+    )
+    start = time.perf_counter()
+    code = main(["centralizer", "--spectrum", str(spectrum_path), "--field", str(field_path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "scope-error",
+        "message": f"exact centralizer has {unknowns} unknowns, a kernel of up to"
+                   f" {unknowns ** 2} entries, above the limit 1000000",
+    }
+    assert elapsed < 5
 
 
 # every subcommand on the fixtures, after a bad argv and --help

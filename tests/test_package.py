@@ -204,3 +204,67 @@ def test_every_private_top_level_name_is_referenced():
                 if d.startswith("_") and not d.startswith("__") and d not in used
             ]
     assert not unreferenced
+
+
+def _size_guards(fn):
+    """Lines where a function applies a kernel-size refusal: a call to
+    `_check_kernel_size` or a comparison against `NORMALIZER_UNKNOWN_LIMIT`."""
+    lines = [call.lineno for name, call in _called_names(fn) if name == "_check_kernel_size"]
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Name) and side.id == "NORMALIZER_UNKNOWN_LIMIT"
+            for side in (node.left, *node.comparators)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_centralizer_kernel_is_sized_first():
+    """A function of `centralizer` that solves a kernel, by `mat_kernel` or through
+    `_block_kernels` (which sizes each block), applies a size refusal first; the
+    exact centralizer does so before it builds the commutant or any bracket."""
+    tree = _modules()["centralizer.py"]
+    solvers = {}
+    for top in tree.body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        solves = [call.lineno for name, call in _called_names(top) if name == "mat_kernel"]
+        if not solves:
+            continue
+        guards = _size_guards(top)
+        solvers[top.name] = bool(guards) and min(guards) < min(solves)
+    assert solvers == {
+        "_block_kernels": True,
+        "centralizer_exact": True,
+        "centralizer_truncated": True,
+        "normalizer_truncated": True,
+    }
+    # every other use of a block kernel goes through `_block_kernels`
+    assert set(_callers("_block_kernels")) == {
+        ("centralizer.py", "linear_commutant"),
+        ("centralizer.py", "centralizer_truncated"),
+    }
+    exact = _function(tree, "centralizer_exact")
+    guard = min(_size_guards(exact))
+    assert all(
+        call.lineno > guard
+        for name, call in _called_names(exact)
+        if name in ("linear_commutant", "lie_bracket")
+    )
+
+
+def test_centralizer_layer_keeps_one_representation():
+    """The commutant's dense matrices and the recomputed block bounds are gone,
+    and the normalizer's unknown limit lives with its only user."""
+    defined = {}
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, set()).add(name)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        defined.setdefault(target.id, set()).add(name)
+    assert "from_matrix" not in defined and "_block_data" not in defined
+    assert defined["NORMALIZER_UNKNOWN_LIMIT"] == {"centralizer.py"}
+    assert defined["_check_kernel_size"] == {"centralizer.py"}
