@@ -27,7 +27,7 @@ from .fields import (
     lie_derivative,
     normal_form_deviation,
 )
-from .linalg import RatMatrix, mat_kernel, mat_rank, pivot_columns, solve_square
+from .linalg import RatMatrix, mat_kernel, pivot_columns, solve_square
 from .resonance import commuting_degree_ladder, semiinvariant_degree_ladder
 from .spectrum import (
     EigenSpectrum,
@@ -59,7 +59,7 @@ def invariant_generators(s: EigenSpectrum) -> InvariantAlgebra:
     """Hilbert basis and its independence; more than n - q generators are dependent,
     since all lie in the (n - q)-dimensional kernel of the q weight rows."""
     gens = hilbert_basis(s).generators
-    independent = len(gens) <= s.n - s.q and mat_rank(RatMatrix(gens)) == len(gens)
+    independent = len(gens) <= s.n - s.q and len(pivot_columns(gens)) == len(gens)
     return InvariantAlgebra(generators=gens, independent=independent)
 
 

@@ -415,7 +415,9 @@ def test_exact_centralizer_of_infinite_spectrum_needs_truncate(files, tmp_path, 
     assert err == {"error": "input-error", "message": "infinite resonance set: pass --truncate"}
 
 
-@pytest.mark.parametrize("command", ["centralizer", "resonances", "pdnf-basis"])
+@pytest.mark.parametrize(
+    "command", ["centralizer", "resonances", "pdnf-basis", "invariants", "reduce"]
+)
 def test_completion_runs_once_per_request(files, capsys, monkeypatch, command):
     calls = []
     completion = spectrum.minimal_nonneg_solutions
@@ -425,13 +427,19 @@ def test_completion_runs_once_per_request(files, capsys, monkeypatch, command):
         return completion(*args, **kwargs)
 
     monkeypatch.setattr(spectrum, "minimal_nonneg_solutions", counted)
-    argv = [command, "--spectrum", files["eg3"]]
-    if command == "centralizer":
-        argv += ["--field", files["eg3_field"]]
+    # the saddle has a monomial first integral, so reduction has a generator to use
+    name = "saddle" if command in ("invariants", "reduce") else "eg3"
+    argv = [command, "--spectrum", files[name]]
+    if command in ("centralizer", "reduce"):
+        argv += ["--field", files[f"{name}_field"]]
     code, out = run(capsys, argv)
     assert code == 0
     if command == "centralizer":
         assert json.loads(out)["exact"] is True
+    if command == "invariants":
+        assert json.loads(out)["generators"] == [[1, 1]]
+    if command == "reduce":
+        assert json.loads(out)["n"] == 1
     assert len(calls) == 1
 
 

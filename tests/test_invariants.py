@@ -97,10 +97,10 @@ def test_independence_matches_the_rank_test(monkeypatch):
         seen.add((inv.r > s.n, inv.independent))
     assert {(False, True), (False, False), (True, False)} <= seen
     # 28 generators in Z^6: dependent without a rank computation
-    def no_rank(M):
+    def no_rank(rows):
         raise AssertionError("rank computed for more than n - q generators")
 
-    monkeypatch.setattr(invariants, "mat_rank", no_rank)
+    monkeypatch.setattr(invariants, "pivot_columns", no_rank)
     s = build_spectrum(6, 1, [[v] for v in [3, 5, -3, 6, -4, 5]])
     inv = invariant_generators(s)
     assert inv.r == 28 and not inv.independent

@@ -73,6 +73,19 @@ def test_completion_serves_only_the_hilbert_basis():
     }
 
 
+def test_spectrum_ranks_on_integer_rows():
+    """The spectrum's rank check counts Bareiss pivots of its integer weights; it
+    neither imports `mat_rank` nor builds a `RatMatrix`."""
+    imported = {
+        alias.name
+        for node in ast.walk(_modules()["spectrum.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "pivot_columns" in imported
+    assert not imported & {"mat_rank", "RatMatrix"}
+
+
 def test_simplex_is_off_the_request_path():
     """Only `linalg` (which defines it) and `__init__` (which exports it) name `lp_max`."""
     package = Path(nfkit.__file__).resolve().parent

@@ -33,6 +33,7 @@ from oracles import (
     decomposes_over,
     dim3_condition_a,
     exponent_rows,
+    fraction_rank,
     is_monoid_minimal,
     lambert_box_solutions,
     pairing,
@@ -85,6 +86,28 @@ def test_build_omega4_valid():
 def test_build_rank_mismatch():
     with pytest.raises(RankMismatch):
         build_spectrum(2, 2, [[1, 0], [2, 0]])
+
+
+def test_build_rank_check_reads_the_integer_weights():
+    """Scaling the columns by their lcms keeps the rank: a rational row set has
+    rank q exactly when `build_spectrum` accepts it, by the Fraction oracle."""
+    with pytest.raises(RankMismatch):
+        build_spectrum(2, 2, [[F(1, 2), F(1, 3)], [F(3, 2), 1]])
+    assert build_spectrum(2, 2, [[F(1, 2), F(1, 3)], [F(3, 2), F(1, 2)]]).q == 2
+    rng = random.Random(41)
+    accepted = 0
+    for _ in range(200):
+        q = rng.randint(1, 3)
+        n = rng.randint(1, 4)
+        rows = [[F(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(q)] for _ in range(n)]
+        try:
+            build_spectrum(n, q, rows)
+        except RankMismatch:
+            assert fraction_rank(rows) < q, rows
+        else:
+            assert fraction_rank(rows) == q, rows
+            accepted += 1
+    assert 50 < accepted < 200
 
 
 def test_build_nilpotent_rejects_unequal_rows():
@@ -301,6 +324,52 @@ def test_completion_matches_the_reference_and_the_lambert_box():
         assert got == reference_completion(eqs, n), eqs
         if len(eqs) == 1:
             assert got == lambert_box_solutions(eqs[0]), eqs
+
+
+def _frozen_rule_systems(seed, count):
+    """q = 1..3 rows over n <= 7 variables with entries in -12..12, some with a
+    zero column or two equal columns."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.randint(1, 3)
+        n = rng.randint(1, 7)
+        eqs = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(q)]
+        if n > 1 and rng.random() < 0.3:
+            k = rng.randrange(n)
+            for row in eqs:
+                row[k] = 0
+        if n > 1 and rng.random() < 0.3:
+            a, b = rng.sample(range(n), 2)
+            for row in eqs:
+                row[a] = row[b]
+        yield eqs, n
+
+
+def test_frozen_components_lose_no_generator(monkeypatch):
+    """Freezing directions prunes candidates, never generators: the same list as
+    the completion that freezes nothing, and, for one equation, as the box
+    search, also on zero and duplicate columns.  Under a work limit the
+    partial list is the reference's up to the degree reached."""
+    monkeypatch.setattr(spectrum, "COMPLETION_WORK_LIMIT", 40_000)
+    shapes, finished, stopped, nonempty = set(), 0, 0, 0
+    for eqs, n in _frozen_rule_systems(19, 150):
+        try:
+            got = minimal_nonneg_solutions(eqs, n)
+        except SearchCapReached as exc:
+            degree = int(re.search(r" at degree (\d+) ", str(exc)).group(1))
+            assert exc.partial == _reference_up_to(eqs, n, degree), eqs
+            stopped += 1
+            continue
+        assert got == reference_completion(eqs, n), eqs
+        if len(eqs) == 1 and len(got) <= 200:
+            assert got == lambert_box_solutions(eqs[0]), eqs
+        finished += 1
+        nonempty += bool(got)
+        zero = any(not any(row[k] for row in eqs) for k in range(n))
+        twin = len({tuple(row[k] for row in eqs) for k in range(n)}) < n
+        shapes.add((len(eqs), zero, twin))
+    assert finished >= 100 and stopped >= 5 and nonempty >= 40
+    assert shapes >= {(q, zero, twin) for q in (1, 2, 3) for zero in (0, 1) for twin in (0, 1)}
 
 
 def test_completion_caps_match_the_reference(monkeypatch):
