@@ -3,11 +3,12 @@
 Eigenvalues are never materialized as numbers.  Each eigenvalue is a row of
 rational coordinates over an implicit Q-basis of the span of all
 eigenvalues, so every resonance question becomes componentwise rational
-arithmetic.  On top sit the Hilbert basis of the zero-resonance monoid (by
-Contejean-Devie completion), finiteness and positivity tests, the U/W
-split, the integer diagonals C_1..C_q, the least-witness search behind the
-module checks (a shortest path in a proven finite box of partial sums) and
-the dimension-3 classifier.
+arithmetic.  On top of that sit the Hilbert basis of the zero-resonance
+monoid (computed by Contejean-Devie completion), the finiteness and
+positivity tests, the U/W index splitting, the integer diagonal matrices
+C_1..C_q, the least-witness search behind the module checks (a shortest
+path over a proven finite window of partial sums), and the dimension-3
+classifier.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     CertificateFailure,
@@ -163,49 +164,43 @@ def minimal_nonneg_solutions(eqs, nvars):
     Past `COMPLETION_WORK_LIMIT` work units it raises `SearchCapReached`
     with every solution up to the degree reached.  A candidate created
     costs nvars units, each stored solution compared against it one more, a
-    frozen direction none; so level L took L - 1 creations, and entries stay
-    <= top = limit // nvars + 2.  A candidate is packed with a field of
-    top.bit_length() bits per variable under a guard bit, variable 0 highest
-    (integer order is lex order): t + e_i is one addition, m <= t is
-    ((t | G) - m) & G == G for the guard bits G.  The image At, in signed
-    fields that hold q top W^2 (W the largest |entry|), picks the shrinking
-    directions (its sign, for one equation).  Solutions are indexed by
-    (variable, value): t + e_i lies above a solution m only if m_i = t_i + 1,
-    as t lay above none and no other solution of degree |t| lies below t.
+    frozen direction none; a candidate of level L is built after L - 2
+    creations within the limit, so no entry passes limit // nvars + 2.  A
+    candidate is one int, a field of that bound's bit length per variable
+    under a guard bit, variable 0 highest (integer order is lex order):
+    t + e_i is one addition, m <= t is ((t | G) - m) & G == G for the guard
+    bits G.  The image At (an int for one equation, else a q-tuple) picks
+    the shrinking directions by its sign, or by one product per unfrozen
+    direction.  Solutions are indexed by (variable, value): t + e_i lies
+    above a solution m only if m_i = t_i + 1, as t lay above none and no
+    other solution of degree |t| lies below t.
     """
     rows = [r for r in (list(map(int, row)) for row in eqs) if any(r)]
     q, limit = len(rows), COMPLETION_WORK_LIMIT
-    top = limit // max(nvars, 1) + 2
-    width = top.bit_length() + 1
-    span = (q * top * max(map(abs, chain(*rows)), default=0) ** 2).bit_length() + 1
-    half, full, mask = 1 << span - 1, (1 << span) - 1, (1 << width) - 1
+    width = (limit // max(nvars, 1) + 2).bit_length() + 1
+    mask = (1 << width) - 1
     shifts = [width * (nvars - 1 - i) for i in range(nvars)]
-    columns = list(zip(*rows)) or [()] * nvars
-    # per direction: frozen bit, unit, field mask, solutions by value there, packed image
-    dirs = [(1 << i, 1 << s, mask << s, {}, sum(x << k * span for k, x in enumerate(columns[i])))
-            for i, s in enumerate(shifts)]
+    columns = list(zip(*rows)) if q > 1 else rows[0] if rows else [0] * nvars
+    # per direction: frozen bit, unit, field mask, solutions by value there, image
+    dirs = [(1 << i, 1 << s, mask << s, {}, c) for i, (s, c) in enumerate(zip(shifts, columns))]
     guard = sum(d[1] for d in dirs) << width - 1
-    if q == 1:  # the sign of the image picks the shrinking directions
+    zero = (0,) * q if q > 1 else 0
+    if q <= 1:  # the sign of the image picks the shrinking directions
         signs = {True: [d for d in dirs if d[4] < 0], False: [d for d in dirs if d[4] > 0]}
-    else:  # <a, c> is field q - 1 of a * (c packed in reverse), lower fields lifted >= 0
-        lift = (q - 1) * span
-        dots = [sum(x << lift - k * span for k, x in enumerate(c)) for c in columns]
-        offset = sum(half << k * span for k in range(q))
     frontier = [(d[1], d[4], d[0] - 1) for d in dirs]
     minimal, level, work = [], 1, 0
     while frontier:
         for t, image, _ in frontier:
-            if not image:
+            if image == zero:
                 minimal.append(tuple(t >> s & mask for s in shifts))
                 for d in dirs:
                     d[3].setdefault(t & d[2], []).append(t)
-        nxt, moves = [], {}  # directions by image, one level at a time
+        nxt = []
         for t, image, frozen in frontier:
-            shrink = (signs[image > 0] if q == 1 else moves.get(image)) if image else ()
-            if shrink is None:
-                shrink = moves[image] = [
-                    d for d, c in zip(dirs, dots) if (image * c + offset) >> lift & full < half
-                ]
+            if q > 1:
+                shrink = [d for d in dirs if not frozen & d[0] and sum(map(mul, image, d[4])) < 0]
+            else:
+                shrink = signs[image > 0] if image else ()
             for bit, unit, field, by_value, col in shrink:
                 if frozen & bit:
                     continue
@@ -219,7 +214,7 @@ def minimal_nonneg_solutions(eqs, nvars):
                         partial=sorted(minimal),
                     )
                 if not any(((cand | guard) - m) & guard == guard for m in above):
-                    nxt.append((cand, image + col, child))
+                    nxt.append((cand, tuple(map(add, image, col)) if q > 1 else image + col, child))
         frontier = nxt
         level += 1
     minimal.sort()
@@ -230,8 +225,9 @@ def minimal_nonneg_solutions(eqs, nvars):
 def _require_minimal(solutions):
     """Raise CertificateFailure when a solution lies on or above another one.
 
-    Bit j of ``at_most[k][v]`` is set when solution j has k-th entry <= v:
-    the solutions below g are the AND over k of ``at_most[k][g_k]``.
+    Bit j of ``at_most[k][v]`` is set when solution j has a k-th entry of
+    at most v, so the solutions below g are the intersection over k of
+    ``at_most[k][g_k]``: one AND per coordinate instead of a pairwise scan.
     """
     at_most = []
     for k in range(len(solutions[0]) if solutions else 0):
@@ -251,9 +247,15 @@ def _require_minimal(solutions):
 
 
 def inhomogeneous_minimal_solutions(system, nvars):
-    """Minimal solutions over Z_+^nvars of the rows [coefficients | rhs], via homogenization:
-    with the rhs as a slack variable of column -rhs, they are the generators with slack 1."""
-    gens = minimal_nonneg_solutions([list(row[:-1]) + [-row[-1]] for row in system], nvars + 1)
+    """Minimal solutions over Z_+^nvars of the rows [coefficients | rhs], via homogenization.
+
+    Turns the rhs column into a slack variable t with column -rhs; generators
+    of the extended monoid with t = 1 are exactly the minimal inhomogeneous
+    solutions, so emptiness is decided, not just searched.  The module
+    checks do not use it: `least_witness` answers their question directly.
+    """
+    ext = [list(row[:-1]) + [-row[-1]] for row in system]
+    gens = minimal_nonneg_solutions(ext, nvars + 1)
     return [g[:-1] for g in gens if g[-1] == 1]
 
 
@@ -267,7 +269,10 @@ class HilbertBasis:
         return bool(self.generators)
 
     def support_union(self) -> set[int]:
-        return {i for g in self.generators for i, x in enumerate(g) if x > 0}
+        out: set[int] = set()
+        for g in self.generators:
+            out.update(i for i, x in enumerate(g) if x > 0)
+        return out
 
 
 def hilbert_basis(s: EigenSpectrum) -> HilbertBasis:
@@ -292,8 +297,11 @@ def uw_decomposition(s: EigenSpectrum):
 
 
 def c_matrix_basis(s: EigenSpectrum):
-    """Integer diagonals C_1..C_q with A_s = nu_1 C_1 + ... + nu_q C_q: the spectrum's
-    weights, cleared of denominators only, so that round-trips preserve the input."""
+    """Integer diagonals C_1..C_q with A_s = nu_1 C_1 + ... + nu_q C_q.
+
+    The spectrum's weights: column k of the coordinate matrix, cleared of
+    denominators only, so that round-trips preserve the input.
+    """
     return s.weights
 
 
@@ -301,8 +309,9 @@ def eigen_system(s: EigenSpectrum, target, drop=None):
     """Primitive integer rows [coefficients | rhs] of <m, lambda> = <target, lambda>.
 
     One row per coordinate; m runs over the indices other than ``drop``.
-    A row is a positive multiple of the weights, so dividing by its gcd
-    gives the unique primitive integer multiple of the rational row.
+    Each row is a positive multiple of the spectrum's weights, so dividing
+    by its gcd gives the unique primitive integer multiple of the rational
+    row.
     """
     rows = []
     for w in s.weights:
@@ -346,11 +355,12 @@ def least_witness(s: EigenSpectrum, target, drop):
       partial sum of the w_i is that of the u_i plus (j/d) t, a point of
       the segment [0, t].
 
-    So a breadth-first search over the box finds the least degree, or
-    proves that there is no witness.  The lex-least witness of that degree
-    is built greedily: each index, in order, takes the least exponent with
-    which the rest can still reach the remaining sum and degree.  It is a
-    minimal inhomogeneous solution, as any solution below has less degree.
+    A breadth-first search over the box therefore finds the least degree,
+    or proves that there is no witness.  The lex-least witness of that
+    degree is built greedily: each index, in order, takes the smallest
+    exponent for which the remaining indices can still reach the remaining
+    sum with the remaining degree.  The least-degree witness is a minimal
+    inhomogeneous solution, since any solution below it has smaller degree.
     """
     *steps, t = zip(*eigen_system(s, target, drop))
     width = [max((abs(w[k]) for w in steps), default=0) for k in range(s.q)]
@@ -362,7 +372,7 @@ def least_witness(s: EigenSpectrum, target, drop):
         raise ScopeError(
             f"witness search window has {size} points, above the limit {WITNESS_WINDOW_LIMIT}"
         )
-    degree = _partial_sum_distance(steps, t, lo, hi, width)
+    degree = _partial_sum_distance(steps, t, lo, hi)
     if degree is None:
         return None
     m = _lex_least(steps, t, degree)
@@ -377,15 +387,16 @@ def least_witness(s: EigenSpectrum, target, drop):
     return m
 
 
-def _partial_sum_distance(steps, t, lo, hi, pad):
+def _partial_sum_distance(steps, t, lo, hi):
     """Fewest steps from 0 to t with every partial sum inside the box [lo, hi], or None.
 
-    Points live in a flat grid over the box widened in coordinate k by the
-    largest step there, pad[k], and marked visited: a step from a box point
-    lands in the grid, never wraps into another row, and is expanded only
-    when it stays in the box.
+    Points live in a flat grid over the box widened in each coordinate by
+    the largest step there.  The widening is marked as visited, so a step
+    from a box point lands in the grid, never wraps into another row, and
+    is expanded only when it stays in the box.
     """
     q = len(t)
+    pad = [max((abs(w[k]) for w in steps), default=0) for k in range(q)]
     dims = [b - a + 1 + 2 * p for a, b, p in zip(lo, hi, pad)]
     strides = [prod(dims[k + 1:]) for k in range(q)]
     grid = bytearray(prod(dims))
@@ -406,7 +417,8 @@ def _partial_sum_distance(steps, t, lo, hi, pad):
     moves = sorted({sum(x * st for x, st in zip(w, strides)) for w in steps if any(w)})
     start, goal = index((0,) * q), index(t)
     grid[start] = 1
-    frontier, level = [start], 0
+    frontier = [start]
+    level = 0
     while frontier:
         level += 1
         nxt = []
@@ -425,23 +437,28 @@ def _partial_sum_distance(steps, t, lo, hi, pad):
 
 def _lex_least(steps, t, degree):
     """Lex-least m >= 0 with sum m_i = degree and sum m_i w_i = t, or None."""
+    count = len(steps)
     # a suffix of r steps from index i sums, per coordinate, within r * [low, high]
     low = list(accumulate(reversed(steps), lambda a, w: tuple(map(min, a, w))))[::-1]
     high = list(accumulate(reversed(steps), lambda a, w: tuple(map(max, a, w))))[::-1]
 
     @lru_cache(maxsize=None)
     def least(i, r, rest):
-        if i == len(steps):
+        if i == count:
             return () if r == 0 and not any(rest) else None
         if not all(r * a <= x <= r * b for x, a, b in zip(rest, low[i], high[i])):
             return None
         for e in range(r + 1):
-            tail = least(i + 1, r - e, tuple(x - e * y for x, y in zip(rest, steps[i])))
+            tail = least(i + 1, r - e, _minus(rest, e, steps[i]))
             if tail is not None:
                 return (e,) + tail
         return None
 
     return least(0, degree, t)
+
+
+def _minus(rest, e, w):
+    return tuple(x - e * y for x, y in zip(rest, w))
 
 
 @dataclass(frozen=True)
