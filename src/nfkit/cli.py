@@ -47,8 +47,9 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="nfkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, spectrum=True, field=False):
+    def add(name, run, help_text, spectrum=True, field=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if spectrum:
             p.add_argument("--spectrum", required=True, help="spectrum JSON file")
         if field:
@@ -56,51 +57,37 @@ def _build_parser():
         p.add_argument("--format", choices=("json", "text"), default="json")
         return p
 
-    p = add("resonances", "enumerate resonant multi-indices")
+    p = add("resonances", _cmd_resonances, "enumerate resonant multi-indices")
     p.add_argument("--max-degree", type=_integer, default=None, help="cap for infinite sets")
 
-    p = add("pdnf-basis", "unit vector monomials spanning the normal-form space")
+    p = add("pdnf-basis", _cmd_pdnf_basis, "unit vector monomials spanning the normal-form space")
     p.add_argument("--max-degree", type=_integer, default=None)
 
-    p = add("centralizer", "commuting vector fields", field=True)
+    p = add("centralizer", _cmd_centralizer, "commuting vector fields", field=True)
     p.add_argument("--truncate", type=_integer, default=None, help="force the truncated solver")
 
-    p = add("normalizer", "orbital-symmetry generators", field=True)
+    p = add("normalizer", _cmd_normalizer, "orbital-symmetry generators", field=True)
     p.add_argument("--truncate", type=_integer, required=True)
 
-    add("invariants", "monomial first integrals and module checks")
+    add("invariants", _cmd_invariants, "monomial first integrals and module checks")
 
-    add("reduce", "reduction by invariants", field=True)
+    add("reduce", _cmd_reduce, "reduction by invariants", field=True)
 
-    p = add("jacobi", "inverse Jacobi multiplier ladder", field=True)
+    p = add("jacobi", _cmd_jacobi, "inverse Jacobi multiplier ladder", field=True)
     p.add_argument("--r-min", type=_integer, required=True)
     p.add_argument("--r-max", type=_integer, required=True)
     p.add_argument("--truncate", type=_integer, required=True)
 
-    p = sub.add_parser("classify3", help="dimension-3 distinguished-setting test")
+    p = add("classify3", _cmd_classify3, "dimension-3 distinguished-setting test", spectrum=False)
     p.add_argument("d", type=_integer, nargs=3)
-    p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = add("check", "validate inputs and the normal-form property", field=False)
+    p = add("check", _cmd_check, "validate inputs and the normal-form property", field=False)
     p.add_argument("--field", default=None)
 
     return parser
 
 
-# parse_args leaves the parser unchanged, so one tree serves every call
-_PARSER = _build_parser()
-
-
-def _emit(args, doc, text_lines):
-    if args.format == "json":
-        sys.stdout.write(serialize.dumps(doc))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_resonances(args):
-    s = serialize.spectrum_from_json(serialize.load_json_file(args.spectrum))
+def _cmd_resonances(args, s):
     rs = resonance_set(s, cap=args.max_degree)
     doc = serialize.resonance_set_to_json(rs)
     lines = [
@@ -111,23 +98,20 @@ def _cmd_resonances(args):
     for j, rj in enumerate(rs.by_component):
         if rj:
             lines.append(f"  component {j + 1}: " + " ".join(str(list(m)) for m in rj))
-    _emit(args, doc, lines)
+    return doc, lines
 
 
-def _cmd_pdnf_basis(args):
-    s = serialize.spectrum_from_json(serialize.load_json_file(args.spectrum))
+def _cmd_pdnf_basis(args, s):
     basis = pdnf_basis(s, args.max_degree)
     doc = {"count": len(basis), "basis": [serialize.field_to_json(b) for b in basis]}
     lines = [f"{len(basis)} resonant vector monomials"]
     for b in basis:
         (j, m), _ = next(iter(b.sorted_terms()))
         lines.append(f"  x^{list(m)} e_{j + 1}")
-    _emit(args, doc, lines)
+    return doc, lines
 
 
-def _cmd_centralizer(args):
-    s = serialize.spectrum_from_json(serialize.load_json_file(args.spectrum))
-    f = serialize.field_from_json(serialize.load_json_file(args.field))
+def _cmd_centralizer(args, s, f):
     if args.truncate is not None:
         res = centralizer_truncated(s, f, args.truncate)
     else:
@@ -142,27 +126,23 @@ def _cmd_centralizer(args):
     ]
     if res.note:
         lines.append(res.note)
-    _emit(args, doc, lines)
+    return doc, lines
 
 
-def _cmd_normalizer(args):
-    s = serialize.spectrum_from_json(serialize.load_json_file(args.spectrum))
-    f = serialize.field_from_json(serialize.load_json_file(args.field))
+def _cmd_normalizer(args, s, f):
     res = normalizer_truncated(s, f, args.truncate)
     doc = serialize.normalizer_to_json(res)
-    _emit(args, doc, [f"dimension: {res.dimension} (truncated at {res.truncation})"])
+    return doc, [f"dimension: {res.dimension} (truncated at {res.truncation})"]
 
 
-def _cmd_invariants(args):
-    s = serialize.spectrum_from_json(serialize.load_json_file(args.spectrum))
+def _cmd_invariants(args, s):
     inv = invariant_generators(s)
     doc = serialize.invariants_to_json(inv)
     try:
-        free = check_free_module(s).free
+        doc["free_module"] = check_free_module(s).free
     except ZeroEigenvalue:
-        free = None
+        doc["free_module"] = None
     onediv = check_onediv(s)
-    doc["free_module"] = free
     doc["onediv"] = onediv.holds
     lines = [
         f"generators: {[list(g) for g in inv.generators]}",
@@ -170,21 +150,17 @@ def _cmd_invariants(args):
         f"free module: {doc['free_module']}",
         f"onediv: {onediv.holds}",
     ]
-    _emit(args, doc, lines)
+    return doc, lines
 
 
-def _cmd_reduce(args):
-    s = serialize.spectrum_from_json(serialize.load_json_file(args.spectrum))
-    f = serialize.field_from_json(serialize.load_json_file(args.field))
+def _cmd_reduce(args, s, f):
     inv = invariant_generators(s)
     red = reduce_vectorfield(s, inv, f)
     doc = serialize.reduced_to_json(red)
-    _emit(args, doc, [f"reduced to {red.r} variables", f"nu: {[list(map(str, r)) for r in red.nu]}"])
+    return doc, [f"reduced to {red.r} variables", f"nu: {[list(map(str, r)) for r in red.nu]}"]
 
 
-def _cmd_jacobi(args):
-    s = serialize.spectrum_from_json(serialize.load_json_file(args.spectrum))
-    f = serialize.field_from_json(serialize.load_json_file(args.field))
+def _cmd_jacobi(args, s, f):
     ladder = solve_multiplier(s, f, args.r_min, args.r_max, args.truncate)
     doc = serialize.ladder_to_json(ladder)
     lines = [ladder.support_note]
@@ -195,12 +171,11 @@ def _cmd_jacobi(args):
             lines.append(f"  r = {e.r}: inconsistent at degree {e.failed_degree}")
     if ladder.ladder_note:
         lines.append(ladder.ladder_note)
-    _emit(args, doc, lines)
+    return doc, lines
 
 
 def _cmd_classify3(args):
-    d1, d2, d3 = args.d
-    verdict = classify_dim3(d1, d2, d3)
+    verdict = classify_dim3(*args.d)
     doc = {"holds": verdict.holds}
     if verdict.holds:
         doc["l1"] = verdict.l1
@@ -208,15 +183,13 @@ def _cmd_classify3(args):
         lines = [f"holds with l1 = {verdict.l1}, l2 = {verdict.l2}"]
     else:
         lines = ["does not hold"]
-    _emit(args, doc, lines)
+    return doc, lines
 
 
-def _cmd_check(args):
-    s = serialize.spectrum_from_json(serialize.load_json_file(args.spectrum))
+def _cmd_check(args, s, f=None):
     doc = {"spectrum": "ok", "n": s.n, "q": s.q}
     lines = [f"spectrum ok: n = {s.n}, q = {s.q}"]
-    if args.field:
-        f = serialize.field_from_json(serialize.load_json_file(args.field))
+    if f is not None:
         try:
             ok = divergence_integral_check(s, f)
         except NotPDNF:
@@ -226,26 +199,29 @@ def _cmd_check(args):
         if ok is not None:
             doc["divergence_integral"] = ok
             lines.append(f"divergence is a first integral of the linear flow: {ok}")
-    _emit(args, doc, lines)
+    return doc, lines
 
 
-_DISPATCH = {
-    "resonances": _cmd_resonances,
-    "pdnf-basis": _cmd_pdnf_basis,
-    "centralizer": _cmd_centralizer,
-    "normalizer": _cmd_normalizer,
-    "invariants": _cmd_invariants,
-    "reduce": _cmd_reduce,
-    "jacobi": _cmd_jacobi,
-    "classify3": _cmd_classify3,
-    "check": _cmd_check,
-}
+# parse_args leaves the parser unchanged, so one tree serves every call
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
+    """Parse argv, read the spectrum and then the field file if the subcommand
+    takes them, run its handler and print the report it returns."""
     args = _PARSER.parse_args(argv)
     try:
-        _DISPATCH[args.command](args)
+        inputs = []
+        if "spectrum" in args:
+            inputs.append(serialize.spectrum_from_json(serialize.load_json_file(args.spectrum)))
+        if getattr(args, "field", None) is not None:
+            inputs.append(serialize.field_from_json(serialize.load_json_file(args.field)))
+        doc, lines = args.run(args, *inputs)
+        if args.format == "json":
+            sys.stdout.write(serialize.dumps(doc))
+        else:
+            for line in lines:
+                print(line)
     except NFKitError as exc:
         doc = {"error": exc.code, "message": str(exc)}
         if isinstance(exc, SearchCapReached):

@@ -30,6 +30,8 @@ class _SparseTerms:
     __slots__ = ("n", "trunc", "terms")
 
     def __init__(self, n, terms=None, trunc=INF):
+        if trunc != INF and (type(trunc) is not int or trunc < 0):
+            raise DimensionMismatch(f"truncation budget must be inf or an integer >= 0, got {trunc!r}")
         self.n = n
         self.trunc = trunc
         data = {}
@@ -116,8 +118,8 @@ class PolySeries(_SparseTerms):
     _kind = "series"
 
     def _checked_key(self, m):
-        m = tuple(int(x) for x in m)
-        if len(m) != self.n or any(x < 0 for x in m):
+        m = tuple(m)
+        if len(m) != self.n or any(type(x) is not int or x < 0 for x in m):
             raise DimensionMismatch(f"bad exponent row {m} for n = {self.n}")
         return m
 
@@ -161,8 +163,11 @@ class PolyVectorField(_SparseTerms):
 
     def _checked_key(self, key):
         j, m = key
-        m = tuple(int(x) for x in m)
-        if not (0 <= j < self.n) or len(m) != self.n or any(x < 0 for x in m):
+        m = tuple(m)
+        if (
+            type(j) is not int or not 0 <= j < self.n
+            or len(m) != self.n or any(type(x) is not int or x < 0 for x in m)
+        ):
             raise DimensionMismatch(f"bad term ({j}, {m}) for n = {self.n}")
         return (j, m)
 
@@ -306,13 +311,14 @@ def deviation_part(s: EigenSpectrum, f: PolyVectorField):
         raise DimensionMismatch("field dimension != spectrum dimension")
     diag = {}
     off = {}
+    terms = {}
     for (j, m), c in f.terms.items():
-        if sum(m) != 1:
-            continue
-        k = m.index(1)
+        k = m.index(1) if sum(m) == 1 else None
         if k == j:
             diag[j] = c
-        else:
+            continue
+        terms[(j, m)] = c
+        if k is not None:
             off[(j, k)] = c
     nil = {(i, j): c for i, j, c in s.nilpotent}
     if off != nil:
@@ -326,11 +332,6 @@ def deviation_part(s: EigenSpectrum, f: PolyVectorField):
             )
         if diag != {i: v for i, v in enumerate(eigenvalues) if v != 0}:
             raise LinearPartMismatch("diagonal linear part differs from the eigenvalues")
-    terms = {
-        (j, m): c
-        for (j, m), c in f.terms.items()
-        if sum(m) != 1 or m.index(1) != j
-    }
     return PolyVectorField(s.n, terms, f.trunc), explicit
 
 

@@ -116,6 +116,8 @@ class EigenSpectrum:
 
 def build_spectrum(n, q, lambda_rows, nilpotent_entries=()) -> EigenSpectrum:
     """Validated constructor; indices in ``nilpotent_entries`` are 0-based."""
+    if type(n) is not int or type(q) is not int:
+        raise DimensionMismatch(f"n and q must be integers, got n = {n!r}, q = {q!r}")
     if n < 1:
         raise DimensionMismatch(f"a spectrum needs n >= 1, got n = {n}")
     rows = tuple(tuple(frac(x) for x in row) for row in lambda_rows)
@@ -128,6 +130,8 @@ def build_spectrum(n, q, lambda_rows, nilpotent_entries=()) -> EigenSpectrum:
     nil = []
     for i, j, c in nilpotent_entries:
         c = frac(c)
+        if type(i) is not int or type(j) is not int:
+            raise DimensionMismatch(f"nilpotent entry ({i!r}, {j!r}) needs integer indices")
         if c == 0:
             continue
         if not (0 <= i < j < n):

@@ -833,3 +833,40 @@ def test_readme_commands_match_the_parser():
         for name, p in commands.choices.items()
     }
     assert documented == parsed
+
+
+# the --format text summary of every subcommand on the fixtures
+TEXT_CALLS = [
+    ["resonances", "--spectrum", "eg3"],
+    ["resonances", "--spectrum", "ifac", "--max-degree", "3"],
+    ["pdnf-basis", "--spectrum", "eg3"],
+    ["pdnf-basis", "--spectrum", "saddle", "--max-degree", "3"],
+    ["centralizer", "--spectrum", "eg3", "--field", "eg3_field"],
+    ["centralizer", "--spectrum", "saddle", "--field", "saddle_field", "--truncate", "3"],
+    ["normalizer", "--spectrum", "saddle", "--field", "saddle_field", "--truncate", "3"],
+    ["invariants", "--spectrum", "eg3"],
+    ["invariants", "--spectrum", "saddle"],
+    ["invariants", "--spectrum", "ifac"],
+    ["reduce", "--spectrum", "saddle", "--field", "saddle_field"],
+    ["jacobi", "--spectrum", "ifac", "--field", "ifac_field",
+     "--r-min", "2", "--r-max", "4", "--truncate", "4"],
+    ["classify3", "3", "2", "6"],
+    ["classify3", "1", "1", "1"],
+    ["check", "--spectrum", "eg3"],
+    ["check", "--spectrum", "eg3", "--field", "eg3_field"],
+    ["check", "--spectrum", "ifac", "--field", "ifac_field"],
+]
+
+
+def _text_transcript(files, capsys):
+    """Each call as ``$ nfkit <argv>`` with fixture names, then its exit code and stdout."""
+    out = []
+    for argv in TEXT_CALLS:
+        code, text = run(capsys, [files.get(a, a) for a in argv] + ["--format", "text"])
+        out.append(f"$ nfkit {' '.join(argv)} --format text  # exit {code}\n{text}")
+    return "".join(out)
+
+
+def test_text_format_matches_golden(files, capsys):
+    golden = Path(__file__).resolve().parent / "golden" / "cli_text.txt"
+    assert _text_transcript(files, capsys) == golden.read_text()

@@ -274,6 +274,42 @@ def test_truncation_propagates():
     assert divergence(PolyVectorField.zero(2)).trunc == INF
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PolySeries(2, {(2.7, 0): 1}),
+        lambda: PolySeries(2, {(2.0, 0): 1}),
+        lambda: PolySeries(2, {(True, 0): 1}),
+        lambda: PolyVectorField(2, {(0.0, (1, 1)): 1}),
+        lambda: PolyVectorField(2, {(True, (1, 1)): 1}),
+        lambda: PolyVectorField(2, {(0, (1.0, 1)): 1}),
+        lambda: PolyVectorField(2, {(0, (False, 1)): 1}),
+        lambda: PolySeries(2, {}, trunc=2.5),
+        lambda: PolySeries(2, {}, trunc=True),
+        lambda: PolyVectorField(2, {}, trunc=2.5),
+        lambda: PolyVectorField(2, {}, trunc=True),
+        lambda: PolyVectorField(2, {}, trunc=-1),
+        lambda: build_spectrum(True, 1, [[1]]),
+        lambda: build_spectrum(1.0, 1, [[1]]),
+        lambda: build_spectrum(1, True, [[1]]),
+        lambda: build_spectrum(2, 1, [[1], [1]], [(0.0, 1, 1)]),
+        lambda: build_spectrum(2, 1, [[1], [1]], [(0, True, 1)]),
+    ],
+    ids=[
+        "series-exponent-2.7", "series-exponent-2.0", "series-exponent-True",
+        "field-component-0.0", "field-component-True", "field-exponent-1.0",
+        "field-exponent-False", "series-trunc-2.5", "series-trunc-True", "field-trunc-2.5",
+        "field-trunc-True", "field-trunc--1", "spectrum-n-True", "spectrum-n-1.0",
+        "spectrum-q-True", "nilpotent-i-0.0", "nilpotent-j-True",
+    ],
+)
+def test_constructors_refuse_floats_and_booleans(build):
+    """Exponents, component indices, budgets, n, q and nilpotent indices are ints,
+    never coerced from a float or a bool."""
+    with pytest.raises(DimensionMismatch):
+        build()
+
+
 def test_linear_combination():
     rng = random.Random(23)
     g = random_field(rng, 2, trunc=4)

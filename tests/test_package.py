@@ -1,11 +1,12 @@
 """Package-wide rules that no single module test sees."""
 
+import argparse
 import ast
 import sys
 from pathlib import Path
 
 import nfkit
-from nfkit import resonance
+from nfkit import cli, resonance
 
 
 def test_runtime_imports_are_standard_library_only():
@@ -281,3 +282,22 @@ def test_centralizer_layer_keeps_one_representation():
     assert "from_matrix" not in defined and "_block_data" not in defined
     assert defined["NORMALIZER_UNKNOWN_LIMIT"] == {"centralizer.py"}
     assert defined["_check_kernel_size"] == {"centralizer.py"}
+
+
+
+def test_cli_reads_inputs_in_main_and_declares_each_command_once():
+    """`main` alone reads the input files and prints the report; each subparser
+    carries its handler as its `run` default, with no dispatch table or emitter."""
+    for name in ("load_json_file", "spectrum_from_json", "field_from_json"):
+        assert {owner for module, owner in _callers(name) if module == "cli.py"} == {"main"}, name
+    tree = _modules()["cli.py"]
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defined |= {
+        target.id for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    assert not defined & {"_DISPATCH", "_emit"}
+    commands = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in commands.choices.items():
+        run = parser.get_default("run")
+        assert run.__name__.startswith("_cmd_") and getattr(cli, run.__name__) is run, name
