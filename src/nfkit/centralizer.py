@@ -159,8 +159,9 @@ def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult
         raise CertificateFailure(f"dimension {dim} violates d = {d} <= dim <= d + r = {d + r}")
     if dim < s.n:
         raise CertificateFailure(f"dimension {dim} is below the space dimension {s.n}")
-    # with A_n = 0 the commutant holds all |b|^2 entries of each block b, and each
-    # component of b has the same r_b resonances: sum |b|^2 = d, sum |b| r_b = r
+    # with A_n = 0 the commutant holds all |b|^2 entries of each block b, so
+    # sum |b|^2 = d; the components of b share one listing of r_b resonances, so
+    # sum |b| r_b = r by construction
     block_bounds = None if s.has_nilpotent() else (d, d + r)
     return CentralizerResult(
         dimension=dim,

@@ -34,7 +34,11 @@ LADDER_DEPTH = 12
 
 
 def resonant_multiindices(s: EigenSpectrum, j: int, d: int):
-    """All m with |m| = d and <m, lambda> = lambda_j, lex order (0-based j)."""
+    """All m with |m| = d and <m, lambda> = lambda_j, lex order (0-based j).
+
+    The listing is the same for every j of one eigenvalue block; within
+    nfkit only `resonances_by_component` calls this, once per block and d.
+    """
     return eigen_monomials(s, unit_row(s.n, j), d)
 
 
@@ -98,20 +102,37 @@ def lp_degree_bound(s: EigenSpectrum) -> int:
 def resonances_by_component(s: EigenSpectrum, dmin: int, dmax: int):
     """Per component j, every resonant m with dmin <= |m| <= dmax, by degree, then lex.
 
-    Refuses up front, with a scope error, a scan over more than
-    `RESONANCE_SCAN_LIMIT` monomials in all: per component, the sum over d
-    of C(d + n - 1, n - 1), which telescopes to C(dmax + n, n) - C(dmin - 1 + n, n).
+    <m, lambda> = lambda_j depends on j only through lambda_j, so each
+    eigenvalue block of `s.blocks()` is scanned once per degree, for its
+    first component, and all its components share that tuple.  Refuses up
+    front, with a scope error, a scan over more than `RESONANCE_SCAN_LIMIT`
+    monomials in all: per block, the sum over d of C(d + n - 1, n - 1),
+    which telescopes to C(dmax + n, n) - C(dmin - 1 + n, n).  Refuses too,
+    once the blocks are listed, more than `RESONANCE_SCAN_LIMIT` pairs
+    (j, m) in all, since every caller builds something for each pair.
     """
-    per_component = comb(dmax + s.n, s.n) - comb(dmin - 1 + s.n, s.n)
-    if s.n * per_component > RESONANCE_SCAN_LIMIT:
+    blocks = s.blocks()
+    per_block = comb(dmax + s.n, s.n) - comb(dmin - 1 + s.n, s.n)
+    if len(blocks) * per_block > RESONANCE_SCAN_LIMIT:
         raise ScopeError(
-            f"resonance scan up to degree {dmax} tests {per_component} monomials per component,"
-            f" {s.n * per_component} in all, above the limit {RESONANCE_SCAN_LIMIT}"
+            f"resonance scan up to degree {dmax} tests {per_block} monomials for each of"
+            f" {len(blocks)} eigenvalue blocks, {len(blocks) * per_block} in all,"
+            f" above the limit {RESONANCE_SCAN_LIMIT}"
         )
-    return tuple(
-        tuple(m for d in range(dmin, dmax + 1) for m in resonant_multiindices(s, j, d))
-        for j in range(s.n)
-    )
+    by_component = [()] * s.n
+    for block in blocks:
+        listing = tuple(
+            m for d in range(dmin, dmax + 1) for m in resonant_multiindices(s, block[0], d)
+        )
+        for j in block:
+            by_component[j] = listing
+    pairs = sum(len(r) for r in by_component)
+    if pairs > RESONANCE_SCAN_LIMIT:
+        raise ScopeError(
+            f"resonance listing up to degree {dmax} has {pairs} resonant pairs (j, m)"
+            f" over {s.n} components, above the limit {RESONANCE_SCAN_LIMIT}"
+        )
+    return tuple(by_component)
 
 
 @dataclass(frozen=True)

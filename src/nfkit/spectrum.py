@@ -132,8 +132,6 @@ def build_spectrum(n, q, lambda_rows, nilpotent_entries=()) -> EigenSpectrum:
         c = frac(c)
         if type(i) is not int or type(j) is not int:
             raise DimensionMismatch(f"nilpotent entry ({i!r}, {j!r}) needs integer indices")
-        if c == 0:
-            continue
         if not (0 <= i < j < n):
             raise NilpotentViolatesCommutation(
                 f"nilpotent entry ({i}, {j}) is not strictly upper triangular"
@@ -142,7 +140,9 @@ def build_spectrum(n, q, lambda_rows, nilpotent_entries=()) -> EigenSpectrum:
             raise NilpotentViolatesCommutation(
                 f"nilpotent entry ({i}, {j}) links unequal eigenvalues"
             )
-        nil.append((i, j, c))
+        # a zero entry is dropped only once its indices are known to be valid
+        if c != 0:
+            nil.append((i, j, c))
     nil.sort(key=lambda t: (t[0], t[1]))
     return EigenSpectrum(n=n, q=q, lam=rows, nilpotent=tuple(nil)) if nil else s
 

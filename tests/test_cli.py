@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import nfkit
-from nfkit import centralizer, fields, jacobi, linalg, spectrum
+from nfkit import centralizer, fields, jacobi, linalg, resonance, spectrum
 from nfkit.cli import _PARSER, main
 from nfkit.linalg import SolutionSpace
+from nfkit.serialize import spectrum_from_json
 
 EG3_SPECTRUM = {
     "n": 3,
@@ -237,12 +238,124 @@ def test_resonance_scan_too_large_is_refused_up_front(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    # sum over d = 2..30 of C(d + 7, 7) = C(38, 8) - 1 - 8 per component
+    # sum over d = 2..30 of C(d + 7, 7) = C(38, 8) - 1 - 8 per eigenvalue block
     assert json.loads(captured.err) == {
         "error": "scope-error",
-        "message": "resonance scan up to degree 30 tests 48903483 monomials per component,"
-                   " 391227864 in all, above the limit 200000",
+        "message": "resonance scan up to degree 30 tests 48903483 monomials for each of"
+                   " 2 eigenvalue blocks, 97806966 in all, above the limit 200000",
     }
+
+
+@pytest.mark.parametrize(
+    "limit, message",
+    [
+        # (1, 1, -1) scans 2 eigenvalue blocks, not 3 components, of C(6, 3) - C(4, 3) = 16
+        # monomials each: 32 fits, where a count per component (48) would not
+        (32, None),
+        (31, "resonance scan up to degree 3 tests 16 monomials for each of 2 eigenvalue blocks,"
+             " 32 in all, above the limit 31"),
+    ],
+    ids=["fits", "refused"],
+)
+def test_resonance_scan_limit_counts_eigenvalue_blocks(tmp_path, capsys, monkeypatch, limit, message):
+    monkeypatch.setattr(resonance, "RESONANCE_SCAN_LIMIT", limit)
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps({"n": 3, "q": 1, "lambda": [["1"], ["1"], ["-1"]]}))
+    code = main(["resonances", "--spectrum", str(path), "--max-degree", "3"])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0
+        shared = [[0, 2, 1], [1, 1, 1], [2, 0, 1]]
+        assert json.loads(captured.out)["R"] == {"1": shared, "2": shared, "3": [[0, 1, 2], [1, 0, 2]]}
+        return
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err) == {"error": "scope-error", "message": message}
+
+
+def _zero_block_files(tmp_path, n):
+    """diag(1, 0^(n - 1)) and the field x1 e1 on it."""
+    spectrum_path = tmp_path / "spectrum.json"
+    spectrum_path.write_text(json.dumps({"n": n, "q": 1, "lambda": [["1"]] + [["0"]] * (n - 1)}))
+    field_path = tmp_path / "field.json"
+    field_path.write_text(
+        json.dumps({"n": n, "trunc": "inf", "terms": [{"j": 1, "m": [1] + [0] * (n - 1), "c": "1"}]})
+    )
+    return ["--spectrum", str(spectrum_path)], ["--field", str(field_path)]
+
+
+# diag(1, 0^9): each of the 9 zero components has the C(10, 2) = 45 quadratic monomials
+# in the zero variables, component 1 has x1 x_k for the 9 zero k, so 9 * 45 + 9 = 414 pairs
+# up to degree 2, and 414 + 9 * 9 + 1 = 496 with degree 1 (truncated centralizer)
+@pytest.mark.parametrize(
+    "command, limit, pairs",
+    [
+        (["resonances", "--max-degree", "2"], 414, None),
+        (["resonances", "--max-degree", "2"], 413, 414),
+        (["pdnf-basis", "--max-degree", "2"], 413, 414),
+        (["centralizer", "--truncate", "2"], 495, 496),
+    ],
+    ids=["resonances-fits", "resonances", "pdnf-basis", "centralizer-truncated"],
+)
+def test_resonance_listing_limit_counts_pairs_of_every_component(
+    tmp_path, capsys, monkeypatch, command, limit, pairs
+):
+    # the scan of 2 blocks of C(12, 2) - C(11, 1) = 55 quadratic monomials fits every limit
+    monkeypatch.setattr(resonance, "RESONANCE_SCAN_LIMIT", limit)
+    spectrum_args, field_args = _zero_block_files(tmp_path, 10)
+    argv = command + spectrum_args + (field_args if command[0] == "centralizer" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    if pairs is None:
+        assert code == 0
+        assert json.loads(captured.out)["r"] == 414
+        return
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "scope-error",
+        "message": f"resonance listing up to degree 2 has {pairs} resonant pairs (j, m)"
+                   f" over 10 components, above the limit {limit}",
+    }
+
+
+def test_large_zero_block_is_refused_before_its_report_is_built(tmp_path, capsys):
+    # diag(1, 0^74) scans 2 * 2850 monomials, within the limit, but its components
+    # share 74 * C(75, 2) + 74 = 205424 resonances
+    spectrum_args, _ = _zero_block_files(tmp_path, 75)
+    code = main(["resonances", "--max-degree", "2"] + spectrum_args)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "scope-error",
+        "message": "resonance listing up to degree 2 has 205424 resonant pairs (j, m)"
+                   " over 75 components, above the limit 200000",
+    }
+
+
+@pytest.mark.parametrize(
+    "nilpotent, code",
+    [
+        # both entries are zero, but (7, 9) is out of range and (2, 1) below the diagonal
+        ([[7, 9, "0"], [2, 1, "0"]], 2),
+        # a zero entry on equal eigenvalues is valid and dropped
+        ([[1, 2, "0"]], 0),
+    ],
+    ids=["invalid", "valid"],
+)
+def test_zero_nilpotent_entries_are_validated_before_they_are_dropped(
+    tmp_path, capsys, nilpotent, code
+):
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps({"n": 2, "q": 1, "lambda": [["1"], ["1"]], "nilpotent": nilpotent}))
+    assert main(["check", "--spectrum", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "nilpotent-violates-commutation"
+        assert err["message"].startswith("nilpotent entry (")
+        return
+    assert json.loads(captured.out) == {"n": 2, "q": 1, "spectrum": "ok"}
+    assert spectrum_from_json(json.loads(path.read_text())).nilpotent == ()
 
 
 BAD_RATIONALS = ["1e10000000", "1e1000000000000", "0.5", 0.5, " 1 ", "1_0", True, "1/-2", "١"]
@@ -532,7 +645,7 @@ def test_centralizer_of_a_huge_eigenvalue_block_is_refused_up_front(
     ids=["3-1x17", "2-1x30"],
 )
 def test_exact_centralizer_of_many_resonances_is_refused_up_front(
-    tmp_path, capsys, block, lead, m, unknowns
+    tmp_path, capsys, monkeypatch, block, lead, m, unknowns
 ):
     n = block + 1
     spectrum_path = tmp_path / "spectrum.json"
@@ -544,6 +657,14 @@ def test_exact_centralizer_of_many_resonances_is_refused_up_front(
     field_path.write_text(
         json.dumps({"n": n, "trunc": "inf", "terms": [{"j": 1, "m": row, "c": "1"}]})
     )
+    scanned = []
+    scan = resonance.resonant_multiindices
+
+    def counted(s, j, d):
+        scanned.append((j, d))
+        return scan(s, j, d)
+
+    monkeypatch.setattr(resonance, "resonant_multiindices", counted)
     start = time.perf_counter()
     code = main(["centralizer", "--spectrum", str(spectrum_path), "--field", str(field_path)])
     elapsed = time.perf_counter() - start
@@ -554,6 +675,8 @@ def test_exact_centralizer_of_many_resonances_is_refused_up_front(
         "message": f"exact centralizer has {unknowns} unknowns, a kernel of up to"
                    f" {unknowns ** 2} entries, above the limit 1000000",
     }
+    # the degree bound is lead; each of the two blocks is scanned once per degree
+    assert scanned == [(j, d) for j in (0, 1) for d in range(2, lead + 1)]
     assert elapsed < 5
 
 

@@ -74,6 +74,12 @@ def test_completion_serves_only_the_hilbert_basis():
     }
 
 
+def test_resonances_are_listed_once_per_eigenvalue_block():
+    """Only `resonances_by_component`, which scans each eigenvalue block once,
+    calls `resonant_multiindices`; a per-component loop elsewhere fails here."""
+    assert _callers("resonant_multiindices") == [("resonance.py", "resonances_by_component")]
+
+
 def test_spectrum_ranks_on_integer_rows():
     """The spectrum's rank check counts Bareiss pivots of its integer weights; it
     neither imports `mat_rank` nor builds a `RatMatrix`."""

@@ -12,11 +12,14 @@ from pathlib import Path
 import pytest
 
 from nfkit import resonance
+from nfkit.centralizer import centralizer_exact, centralizer_truncated
 from nfkit.errors import InfiniteResonance, InfiniteResonanceWithoutCap
+from nfkit.fields import pdnf_basis
 from nfkit.resonance import (
     commuting_degree_ladder,
     resonance_degree_bound,
     resonance_set,
+    resonances_by_component,
     resonant_multiindices,
     semiinvariant_degree_ladder,
 )
@@ -29,6 +32,8 @@ from oracles import (
     brute_semiinvariant_ladder,
     pairing,
     per_coordinate_degree_bound,
+    random_block_spectrum,
+    random_pdnf,
     spectrum_pool_finite,
 )
 
@@ -181,6 +186,54 @@ def test_resonance_set_eg2_family():
         want = tuple((0, 4 * qq - 2 * k, 3 * k) for k in range(2 * qq + 1))
         assert sorted(rs.by_component[0]) == sorted(want)
         assert rs.by_component[1] == () and rs.by_component[2] == ()
+
+
+@pytest.mark.parametrize(
+    "nilpotent", [(), ((0, 2, 1), (2, 5, 1), (1, 4, -2))], ids=["diagonal", "jordan"]
+)
+def test_each_eigenvalue_block_is_scanned_once_per_degree(monkeypatch, nilpotent):
+    """Blocks {0, 2, 5} (6), {1, 4} (3) and {3} (2) are each listed once per degree,
+    for their first component, by every caller; each component gets the oracle's list."""
+    s = build_spectrum(6, 1, [[6], [3], [6], [2], [3], [6]], nilpotent)
+    f = random_pdnf(s, random.Random(5), 3)
+    bound = resonance_degree_bound(s)
+    assert bound == 3
+    scanned = []
+    scan = resonance.resonant_multiindices
+
+    def counted(s, j, d):
+        scanned.append((j, d))
+        return scan(s, j, d)
+
+    monkeypatch.setattr(resonance, "resonant_multiindices", counted)
+    brute = [tuple(brute_resonances(s, j, bound)) for j in range(s.n)]
+    runs = [
+        (lambda: resonance_set(s).by_component, 2, bound),
+        (lambda: pdnf_basis(s), 2, bound),
+        (lambda: centralizer_exact(s, f), 2, bound),
+        (lambda: centralizer_truncated(s, f, 3), 1, 3),
+    ]
+    results = []
+    for run, dmin, dmax in runs:
+        scanned.clear()
+        results.append(run())
+        assert scanned == [(j, d) for j in (0, 1, 3) for d in range(dmin, dmax + 1)]
+    by_component, basis = results[0], results[1]
+    assert by_component == tuple(brute)
+    assert [(j, m) for g in basis for (j, m) in g.terms] == [
+        (j, m) for j in range(s.n) for m in brute[j]
+    ]
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_shared_block_listings_match_brute_force(q):
+    rng = random.Random(70 + q)
+    spectra = [random_block_spectrum(rng, rng.randint(q, 5), q) for _ in range(30)]
+    assert any(len(b) > 1 for s in spectra for b in s.blocks())
+    for s in spectra:
+        assert resonances_by_component(s, 2, 4) == tuple(
+            tuple(brute_resonances(s, j, 4)) for j in range(s.n)
+        ), (s.lam, s.nilpotent)
 
 
 def test_resonance_set_infinite_needs_cap():
