@@ -15,6 +15,7 @@ part of an arbitrary commuting linear map and is out of scope here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -66,7 +67,7 @@ class CommutantBasis:
 
 
 def _block_kernels(s: EigenSpectrum, blocks):
-    """Per eigenvalue block b, the kernel basis of its [B, A_n] = 0 system on B_{b_a b_c},
+    """Per eigenvalue block b, the kernel of its [B, A_n] = 0 system on B_{b_a b_c},
     each block's |b|^2 unknowns first sized by `_check_kernel_size`."""
     for block in blocks:
         size = len(block)
@@ -83,7 +84,7 @@ def _block_kernels(s: EigenSpectrum, blocks):
                 col[key] = col.get(key, 0) + c
                 col, key = columns[t * size + a], (t, b)
                 col[key] = col.get(key, 0) - c
-        yield block, mat_kernel(RatMatrix.from_columns(columns)).basis
+        yield block, mat_kernel(RatMatrix.from_columns(columns))
 
 
 def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
@@ -102,14 +103,10 @@ def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
     placed = []
     for block, kernel in _block_kernels(s, s.blocks()):
         size = len(block)
-        for vec in kernel:
-            terms = {}
-            for t, x in enumerate(vec):
-                if x:
-                    i, k = block[t // size], block[t % size]
-                    terms[(i, unit_row(n, k))] = x
-                    last = i * n + k
-            placed.append((last, PolyVectorField(n, terms)))
+        for v, sup in zip(kernel.basis, kernel.supports):
+            entries = [(block[t // size], block[t % size], v[t]) for t in sup]
+            field = PolyVectorField(n, {(i, unit_row(n, k)): x for i, k, x in entries})
+            placed.append((entries[-1][0] * n + entries[-1][1], field))
     basis = tuple(field for _, field in sorted(placed, key=lambda p: p[0]))
     return CommutantBasis(dimension=len(basis), basis=basis)
 
@@ -151,9 +148,10 @@ def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult
         raise CertificateFailure(
             "bracket left the resonant span; the finite system would be incomplete"
         )
-    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets])).basis
+    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets]))
 
-    basis = [PolyVectorField.linear_combination(s.n, zip(vec, generators)) for vec in kernel]
+    basis = [PolyVectorField.linear_combination(s.n, [(v[t], generators[t]) for t in sup])
+             for v, sup in zip(kernel.basis, kernel.supports)]
     dim = len(basis)
     if not d <= dim <= d + r:
         raise CertificateFailure(f"dimension {dim} violates d = {d} <= dim <= d + r = {d + r}")
@@ -200,18 +198,13 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
     _check_kernel_size("truncated centralizer", len(unknown_keys))
     generators = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in unknown_keys]
     brackets = [lie_bracket(g, ftilde) for g in generators]
-    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets])).basis
-    basis = []
-    graded_count: dict[int, int] = {}
-    for vec in kernel:
-        # each nonzero entry, read once; the first fixes the graded count
-        support = [t for t, c in enumerate(vec) if c]
-        lead = unknown_keys[support[0]][0]
-        graded_count[lead] = graded_count.get(lead, 0) + 1
-        pairs = [(vec[t], generators[t]) for t in support]
-        basis.append(PolyVectorField.linear_combination(s.n, pairs, D))
+    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets]))
+    basis = [PolyVectorField.linear_combination(s.n, [(v[t], generators[t]) for t in sup], D)
+             for v, sup in zip(kernel.basis, kernel.supports)]
+    # a vector's first nonzero entry fixes its degree
+    graded_count = Counter(unknown_keys[sup[0]][0] for sup in kernel.supports)
     # the commutant dimension, without building its basis fields
-    dcomm = sum(len(kernel) for _, kernel in _block_kernels(s, s.blocks()))
+    dcomm = sum(kernel.dimension for _, kernel in _block_kernels(s, s.blocks()))
     return CentralizerResult(
         dimension=len(basis),
         basis=tuple(basis),
@@ -269,14 +262,16 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
     lam_monos = [PolySeries.monomial(s.n, m) for deg in range(D) for m in compositions(deg, s.n)]
     columns = [lie_bracket(g, fD) for g in g_monos]
     columns += [series_times_field(lam, fD).scale(-1) for lam in lam_monos]
-    kernel = mat_kernel(RatMatrix.from_columns([c.terms for c in columns])).basis
+    kernel = mat_kernel(RatMatrix.from_columns([c.terms for c in columns]))
     ng = len(g_monos)
     basis = [
         (
-            PolyVectorField.linear_combination(s.n, zip(vec[:ng], g_monos), D),
-            PolySeries.linear_combination(s.n, zip(vec[ng:], lam_monos), D - 1),
+            PolyVectorField.linear_combination(s.n, [(v[t], g_monos[t]) for t in sup if t < ng], D),
+            PolySeries.linear_combination(
+                s.n, [(v[t], lam_monos[t - ng]) for t in sup if t >= ng], D - 1
+            ),
         )
-        for vec in kernel
+        for v, sup in zip(kernel.basis, kernel.supports)
     ]
     return NormalizerResult(dimension=len(basis), basis=tuple(basis), truncation=D)
 

@@ -158,21 +158,22 @@ def solve_multiplier(
                 [{v: c for v, c in col.terms.items() if sum(v) <= maxrow}
                  for _m, col in unknowns[:active]]
             )
-            kernel = mat_kernel(system).basis
-            low_rank_vecs = [vec for vec in kernel if any(vec[:low])]
-            if not low_rank_vecs:
+            kernel = mat_kernel(system)
+            # the first vector with a nonzero entry in the lowest-order block
+            first = next((k for k, nz in enumerate(kernel.supports) if nz[0] < low), None)
+            if first is None:
                 entries.append(LadderEntry(r=r, status=INCONSISTENT, failed_degree=sweep))
                 break
         else:
-            vec = low_rank_vecs[0]
-            lead = next(x for x in vec if x != 0)
-            phi = {m: x / lead for (m, _col), x in zip(unknowns, vec) if x != 0}
+            vec, nonzero = kernel.basis[first], kernel.supports[first]
+            lead = vec[nonzero[0]]
+            phi = {unknowns[t][0]: vec[t] / lead for t in nonzero}
             entries.append(LadderEntry(
                 r=r,
                 status=SOLVED,
                 multiplier=PolySeries(s.n, phi, trunc=D),
-                solution_dimension=len(kernel),
-                lowest_order_dimension=mat_rank(RatMatrix([v[:low] for v in kernel])),
+                solution_dimension=kernel.dimension,
+                lowest_order_dimension=mat_rank(RatMatrix([v[:low] for v in kernel.basis])),
             ))
 
     semiinv = None
@@ -296,13 +297,12 @@ def reduced_multiplier_obstruction(red: ReducedField) -> ObstructionResult:
     r = red.r
     nu = red.nu
     columns = [{} for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            columns[i][(i, j)] = nu[i][j] - nu[j][j]
-            columns[j][(i, j)] = nu[j][i] - nu[i][i]
-    system = RatMatrix.from_columns(columns)
-    kernel = mat_kernel(system).basis
-    rows = tuple(system)
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    for i, j in pairs:
+        columns[i][(i, j)] = nu[i][j] - nu[j][j]
+        columns[j][(i, j)] = nu[j][i] - nu[i][i]
+    kernel = mat_kernel(RatMatrix.from_columns(columns)).basis
+    rows = tuple(tuple(Fraction(col.get(key, 0)) for col in columns) for key in pairs)
     if r >= 3 and not kernel:
         return ObstructionResult(NO_MULTIPLIER, None, rows)
     if r == 2 and len(kernel) == 1:

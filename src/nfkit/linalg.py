@@ -1,22 +1,21 @@
 """Exact rational linear algebra: kernels, solves, and a reference simplex LP.
 
 All coefficients are `fractions.Fraction`; there is no floating point
-anywhere.  A `RatMatrix` holds each row as a primitive integer row (the
-rational row times the lcm of its denominators, divided by the gcd of
-the result) with that scale, so it can give back the rational rows.
-Kernels are computed by fraction-free (Bareiss) elimination on those
-integer rows, which keeps intermediate entries to single
-determinant-sized integers, and the back-substitution multiplies the
-integer echelon entries straight into its `Fraction` unknowns.  Square
+anywhere.  A `RatMatrix` holds primitive integer rows only.  Kernels are
+computed by fraction-free (Bareiss) elimination on them, which keeps
+intermediate entries to single determinant-sized integers, and the
+back-substitution multiplies the integer echelon entries straight into
+its `Fraction` unknowns; each kernel vector comes with its support.  Square
 integer systems with many right-hand sides go through one fraction-free
 Gauss-Jordan elimination, `solve_square`, which returns integer numerators
 over one determinant: the resonance degree bound solves every column set
 with it, and the rewrite over the invariant generators solves every
 exponent row of a field in one call, on coordinates chosen by
-`pivot_columns`.  The simplex uses Bland's rule, so it terminates on every
-input.  No request runs it: the resonance degree bound takes the basic
-points of its LP in integers (`resonance.lp_degree_bound`), and `lp_max`
-stays public as the reference those points are tested against.
+`pivot_columns`.  `mat_solve` and the simplex `lp_max`, which uses Bland's
+rule and so terminates on every input, take rational rows.  No request
+runs either: the resonance degree bound takes the basic points of its LP
+in integers (`resonance.lp_degree_bound`), and `lp_max` stays public as
+the reference those points are tested against.
 
 Every structural system in nfkit comes as sparse columns, one per unknown,
 keyed by equation (mostly a monomial).  `RatMatrix.from_columns` is the one
@@ -47,22 +46,18 @@ def frac(x) -> Fraction:
 
 
 class RatMatrix:
-    """Immutable matrix over the rationals, held as primitive integer rows.
+    """Immutable matrix over the rationals, held as primitive integer rows: each
+    rational row times the lcm of its denominators, over the gcd of the result.
+    Scaling a row changes neither the kernel nor the rank, which is all they serve."""
 
-    Row i is stored as the primitive integer row ``mult / g`` times the
-    rational one, with its scale (g, mult): g = 0 marks a zero row.  The
-    eliminations read the integer rows; `row` and iteration give back the
-    rational rows.
-    """
-
-    __slots__ = ("rows", "cols", "_ints", "_scales")
+    __slots__ = ("rows", "cols", "_ints")
 
     def __init__(self, data):
-        data = [[frac(x) for x in row] for row in data]
-        width = len(data[0]) if data else 0
-        if any(len(row) != width for row in data):
+        entries = [list(enumerate(map(frac, row))) for row in data]
+        width = len(entries[0]) if entries else 0
+        if any(len(row) != width for row in entries):
             raise DimensionMismatch("ragged rows")
-        self._fill([list(enumerate(row)) for row in data], width)
+        self._fill(entries, width)
 
     @classmethod
     def from_columns(cls, columns):
@@ -91,7 +86,6 @@ class RatMatrix:
     def _fill(self, entries, ncols):
         """Primitive integer rows of the (column, coefficient) lists ``entries``."""
         ints = []
-        scales = []
         for row in entries:
             mult = lcm(*[c.denominator for _, c in row])
             nums = [c.numerator * (mult // c.denominator) for _, c in row]
@@ -102,26 +96,19 @@ class RatMatrix:
             for (t, _), v in zip(row, nums):
                 dense[t] = v
             ints.append(dense)
-            scales.append((g, mult))
         self.rows = len(ints)
         self.cols = ncols
         self._ints = ints
-        self._scales = scales
-
-    def row(self, i) -> Vec:
-        g, mult = self._scales[i]
-        return tuple(Fraction(v * g, mult) for v in self._ints[i])
-
-    def __iter__(self):
-        return (self.row(i) for i in range(self.rows))
 
 
 @dataclass(frozen=True)
 class SolutionSpace:
-    """Affine solution set: particular point (kernel: the origin) + basis."""
+    """Affine solution set: particular point (kernel: the origin) + basis, with
+    ``supports[k]`` the ascending columns where ``basis[k]`` is nonzero."""
 
     particular: Vec | None
     basis: tuple[Vec, ...]
+    supports: tuple[tuple[int, ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -202,7 +189,7 @@ def solve_square(rows):
 
 
 def _kernel_basis(ech, pivots, n):
-    """Kernel basis of the first n columns of an integer echelon form, as in `mat_kernel`.
+    """(basis, supports) of the kernel of the first n columns of an integer echelon form.
 
     The vector of free column f is back-substituted only inside its
     triangle, the pivots c < f and the columns c < j <= f.  This is exact:
@@ -211,20 +198,26 @@ def _kernel_basis(ech, pivots, n):
     product has a zero factor.  Each product is a `Fraction` unknown times an
     integer echelon entry: `Fraction.__mul__` takes the int directly, with the
     value of the rational product, so no entry is first made into a `Fraction`.
+    Its support is f and each pivot c < f whose sum has a nonzero numerator (row[c] != 0).
     """
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     basis = []
+    supports = []
     for f in free:
         x = [Fraction(0)] * n
         x[f] = Fraction(1)
+        support = [f]
         for k in range(bisect_left(pivots, f) - 1, -1, -1):
             c = pivots[k]
             row = ech[k]
             acc = sum((x[j] * row[j] for j in range(c + 1, f + 1)), Fraction(0))
             x[c] = -acc / row[c]
+            if acc.numerator:
+                support.append(c)
         basis.append(tuple(x))
-    return tuple(basis)
+        supports.append(tuple(reversed(support)))
+    return tuple(basis), tuple(supports)
 
 
 def mat_kernel(M: RatMatrix) -> SolutionSpace:
@@ -235,31 +228,26 @@ def mat_kernel(M: RatMatrix) -> SolutionSpace:
     """
     n = M.cols
     ech, pivots = _bareiss_echelon(M._ints)
-    return SolutionSpace(
-        particular=tuple(Fraction(0) for _ in range(n)), basis=_kernel_basis(ech, pivots, n)
-    )
+    return SolutionSpace(tuple(Fraction(0) for _ in range(n)), *_kernel_basis(ech, pivots, n))
 
 
-def mat_solve(M: RatMatrix, b) -> SolutionSpace | None:
-    """Particular solution of Mx = b plus kernel basis; None if inconsistent.
+def mat_solve(rows, b) -> SolutionSpace | None:
+    """Particular solution of Ax = b plus kernel basis, A given by its rows; None if inconsistent.
 
-    One elimination of [M | b] gives both: its pivots left of the last
-    column are those of M, so the kernel reads off the same echelon form.
+    One elimination of [A | b] gives both: its pivots left of the last
+    column are those of A, so the kernel reads off the same echelon form.
     When b is consistent the last column is free, and the last kernel
-    vector of [M | b] is (-x, 1) for the particular solution x.
+    vector of [A | b] is (-x, 1) for the particular solution x.
     """
-    b = tuple(frac(x) for x in b)
-    if len(b) != M.rows:
+    if len(b) != len(rows):
         raise DimensionMismatch("rhs length != rows")
-    n = M.cols
-    aug = RatMatrix([(*M.row(i), b[i]) for i in range(M.rows)])
+    n = len(rows[0]) if rows else 0
+    aug = RatMatrix([(*row, x) for row, x in zip(rows, b)])
     ech, pivots = _bareiss_echelon(aug._ints)
     if n in pivots:
         return None
-    *kernel, last = _kernel_basis(ech, pivots, n + 1)
-    return SolutionSpace(
-        particular=tuple(-x for x in last[:n]), basis=tuple(v[:n] for v in kernel)
-    )
+    (*kernel, last), supports = _kernel_basis(ech, pivots, n + 1)
+    return SolutionSpace(tuple(-x for x in last[:n]), tuple(v[:n] for v in kernel), supports[:-1])
 
 
 OPTIMAL = "optimal"
@@ -322,21 +310,18 @@ def _simplex_phase(T, basis, cost, allowed):
         basis[leave] = enter
 
 
-def lp_max(c, A: RatMatrix, b) -> LpResult:
-    """Exact maximum of c.x over {x >= 0 : Ax = b} via two-phase simplex."""
-    m, n = A.rows, A.cols
+def lp_max(c, rows, b) -> LpResult:
+    """Exact maximum of c.x over {x >= 0 : Ax = b}, A given by its rows, by two-phase simplex."""
     c = [frac(x) for x in c]
     b = [frac(x) for x in b]
-    if len(c) != n or len(b) != m:
+    m, n = len(rows), len(c)
+    if len(b) != m or any(len(row) != n for row in rows):
         raise DimensionMismatch("lp dimensions")
     T = []
-    for i in range(m):
-        row = list(A.row(i))
-        rhs = b[i]
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        T.append(row + [Fraction(1) if k == i else Fraction(0) for k in range(m)] + [rhs])
+    for i, (row, rhs) in enumerate(zip(rows, b)):
+        sign = -1 if rhs < 0 else 1
+        unit = [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+        T.append([sign * frac(x) for x in row] + unit + [sign * rhs])
     basis = [n + i for i in range(m)]
     cost1 = [Fraction(0)] * n + [Fraction(-1)] * m
     status, value = _simplex_phase(T, basis, cost1, n + m)

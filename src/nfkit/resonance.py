@@ -18,6 +18,7 @@ from .linalg import frac, solve_square
 from .spectrum import (
     EigenSpectrum,
     compositions,
+    count_eigen_monomials,
     eigen_monomials,
     eigen_system,
     is_finite_linear_centralizer,
@@ -108,8 +109,9 @@ def resonances_by_component(s: EigenSpectrum, dmin: int, dmax: int):
     front, with a scope error, a scan over more than `RESONANCE_SCAN_LIMIT`
     monomials in all: per block, the sum over d of C(d + n - 1, n - 1),
     which telescopes to C(dmax + n, n) - C(dmin - 1 + n, n).  Refuses too,
-    once the blocks are listed, more than `RESONANCE_SCAN_LIMIT` pairs
-    (j, m) in all, since every caller builds something for each pair.
+    before any listing, more than `RESONANCE_SCAN_LIMIT` pairs (j, m) in all,
+    since every caller builds something for each pair; they number at most
+    n per_block, so only above that are the blocks counted.
     """
     blocks = s.blocks()
     per_block = comb(dmax + s.n, s.n) - comb(dmin - 1 + s.n, s.n)
@@ -119,6 +121,15 @@ def resonances_by_component(s: EigenSpectrum, dmin: int, dmax: int):
             f" {len(blocks)} eigenvalue blocks, {len(blocks) * per_block} in all,"
             f" above the limit {RESONANCE_SCAN_LIMIT}"
         )
+    if s.n * per_block > RESONANCE_SCAN_LIMIT:
+        pairs = sum(
+            len(b) * count_eigen_monomials(s, unit_row(s.n, b[0]), dmin, dmax) for b in blocks
+        )
+        if pairs > RESONANCE_SCAN_LIMIT:
+            raise ScopeError(
+                f"resonance listing up to degree {dmax} has {pairs} resonant pairs (j, m)"
+                f" over {s.n} components, above the limit {RESONANCE_SCAN_LIMIT}"
+            )
     by_component = [()] * s.n
     for block in blocks:
         listing = tuple(
@@ -126,12 +137,6 @@ def resonances_by_component(s: EigenSpectrum, dmin: int, dmax: int):
         )
         for j in block:
             by_component[j] = listing
-    pairs = sum(len(r) for r in by_component)
-    if pairs > RESONANCE_SCAN_LIMIT:
-        raise ScopeError(
-            f"resonance listing up to degree {dmax} has {pairs} resonant pairs (j, m)"
-            f" over {s.n} components, above the limit {RESONANCE_SCAN_LIMIT}"
-        )
     return tuple(by_component)
 
 

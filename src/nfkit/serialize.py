@@ -70,12 +70,12 @@ def spectrum_from_json(doc) -> EigenSpectrum:
         q = _json_int(doc["q"])
         rows = [[parse_frac(x) for x in row] for row in doc["lambda"]]
         nil = [
-            (_json_int(i) - 1, _json_int(j) - 1, parse_frac(c))
+            (_json_int(i), _json_int(j), parse_frac(c))
             for i, j, c in doc.get("nilpotent", [])
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad spectrum document: {exc}") from exc
-    return build_spectrum(n, q, rows, nil)
+    return build_spectrum(n, q, rows, nil, index_base=1)
 
 
 def _terms_to_json(p, wire_key) -> dict:

@@ -114,8 +114,9 @@ class EigenSpectrum:
         return tuple(row[0] for row in self.lam) if self.q == 1 else None
 
 
-def build_spectrum(n, q, lambda_rows, nilpotent_entries=()) -> EigenSpectrum:
-    """Validated constructor; indices in ``nilpotent_entries`` are 0-based."""
+def build_spectrum(n, q, lambda_rows, nilpotent_entries=(), index_base=0) -> EigenSpectrum:
+    """Validated constructor; indices in ``nilpotent_entries`` count from ``index_base``
+    (0 in the Python API, 1 in files), and errors name the entries as given."""
     if type(n) is not int or type(q) is not int:
         raise DimensionMismatch(f"n and q must be integers, got n = {n!r}, q = {q!r}")
     if n < 1:
@@ -132,14 +133,12 @@ def build_spectrum(n, q, lambda_rows, nilpotent_entries=()) -> EigenSpectrum:
         c = frac(c)
         if type(i) is not int or type(j) is not int:
             raise DimensionMismatch(f"nilpotent entry ({i!r}, {j!r}) needs integer indices")
+        entry = f"nilpotent entry ({i}, {j})"
+        i, j = i - index_base, j - index_base
         if not (0 <= i < j < n):
-            raise NilpotentViolatesCommutation(
-                f"nilpotent entry ({i}, {j}) is not strictly upper triangular"
-            )
+            raise NilpotentViolatesCommutation(f"{entry} is not strictly upper triangular")
         if rows[i] != rows[j]:
-            raise NilpotentViolatesCommutation(
-                f"nilpotent entry ({i}, {j}) links unequal eigenvalues"
-            )
+            raise NilpotentViolatesCommutation(f"{entry} links unequal eigenvalues")
         # a zero entry is dropped only once its indices are known to be valid
         if c != 0:
             nil.append((i, j, c))
@@ -330,6 +329,21 @@ def eigen_monomials(s: EigenSpectrum, target, d: int):
     """All m with |m| = d and <m, lambda> = <target, lambda>, lex order."""
     want = s.eigen_coords(target)
     return [m for m in compositions(d, s.n) if s.eigen_coords(m) == want]
+
+
+def count_eigen_monomials(s: EigenSpectrum, target, dmin: int, dmax: int) -> int:
+    """How many m `eigen_monomials` lists for dmin <= |m| <= dmax, counted in integers:
+    index by index, m_i lowers the remaining degree and, per weight row w, the remaining
+    target by m_i w_i; prefixes left with equal remainders are merged, with their counts."""
+    states = {(dmax, tuple(sum(map(mul, target, w)) for w in s.weights)): 1}
+    for i in range(s.n):
+        merged = {}
+        for (rem, left), count in states.items():
+            for e in range(rem + 1):
+                key = (rem - e, tuple(t - e * w[i] for t, w in zip(left, s.weights)))
+                merged[key] = merged.get(key, 0) + count
+        states = merged
+    return sum(c for (rem, left), c in states.items() if rem <= dmax - dmin and not any(left))
 
 
 def least_witness(s: EigenSpectrum, target, drop):

@@ -273,21 +273,20 @@ def brute_positive_relation(s: EigenSpectrum, dmax: int) -> bool:
     return False
 
 
-def vertex_lp_max(c, A: RatMatrix, b):
-    """Basic-feasible-point enumeration for small bounded LPs.
+def vertex_lp_max(c, A, b):
+    """Basic-feasible-point enumeration for small bounded LPs, A given by its rational rows.
 
     Returns (feasible, best value, best point); only meaningful when the
     feasible region is bounded, which the callers arrange.
     """
-    n = A.cols
+    n = len(c)
     c = [Fraction(x) for x in c]
     best = None
     point = None
     feasible = False
     for size in range(0, n + 1):
         for cols in itertools.combinations(range(n), size):
-            sub = RatMatrix([[row[j] for j in cols] for row in A])
-            sol = mat_solve(sub, b)
+            sol = mat_solve([[row[j] for j in cols] for row in A], b)
             if sol is None or sol.basis:
                 continue
             x = [Fraction(0)] * n
@@ -310,7 +309,7 @@ def per_coordinate_degree_bound(s: EigenSpectrum):
     """
     best = 1
     for j in range(s.n):
-        A = RatMatrix([[s.lam[i][k] for i in range(s.n)] for k in range(s.q)])
+        A = [[s.lam[i][k] for i in range(s.n)] for k in range(s.q)]
         feasible, value, _ = vertex_lp_max([1] * s.n, A, s.lam[j])
         if feasible:
             best = max(best, math.floor(value))

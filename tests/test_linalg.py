@@ -1,6 +1,7 @@
 """Exact linear algebra: kernels, solves, simplex."""
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,11 +21,11 @@ from nfkit.linalg import (
 
 from oracles import vertex_lp_max
 
-IDENTITY_3 = RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+IDENTITY_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def annihilates(M, v):
-    return all(sum(a * x for a, x in zip(row, v)) == 0 for row in M)
+def annihilates(rows, v):
+    return all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
 
 
 def test_kernel_zero_matrix():
@@ -37,24 +38,22 @@ def test_kernel_zero_matrix():
 
 
 def test_kernel_identity():
-    space = mat_kernel(IDENTITY_3)
+    space = mat_kernel(RatMatrix(IDENTITY_3))
     assert space.dimension == 0
 
 
 def test_kernel_eg3_matrix():
     # coefficient matrix of the worked 3-dimensional example, all weights 1
-    M = RatMatrix(
-        [
-            [-1, 2, 0, 0, 0, 0, 0],
-            [-1, 1, 2, -2, 0, 0, 2],
-            [-1, 0, 4, 0, -1, 0, 1],
-            [0, -1, 2, 0, 0, 0, 0],
-        ]
-    )
-    space = mat_kernel(M)
+    rows = [
+        [-1, 2, 0, 0, 0, 0, 0],
+        [-1, 1, 2, -2, 0, 0, 2],
+        [-1, 0, 4, 0, -1, 0, 1],
+        [0, -1, 2, 0, 0, 0, 0],
+    ]
+    space = mat_kernel(RatMatrix(rows))
     assert space.dimension == 3
     for v in space.basis:
-        assert annihilates(M, v)
+        assert annihilates(rows, v)
 
 
 def test_kernel_reduced_echelon_shape():
@@ -81,7 +80,7 @@ def test_kernel_rank_nullity_and_exactness(rows, rng):
     space = mat_kernel(M)
     assert mat_rank(M) + space.dimension == M.cols
     for v in space.basis:
-        assert annihilates(M, v)
+        assert annihilates(rows, v)
     # the same system as sparse columns whose keys appear in shuffled order
     order = list(range(len(rows)))
     rng.shuffle(order)
@@ -110,26 +109,40 @@ def _from_sympy(vec):
     return tuple(F(int(x.p), int(x.q)) for x in vec)
 
 
-# wide sparse systems as the solvers build them: up to 12 columns over at
-# most 6 row keys, so most columns are free, many of them left of later
-# pivots, and empty columns are common
-WIDE_SPARSE_MATRICES = st.lists(
+def _dense_rows(columns):
+    """The rows of ``from_columns(columns)`` built entry by entry, zeros included."""
+    keys = list(dict.fromkeys(key for col in columns for key in col))
+    return [[F(col.get(key, 0)) for col in columns] for key in keys]
+
+
+def _sparse_system(columns):
+    """(rational rows, matrix) of a system given by its sparse columns."""
+    return _dense_rows(columns), RatMatrix.from_columns(columns)
+
+
+# (rational rows, matrix) pairs: dense rows, and wide sparse systems as the
+# solvers build them: up to 12 columns over at most 6 row keys, so most
+# columns are free, many of them left of later pivots, and empty columns
+# are common
+RATIONAL_SYSTEMS = RATIONAL_MATRICES.map(lambda rows: (rows, RatMatrix(rows)))
+WIDE_SPARSE_SYSTEMS = st.lists(
     st.dictionaries(st.integers(0, 5), RATIONALS, max_size=3), min_size=1, max_size=12
-).map(RatMatrix.from_columns)
+).map(_sparse_system)
 
 
 @settings(max_examples=300, deadline=None)
-@given(M=st.one_of(RATIONAL_MATRICES.map(RatMatrix), WIDE_SPARSE_MATRICES))
+@given(system=st.one_of(RATIONAL_SYSTEMS, WIDE_SPARSE_SYSTEMS))
 @example(
     # pivots 1, 4 and 7; empty columns 0 and 3; columns 2, 5 and 6 are free left of pivot 7
-    M=RatMatrix.from_columns(
+    system=_sparse_system(
         [{}, {0: F(1)}, {0: F(2)}, {}, {0: F(1), 1: F(3)}, {1: F(-1)}, {0: F(1, 2)},
          {2: F(5)}, {1: F(4), 2: F(-1)}]
     )
 )
-def test_kernel_and_rank_match_sympy(sympy, M):
+def test_kernel_and_rank_match_sympy(sympy, system):
+    rows, M = system
     S = sympy.Matrix(
-        M.rows, M.cols, [sympy.Rational(x.numerator, x.denominator) for row in M for x in row]
+        M.rows, M.cols, [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row]
     )
     assert mat_kernel(M).basis == tuple(_from_sympy(v) for v in S.nullspace())
     assert mat_rank(M) == S.rank()
@@ -150,10 +163,35 @@ def test_kernel_vectors_annihilate_their_columns(columns):
             assert sum(col.get(key, 0) * x for col, x in zip(columns, v)) == 0
 
 
-def _dense_rows(columns):
-    """The rows of ``from_columns(columns)`` built entry by entry, zeros included."""
-    keys = list(dict.fromkeys(key for col in columns for key in col))
-    return [[F(col.get(key, 0)) for col in columns] for key in keys]
+def _with_rhs(rows):
+    return st.tuples(st.just(rows), st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+
+
+def _nonzero_positions(v):
+    return tuple(t for t, x in enumerate(v) if x != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    system=st.one_of(RATIONAL_SYSTEMS, WIDE_SPARSE_SYSTEMS),
+    solved=RATIONAL_MATRICES.flatmap(_with_rhs),
+)
+def test_supports_are_the_nonzero_positions(system, solved):
+    """``supports[k]`` lists exactly the nonzero positions of ``basis[k]``, ascending,
+    for kernels and for the kernel part of a solve."""
+    space = mat_kernel(system[1])
+    assert space.supports == tuple(map(_nonzero_positions, space.basis))
+    sol = mat_solve(*solved)
+    if sol is not None:
+        assert sol.supports == tuple(map(_nonzero_positions, sol.basis))
+
+
+def _primitive(row):
+    """A rational row times the lcm of its denominators, over the gcd of the result."""
+    mult = lcm(*(x.denominator for x in row))
+    nums = [x.numerator * (mult // x.denominator) for x in row]
+    g = gcd(*nums)
+    return [v // g for v in nums] if g else nums
 
 
 EDGE_COLUMNS = {
@@ -174,7 +212,7 @@ def test_integer_rows_from_sparse_columns(sympy, columns):
     """`from_columns` builds each primitive integer row from the row's own entries."""
     system = RatMatrix.from_columns(columns)
     rows = _dense_rows(columns)
-    assert tuple(system) == tuple(tuple(row) for row in rows)
+    assert system._ints == [_primitive(row) for row in rows]
     assert (system.rows, system.cols) == (len(rows), len(columns))
     basis = mat_kernel(system).basis
     S = sympy.Matrix(
@@ -229,17 +267,12 @@ def test_kernel_of_a_block_diagonal_system_is_the_union_of_block_kernels(system)
     assert mat_kernel(RatMatrix.from_columns(columns)).basis == expected
 
 
-def _with_rhs(rows):
-    return st.tuples(st.just(rows), st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
-
-
 @settings(max_examples=150, deadline=None)
 @given(RATIONAL_MATRICES.flatmap(_with_rhs))
 def test_solve_matches_sympy(sympy, system):
     rows, b = system
-    M = RatMatrix(rows)
     S = _to_sympy(sympy, rows)
-    sol = mat_solve(M, b)
+    sol = mat_solve(rows, b)
     consistent = S.rank() == S.row_join(_to_sympy(sympy, [[x] for x in b])).rank()
     assert (sol is not None) == consistent
     if sol is not None:
@@ -254,33 +287,33 @@ def test_solve_identity():
 
 
 def test_solve_underdetermined():
-    sol = mat_solve(RatMatrix([[1, 1]]), [1])
+    sol = mat_solve([[1, 1]], [1])
     assert sol.particular == (1, 0)
     assert len(sol.basis) == 1
 
 
 def test_solve_inconsistent():
-    assert mat_solve(RatMatrix([[0]]), [1]) is None
+    assert mat_solve([[0]], [1]) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        mat_solve(RatMatrix([[1, 0]]), [1, 2])
+        mat_solve([[1, 0]], [1, 2])
 
 
 def test_lp_simplex_example():
-    res = lp_max([1, 1, 1], RatMatrix([[12, 6, 3]]), [12])
+    res = lp_max([1, 1, 1], [[12, 6, 3]], [12])
     assert res.status == OPTIMAL
     assert res.value == 4
     assert res.point == (0, 0, 4)
 
 
 def test_lp_infeasible():
-    assert lp_max([1], RatMatrix([[1]]), [-1]).status == INFEASIBLE
+    assert lp_max([1], [[1]], [-1]).status == INFEASIBLE
 
 
 def test_lp_unbounded():
-    assert lp_max([1], RatMatrix([[0]]), [0]).status == UNBOUNDED
+    assert lp_max([1], [[0]], [0]).status == UNBOUNDED
 
 
 def test_lp_matches_vertex_enumeration():
@@ -291,11 +324,11 @@ def test_lp_matches_vertex_enumeration():
     while checked < 25:
         m = rng.randint(1, 3)
         n = rng.randint(1, 4)
-        A = RatMatrix([[rng.randint(0, 5) for _ in range(n)] for _ in range(m)])
+        A = [[rng.randint(0, 5) for _ in range(n)] for _ in range(m)]
         b = [rng.randint(0, 8) for _ in range(m)]
         c = [rng.randint(-3, 5) for _ in range(n)]
         # nonnegative rows with positive column sums keep the region bounded
-        if any(all(A.row(i)[j] == 0 for i in range(m)) for j in range(n)):
+        if any(all(A[i][j] == 0 for i in range(m)) for j in range(n)):
             continue
         feas, best, _ = vertex_lp_max(c, A, b)
         res = lp_max(c, A, b)
@@ -308,7 +341,7 @@ def test_lp_matches_vertex_enumeration():
 
 
 def test_lp_rational_data():
-    res = lp_max([F(1, 3), 1], RatMatrix([[F(1, 2), 1]]), [F(5, 2)])
+    res = lp_max([F(1, 3), 1], [[F(1, 2), 1]], [F(5, 2)])
     assert res.status == OPTIMAL
     # vertices: (5, 0) value 5/3; (0, 5/2) value 5/2
     assert res.value == F(5, 2)

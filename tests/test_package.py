@@ -2,11 +2,26 @@
 
 import argparse
 import ast
+import random
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import nfkit
-from nfkit import cli, resonance
+from nfkit import cli, linalg, resonance
+from nfkit.centralizer import (
+    centralizer_exact,
+    centralizer_truncated,
+    linear_commutant,
+    normalizer_truncated,
+)
+from nfkit.fields import PolyVectorField
+from nfkit.jacobi import solve_multiplier
+from nfkit.linalg import RatMatrix, SolutionSpace
+from nfkit.serialize import centralizer_to_json, field_to_json, ladder_to_json, normalizer_to_json
+from nfkit.spectrum import build_spectrum
+
+from oracles import random_pdnf
 
 
 def test_runtime_imports_are_standard_library_only():
@@ -307,3 +322,82 @@ def test_cli_reads_inputs_in_main_and_declares_each_command_once():
     for name, parser in commands.choices.items():
         run = parser.get_default("run")
         assert run.__name__.startswith("_cmd_") and getattr(cli, run.__name__) is run, name
+
+
+def test_matrices_keep_integer_rows_only():
+    """`RatMatrix` holds primitive integer rows and gives back no rational rows:
+    no `row`, no `__iter__`, no per-row scales, and no `.row(` call in the package."""
+    tree = _modules()["linalg.py"]
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RatMatrix")
+    defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"row", "__iter__"}
+    assert set(RatMatrix.__slots__) == {"rows", "cols", "_ints"}
+    calls = [
+        (name, node.lineno)
+        for name, module in _modules().items()
+        for node in ast.walk(module)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "row"
+    ]
+    assert not calls
+
+
+class _UnscannableVector(tuple):
+    """A kernel vector that can be indexed and sliced, but not iterated whole."""
+
+    def __iter__(self):
+        raise AssertionError("a whole kernel vector was scanned")
+
+
+def _kernel_readers():
+    """(name, call giving a JSON-ready report) for each solver that reads kernel vectors."""
+    rng = random.Random(3)
+    # Jordan blocks give the commutant blocks nontrivial kernels; 2 = 1 + 1 keeps it finite
+    finite = build_spectrum(4, 1, [[2], [2], [1], [1]], [(0, 1, 1), (2, 3, F(1, 2))])
+    infinite = build_spectrum(3, 1, [[1], [1], [-1]])
+    f_finite = random_pdnf(finite, rng, 2, force_nonlinear=True)
+    f_infinite = random_pdnf(infinite, rng, 3, force_nonlinear=True)
+    ifac = build_spectrum(3, 1, [[1], [-1], [0]])
+    f_ifac = PolyVectorField(3, {
+        (0, (1, 0, 0)): 1, (1, (0, 1, 0)): -1, (0, (1, 0, 1)): F(1, 2),
+        (1, (0, 1, 1)): F(1, 3), (2, (0, 0, 2)): 1, (2, (1, 1, 0)): F(1, 5),
+    })
+    return [
+        ("linear_commutant",
+         lambda: [field_to_json(b) for b in linear_commutant(finite).basis]),
+        ("centralizer_exact",
+         lambda: centralizer_to_json(centralizer_exact(finite, f_finite))),
+        ("centralizer_truncated",
+         lambda: centralizer_to_json(centralizer_truncated(infinite, f_infinite, 3))),
+        ("normalizer_truncated",
+         lambda: normalizer_to_json(normalizer_truncated(infinite, f_infinite, 3))),
+        ("solve_multiplier",
+         lambda: ladder_to_json(solve_multiplier(ifac, f_ifac, 2, 6, 6))),
+    ]
+
+
+def test_solvers_read_kernel_vectors_through_their_supports(monkeypatch):
+    """With `mat_kernel` patched at every binding so that its basis vectors refuse
+    whole iteration, every kernel reader gives the same report: it reads values
+    at the vector's support, or slices the vector where a dense view is kept."""
+    readers = _kernel_readers()
+    expected = [run() for _, run in readers]
+    real = linalg.mat_kernel
+    handed = []
+
+    def unscannable(M):
+        space = real(M)
+        handed.append(space.dimension)
+        basis = tuple(map(_UnscannableVector, space.basis))
+        return SolutionSpace(space.particular, basis, space.supports)
+
+    bindings = [
+        module for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "nfkit" and getattr(module, "mat_kernel", None) is real
+    ]
+    assert {m.__name__ for m in bindings} >= {"nfkit.linalg", "nfkit.centralizer", "nfkit.jacobi"}
+    for module in bindings:
+        monkeypatch.setattr(module, "mat_kernel", unscannable)
+    for (name, run), report in zip(readers, expected):
+        handed.clear()
+        assert run() == report, name
+        assert sum(handed) > 0, name

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 from nfkit import resonance
 from nfkit.centralizer import centralizer_exact, centralizer_truncated
-from nfkit.errors import InfiniteResonance, InfiniteResonanceWithoutCap
+from nfkit.errors import InfiniteResonance, InfiniteResonanceWithoutCap, ScopeError
 from nfkit.fields import pdnf_basis
 from nfkit.resonance import (
     commuting_degree_ladder,
@@ -24,7 +25,14 @@ from nfkit.resonance import (
     semiinvariant_degree_ladder,
 )
 from nfkit.linalg import OPTIMAL, RatMatrix, lp_max, mat_rank
-from nfkit.spectrum import build_spectrum, eigen_system, is_finite_linear_centralizer, unit_row
+from nfkit.spectrum import (
+    build_spectrum,
+    count_eigen_monomials,
+    eigen_monomials,
+    eigen_system,
+    is_finite_linear_centralizer,
+    unit_row,
+)
 
 from oracles import (
     brute_commuting_degrees,
@@ -69,7 +77,7 @@ def simplex_degree_bound(s):
     best = 1
     for block in s.blocks():
         rows = eigen_system(s, unit_row(s.n, block[0]))
-        res = lp_max([1] * s.n, RatMatrix([row[:-1] for row in rows]), [row[-1] for row in rows])
+        res = lp_max([1] * s.n, [row[:-1] for row in rows], [row[-1] for row in rows])
         assert res.status == OPTIMAL
         best = max(best, math.floor(res.value))
     return best
@@ -234,6 +242,43 @@ def test_shared_block_listings_match_brute_force(q):
         assert resonances_by_component(s, 2, 4) == tuple(
             tuple(brute_resonances(s, j, 4)) for j in range(s.n)
         ), (s.lam, s.nilpotent)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_resonance_counts_equal_the_listings(q):
+    """`count_eigen_monomials` counts what `eigen_monomials` lists over a degree range,
+    for every component's target and for the divergence target."""
+    rng = random.Random(90 + q)
+    for _ in range(30):
+        if q:
+            s = random_block_spectrum(rng, rng.randint(q, 5), q)
+        else:
+            n = rng.randint(1, 4)
+            s = build_spectrum(n, 0, [[]] * n)
+        dmin = rng.randint(1, 3)
+        dmax = rng.randint(dmin, 4)
+        for target in [unit_row(s.n, j) for j in range(s.n)] + [(1,) * s.n]:
+            listed = sum(len(eigen_monomials(s, target, d)) for d in range(dmin, dmax + 1))
+            assert count_eigen_monomials(s, target, dmin, dmax) == listed, (s.lam, target)
+
+
+def test_oversized_listing_is_refused_before_any_block_is_listed(monkeypatch):
+    """diag(1, 0^74) to degree 2 scans 2 * 2850 monomials, within the limit, but
+    its components share 74 * C(75, 2) + 74 = 205424 resonances: counted, not
+    listed, and refused in under 50 ms."""
+    s = build_spectrum(75, 1, [[1]] + [[0]] * 74)
+
+    def no_listing(*args):
+        raise AssertionError("a block was listed")
+
+    monkeypatch.setattr(resonance, "eigen_monomials", no_listing)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ScopeError, match="has 205424 resonant pairs"):
+            resonances_by_component(s, 2, 2)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.05, times
 
 
 def test_resonance_set_infinite_needs_cap():
