@@ -39,14 +39,21 @@ from .fields import (
 )
 from .linalg import RatMatrix, mat_kernel
 from .resonance import finite_resonance_set, resonances_by_component
-from .spectrum import EigenSpectrum, compositions, is_finite_linear_centralizer, unit_row
+from .spectrum import (
+    EigenSpectrum,
+    c_matrix_basis,
+    compositions,
+    is_finite_linear_centralizer,
+    unit_row,
+)
 
 
 # dense entries of a kernel over u unknowns, up to u^2: they grow as n^4 for one
 # eigenvalue block; n = 40 took 3 s and 64-85 MB (2-core Xeon, Python 3.11)
 CENTRALIZER_ENTRY_LIMIT = 10**6
-# unknowns of the dense truncated normalizer: 305 (n = 3, D = 6) take about
-# 20 s on a 2-core Xeon under Python 3.11, and the time grows about cubically
+# unknowns of the dense truncated normalizer: 305 (n = 3, D = 6) take 5-9 s on
+# a 2-core Xeon under Python 3.11 (200 unknowns, D = 5: 2.4-2.7 s), most of it
+# back-substitution; the time grows about cubically
 NORMALIZER_UNKNOWN_LIMIT = 320
 
 
@@ -184,10 +191,45 @@ def _check_truncation(f: PolyVectorField, D: int):
         raise DimensionMismatch(f"field truncation {f.trunc} is below D = {D}")
 
 
+def _check_known_solutions(s: EigenSpectrum, ftilde: PolyVectorField, unknown_keys, kernel):
+    """Certificate: ftilde and each C_k x solve the truncated system, so each is the
+    sum of the basis vectors, each weighted by its coefficient at the vector's free column.
+
+    [ftilde, ftilde] = 0, and C_k x commutes with the nilpotent part and with
+    every resonant monomial.  A basis vector is 1 at its free column (the
+    last of its support) and 0 at every other free column, so the weights
+    are read off there; one pass over the supports sums all of them.
+    """
+    index = {(j, m): t for t, (_deg, j, m) in enumerate(unknown_keys)}
+    known = {"the deviation f~ truncated at D": ftilde.terms}
+    for k, C in enumerate(c_matrix_basis(s), 1):
+        known[f"C_{k} x"] = {(i, unit_row(s.n, i)): c for i, c in enumerate(C) if c}
+    wanted = {}
+    for name, terms in known.items():
+        if not terms.keys() <= index.keys():
+            raise CertificateFailure(f"{name} has a term outside the resonant unknowns")
+        wanted[name] = {index[key]: c for key, c in terms.items() if c}
+    sums = {name: {} for name in known}
+    for v, sup in zip(kernel.basis, kernel.supports):
+        for name, want in wanted.items():
+            w = want.get(sup[-1])
+            if w:
+                got = sums[name]
+                for t in sup:
+                    x = w * v[t]
+                    got[t] = got[t] + x if t in got else x
+    for name, want in wanted.items():
+        if {t: c for t, c in sums[name].items() if c} != want:
+            raise CertificateFailure(
+                f"{name} is not in the span of the truncated centralizer basis"
+            )
+
+
 def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> CentralizerResult:
     """Solve [g, f] = 0 mod degree > D with g on resonant monomials of degree <= D.
 
-    Refuses up front a kernel over as many unknowns as `_check_kernel_size` rejects.
+    Refuses up front a kernel over as many unknowns as `_check_kernel_size` rejects,
+    and checks that the basis spans ftilde and each C_k x (`_check_known_solutions`).
     """
     ftilde, _ = normal_form_deviation(s, f)
     _check_truncation(f, D)
@@ -199,6 +241,7 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
     generators = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in unknown_keys]
     brackets = [lie_bracket(g, ftilde) for g in generators]
     kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets]))
+    _check_known_solutions(s, ftilde, unknown_keys, kernel)
     basis = [PolyVectorField.linear_combination(s.n, [(v[t], generators[t]) for t in sup], D)
              for v, sup in zip(kernel.basis, kernel.supports)]
     # a vector's first nonzero entry fixes its degree

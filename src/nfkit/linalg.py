@@ -5,7 +5,11 @@ anywhere.  A `RatMatrix` holds primitive integer rows only.  Kernels are
 computed by fraction-free (Bareiss) elimination on them, which keeps
 intermediate entries to single determinant-sized integers, and the
 back-substitution multiplies the integer echelon entries straight into
-its `Fraction` unknowns; each kernel vector comes with its support.  Square
+its `Fraction` unknowns; each kernel vector comes with its support.  A
+free column that no equation touches (no entry, or only explicit zeros)
+gets its unit vector e_f without back-substitution: the matrix flags the
+touched columns while it builds its integer rows, and `mat_kernel` and
+`mat_solve` share the rule through `_kernel_basis`.  Square
 integer systems with many right-hand sides go through one fraction-free
 Gauss-Jordan elimination, `solve_square`, which returns integer numerators
 over one determinant: the resonance degree bound solves every column set
@@ -22,9 +26,9 @@ keyed by equation (mostly a monomial).  `RatMatrix.from_columns` is the one
 path from those columns to a matrix: it builds each primitive integer row
 from the row's nonzero entries, with no dense rational matrix in between.
 A system without rows is an ordinary 0 x n matrix whose kernel is the
-identity basis.  Kernel bases do not depend on row order: in
-`mat_kernel`'s normalization each basis vector is fixed by the column
-order alone, so callers need not sort their row keys.
+identity basis, since no column is touched.  Kernel bases do not depend on
+row order: in `mat_kernel`'s normalization each basis vector is fixed by
+the column order alone, so callers need not sort their row keys.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class RatMatrix:
     rational row times the lcm of its denominators, over the gcd of the result.
     Scaling a row changes neither the kernel nor the rank, which is all they serve."""
 
-    __slots__ = ("rows", "cols", "_ints")
+    __slots__ = ("rows", "cols", "_ints", "_touched")
 
     def __init__(self, data):
         entries = [list(enumerate(map(frac, row))) for row in data]
@@ -84,8 +88,10 @@ class RatMatrix:
         return matrix
 
     def _fill(self, entries, ncols):
-        """Primitive integer rows of the (column, coefficient) lists ``entries``."""
+        """Primitive integer rows of the (column, coefficient) lists ``entries``, and
+        per column a flag that is set when some row holds a nonzero entry there."""
         ints = []
+        touched = bytearray(ncols)
         for row in entries:
             mult = lcm(*[c.denominator for _, c in row])
             nums = [c.numerator * (mult // c.denominator) for _, c in row]
@@ -94,11 +100,14 @@ class RatMatrix:
                 nums = [v // g for v in nums]
             dense = [0] * ncols
             for (t, _), v in zip(row, nums):
-                dense[t] = v
+                if v:
+                    dense[t] = v
+                    touched[t] = 1
             ints.append(dense)
         self.rows = len(ints)
         self.cols = ncols
         self._ints = ints
+        self._touched = touched
 
 
 @dataclass(frozen=True)
@@ -188,18 +197,23 @@ def solve_square(rows):
     return sign * prev, [tuple(sign * v for v in x) for x in points]
 
 
-def _kernel_basis(ech, pivots, n):
-    """(basis, supports) of the kernel of the first n columns of an integer echelon form.
+def _kernel_basis(ech, pivots, touched):
+    """(basis, supports) of the kernel of an integer echelon form whose columns
+    are flagged by ``touched`` (the matrix's `_touched`).
 
     The vector of free column f is back-substituted only inside its
     triangle, the pivots c < f and the columns c < j <= f.  This is exact:
     x_f = 1 and every other free entry is 0, so, from the last pivot down,
     each pivot c > f sums only zeros and gets x_c = 0; every skipped
-    product has a zero factor.  Each product is a `Fraction` unknown times an
+    product has a zero factor.  A column that no row touches stays zero in
+    the echelon form, so inside its triangle every sum is zero as well: its
+    vector is the unit vector e_f, with support (f,), and is not
+    back-substituted at all.  Each product is a `Fraction` unknown times an
     integer echelon entry: `Fraction.__mul__` takes the int directly, with the
     value of the rational product, so no entry is first made into a `Fraction`.
     Its support is f and each pivot c < f whose sum has a nonzero numerator (row[c] != 0).
     """
+    n = len(touched)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     basis = []
@@ -207,6 +221,10 @@ def _kernel_basis(ech, pivots, n):
     for f in free:
         x = [Fraction(0)] * n
         x[f] = Fraction(1)
+        if not touched[f]:
+            basis.append(tuple(x))
+            supports.append((f,))
+            continue
         support = [f]
         for k in range(bisect_left(pivots, f) - 1, -1, -1):
             c = pivots[k]
@@ -226,9 +244,9 @@ def mat_kernel(M: RatMatrix) -> SolutionSpace:
     Each basis vector carries value 1 at its own free column and 0 at every
     other free column, ordered by free column index.
     """
-    n = M.cols
     ech, pivots = _bareiss_echelon(M._ints)
-    return SolutionSpace(tuple(Fraction(0) for _ in range(n)), *_kernel_basis(ech, pivots, n))
+    origin = tuple(Fraction(0) for _ in range(M.cols))
+    return SolutionSpace(origin, *_kernel_basis(ech, pivots, M._touched))
 
 
 def mat_solve(rows, b) -> SolutionSpace | None:
@@ -237,16 +255,19 @@ def mat_solve(rows, b) -> SolutionSpace | None:
     One elimination of [A | b] gives both: its pivots left of the last
     column are those of A, so the kernel reads off the same echelon form.
     When b is consistent the last column is free, and the last kernel
-    vector of [A | b] is (-x, 1) for the particular solution x.
+    vector of [A | b] is (-x, 1) for the particular solution x.  Without
+    rows there is no unknown, and the solution set is the empty point.
     """
     if len(b) != len(rows):
         raise DimensionMismatch("rhs length != rows")
-    n = len(rows[0]) if rows else 0
+    if not rows:
+        return SolutionSpace((), (), ())
+    n = len(rows[0])
     aug = RatMatrix([(*row, x) for row, x in zip(rows, b)])
     ech, pivots = _bareiss_echelon(aug._ints)
     if n in pivots:
         return None
-    (*kernel, last), supports = _kernel_basis(ech, pivots, n + 1)
+    (*kernel, last), supports = _kernel_basis(ech, pivots, aug._touched)
     return SolutionSpace(tuple(-x for x in last[:n]), tuple(v[:n] for v in kernel), supports[:-1])
 
 

@@ -493,7 +493,7 @@ def test_normalizer_too_large_is_refused_up_front(tmp_path, capsys, monkeypatch,
             {"j": 3, "m": [0, 0, 1], "c": "-1"},
         ],
     }))
-    # D = 6 (305 unknowns) is accepted; its elimination (about 20 s) is skipped
+    # D = 6 (305 unknowns) is accepted; its elimination (5-9 s) is skipped
     solved = []
 
     def no_kernel(M):
@@ -769,7 +769,6 @@ CERTIFICATE_SCRIPT = """
 import sys
 from nfkit import centralizer
 from nfkit.cli import main
-from nfkit.linalg import SolutionSpace
 from nfkit.errors import CertificateFailure
 from nfkit.linalg import SolutionSpace
 from nfkit.serialize import field_from_json, load_json_file, spectrum_from_json
@@ -818,6 +817,45 @@ def test_exit_code_certificate_failure_under_optimize(files):
     assert lines[0].startswith("api certificate-failure dimension 0 violates d = 3 <= dim")
     assert lines[1] == "cli 4"
     assert json.loads(proc.stderr)["error"] == "certificate-failure"
+
+
+DROPPED_VECTOR_SCRIPT = """
+import sys
+from nfkit import centralizer
+from nfkit.cli import main
+from nfkit.linalg import SolutionSpace
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real_kernel = centralizer.mat_kernel
+
+
+def without_last_vector(M):
+    space = real_kernel(M)
+    return SolutionSpace(space.particular, space.basis[:-1], space.supports[:-1])
+
+
+centralizer.mat_kernel = without_last_vector
+spectrum_path, field_path = sys.argv[1:]
+print("cli", main(["centralizer", "--spectrum", spectrum_path, "--field", field_path, "--truncate", "3"]))
+"""
+
+
+def test_truncated_centralizer_certificate_catches_a_dropped_vector_under_optimize(files):
+    """The saddle's deviation x1^2 x2 e_1 + 2 x1 x2^2 e_2 needs the last basis vector,
+    the unit vector of x1 x2^2 e_2 (a top-degree column, empty in the system)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DROPPED_VECTOR_SCRIPT, files["saddle"], files["saddle_field"]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cli 4"]
+    assert json.loads(proc.stderr) == {
+        "error": "certificate-failure",
+        "message": "the deviation f~ truncated at D is not in the span of the truncated"
+                   " centralizer basis",
+    }
 
 
 def test_resonances_with_cap(files, capsys):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nfkit import linalg
 from nfkit.errors import DimensionMismatch
 from nfkit.linalg import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     RatMatrix,
+    SolutionSpace,
     lp_max,
     mat_kernel,
     mat_rank,
@@ -139,6 +141,10 @@ WIDE_SPARSE_SYSTEMS = st.lists(
          {2: F(5)}, {1: F(4), 2: F(-1)}]
     )
 )
+@example(
+    # column 1 holds only explicit zeros, between pivots 0 and 2; column 3 is free
+    system=_sparse_system([{0: F(1)}, {0: F(0), 1: F(0)}, {1: F(2)}, {0: F(3), 1: F(-1)}])
+)
 def test_kernel_and_rank_match_sympy(sympy, system):
     rows, M = system
     S = sympy.Matrix(
@@ -161,6 +167,57 @@ def test_kernel_vectors_annihilate_their_columns(columns):
         assert len(v) == len(columns)
         for key in keys:
             assert sum(col.get(key, 0) * x for col, x in zip(columns, v)) == 0
+
+
+class _CountingFraction(F):
+    """A `Fraction` that logs each sum or product it is the left operand of.
+    Results are plain `Fraction`s, so only fresh unknowns and sum starts are logged."""
+
+    log = []
+
+    def __add__(self, other):
+        self.log.append("+")
+        return F.__add__(self, other)
+
+    def __mul__(self, other):
+        self.log.append("*")
+        return F.__mul__(self, other)
+
+
+def test_empty_free_columns_are_not_back_substituted(monkeypatch):
+    """A free column that no row touches, explicit zeros or none, gets its unit vector
+    without a single back-substitution step, also where pivots lie to its left."""
+    monkeypatch.setattr(linalg, "Fraction", _CountingFraction)
+    log = _CountingFraction.log
+    log.clear()
+    # pivots 0, 2 and 4; column 1 has no entry, column 3 only explicit zeros
+    columns = [{0: 1}, {}, {0: 1, 1: 1}, {0: F(0), 2: F(0)}, {0: 1, 1: 2, 2: 3}]
+    space = mat_kernel(RatMatrix.from_columns(columns))
+    assert space.basis == ((0, 1, 0, 0, 0), (0, 0, 0, 1, 0))
+    assert space.supports == ((1,), (3,))
+    assert log == []
+    # b = 0 is an empty last column of [A | b]: the particular solution is 0 at no cost
+    rows = [[1, 0, 1], [0, 0, 1]]
+    assert mat_solve(rows, [0, 0]) == mat_kernel(RatMatrix(rows))
+    assert log == []
+    # once column 3 is touched, its vector is back-substituted through pivots 2 and 0
+    columns[3] = {0: F(1, 2)}
+    space = mat_kernel(RatMatrix.from_columns(columns))
+    assert space.basis == ((0, 1, 0, 0, 0), (F(-1, 2), 0, 0, 1, 0))
+    assert space.supports == ((1,), (0, 3))
+    assert log
+
+
+def test_solve_homogeneous():
+    # b = 0: the particular solution is the origin, the basis that of the kernel
+    rows = [[1, 2, 0, -1], [2, 4, 0, F(1, 3)]]
+    sol = mat_solve(rows, [0, 0])
+    kernel = mat_kernel(RatMatrix(rows))
+    assert sol.particular == (0, 0, 0, 0)
+    assert (sol.basis, sol.supports) == (kernel.basis, kernel.supports)
+    assert sol.basis == ((-2, 1, 0, 0), (0, 0, 1, 0))
+    # without rows there is no unknown: the solution set is the empty point
+    assert mat_solve([], []) == SolutionSpace((), (), ())
 
 
 def _with_rhs(rows):
@@ -214,6 +271,8 @@ def test_integer_rows_from_sparse_columns(sympy, columns):
     rows = _dense_rows(columns)
     assert system._ints == [_primitive(row) for row in rows]
     assert (system.rows, system.cols) == (len(rows), len(columns))
+    # a column is touched when it holds a nonzero entry; explicit zeros do not count
+    assert system._touched == bytes(any(c != 0 for c in col.values()) for col in columns)
     basis = mat_kernel(system).basis
     S = sympy.Matrix(
         len(rows), len(columns), [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row]

@@ -326,12 +326,13 @@ def test_cli_reads_inputs_in_main_and_declares_each_command_once():
 
 def test_matrices_keep_integer_rows_only():
     """`RatMatrix` holds primitive integer rows and gives back no rational rows:
-    no `row`, no `__iter__`, no per-row scales, and no `.row(` call in the package."""
+    no `row`, no `__iter__`, no per-row scales, and no `.row(` call in the package.
+    Besides the rows it keeps only the per-column flags of the entries they hold."""
     tree = _modules()["linalg.py"]
     cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RatMatrix")
     defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
     assert not defined & {"row", "__iter__"}
-    assert set(RatMatrix.__slots__) == {"rows", "cols", "_ints"}
+    assert set(RatMatrix.__slots__) == {"rows", "cols", "_ints", "_touched"}
     calls = [
         (name, node.lineno)
         for name, module in _modules().items()
