@@ -38,7 +38,6 @@ from .jacobi import (
     solve_multiplier,
     transfer_reduced,
 )
-from .linalg import LpResult, RatMatrix, SolutionSpace, lp_max, mat_kernel, mat_rank, mat_solve
 from .resonance import (
     ResonanceSet,
     commuting_degree_ladder,

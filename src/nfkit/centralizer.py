@@ -91,7 +91,7 @@ def _block_kernels(s: EigenSpectrum, blocks):
                 col[key] = col.get(key, 0) + c
                 col, key = columns[t * size + a], (t, b)
                 col[key] = col.get(key, 0) - c
-        yield block, mat_kernel(RatMatrix.from_columns(columns))
+        yield block, mat_kernel(RatMatrix(columns))
 
 
 def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
@@ -155,7 +155,7 @@ def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult
         raise CertificateFailure(
             "bracket left the resonant span; the finite system would be incomplete"
         )
-    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets]))
+    kernel = mat_kernel(RatMatrix([br.terms for br in brackets]))
 
     basis = [PolyVectorField.linear_combination(s.n, [(v[t], generators[t]) for t in sup])
              for v, sup in zip(kernel.basis, kernel.supports)]
@@ -240,7 +240,7 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
     _check_kernel_size("truncated centralizer", len(unknown_keys))
     generators = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in unknown_keys]
     brackets = [lie_bracket(g, ftilde) for g in generators]
-    kernel = mat_kernel(RatMatrix.from_columns([br.terms for br in brackets]))
+    kernel = mat_kernel(RatMatrix([br.terms for br in brackets]))
     _check_known_solutions(s, ftilde, unknown_keys, kernel)
     basis = [PolyVectorField.linear_combination(s.n, [(v[t], generators[t]) for t in sup], D)
              for v, sup in zip(kernel.basis, kernel.supports)]
@@ -305,7 +305,7 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
     lam_monos = [PolySeries.monomial(s.n, m) for deg in range(D) for m in compositions(deg, s.n)]
     columns = [lie_bracket(g, fD) for g in g_monos]
     columns += [series_times_field(lam, fD).scale(-1) for lam in lam_monos]
-    kernel = mat_kernel(RatMatrix.from_columns([c.terms for c in columns]))
+    kernel = mat_kernel(RatMatrix([c.terms for c in columns]))
     ng = len(g_monos)
     basis = [
         (

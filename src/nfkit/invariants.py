@@ -289,7 +289,7 @@ def triviality_certificate(red: ReducedField) -> TrivialityCertificate:
     f2 = quadratic_from_nu(nu)
     unknowns = [(i, m) for i in range(r) for m in compositions(2, r)]
     columns = [lie_bracket(PolyVectorField.monomial(r, i, m), f2).terms for i, m in unknowns]
-    kdim = mat_kernel(RatMatrix.from_columns(columns)).dimension
+    kdim = mat_kernel(RatMatrix(columns)).dimension
     if kdim != 1:
         reasons.append(f"degree-2 commutator kernel has dimension {kdim}")
     fi_ladder = semiinvariant_degree_ladder(mu, 0)

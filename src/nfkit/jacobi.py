@@ -154,7 +154,7 @@ def solve_multiplier(
             if f.trunc != INF:
                 # rows past the field budget would miss unknown field terms
                 maxrow = min(maxrow, int(f.trunc) + r - 1)
-            system = RatMatrix.from_columns(
+            system = RatMatrix(
                 [{v: c for v, c in col.terms.items() if sum(v) <= maxrow}
                  for _m, col in unknowns[:active]]
             )
@@ -168,12 +168,14 @@ def solve_multiplier(
             vec, nonzero = kernel.basis[first], kernel.supports[first]
             lead = vec[nonzero[0]]
             phi = {unknowns[t][0]: vec[t] / lead for t in nonzero}
+            # the kernel vectors cut to the lowest-order block, as the columns of their transpose
+            lowest = [{t: v[t] for t in sup if t < low} for v, sup in zip(kernel.basis, kernel.supports)]
             entries.append(LadderEntry(
                 r=r,
                 status=SOLVED,
                 multiplier=PolySeries(s.n, phi, trunc=D),
                 solution_dimension=kernel.dimension,
-                lowest_order_dimension=mat_rank(RatMatrix([v[:low] for v in kernel.basis])),
+                lowest_order_dimension=mat_rank(RatMatrix(lowest)),
             ))
 
     semiinv = None
@@ -301,7 +303,7 @@ def reduced_multiplier_obstruction(red: ReducedField) -> ObstructionResult:
     for i, j in pairs:
         columns[i][(i, j)] = nu[i][j] - nu[j][j]
         columns[j][(i, j)] = nu[j][i] - nu[i][i]
-    kernel = mat_kernel(RatMatrix.from_columns(columns)).basis
+    kernel = mat_kernel(RatMatrix(columns)).basis
     rows = tuple(tuple(Fraction(col.get(key, 0)) for col in columns) for key in pairs)
     if r >= 3 and not kernel:
         return ObstructionResult(NO_MULTIPLIER, None, rows)

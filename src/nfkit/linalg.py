@@ -1,34 +1,32 @@
 """Exact rational linear algebra: kernels, solves, and a reference simplex LP.
 
 All coefficients are `fractions.Fraction`; there is no floating point
-anywhere.  A `RatMatrix` holds primitive integer rows only.  Kernels are
-computed by fraction-free (Bareiss) elimination on them, which keeps
-intermediate entries to single determinant-sized integers, and the
-back-substitution multiplies the integer echelon entries straight into
-its `Fraction` unknowns; each kernel vector comes with its support.  A
-free column that no equation touches (no entry, or only explicit zeros)
-gets its unit vector e_f without back-substitution: the matrix flags the
-touched columns while it builds its integer rows, and `mat_kernel` and
-`mat_solve` share the rule through `_kernel_basis`.  Square
-integer systems with many right-hand sides go through one fraction-free
-Gauss-Jordan elimination, `solve_square`, which returns integer numerators
-over one determinant: the resonance degree bound solves every column set
-with it, and the rewrite over the invariant generators solves every
-exponent row of a field in one call, on coordinates chosen by
-`pivot_columns`.  `mat_solve` and the simplex `lp_max`, which uses Bland's
-rule and so terminates on every input, take rational rows.  No request
-runs either: the resonance degree bound takes the basic points of its LP
-in integers (`resonance.lp_degree_bound`), and `lp_max` stays public as
-the reference those points are tested against.
+anywhere.  One way in: every system comes as sparse columns, one per
+unknown, keyed by equation (mostly a monomial), and `RatMatrix(columns)`
+builds each primitive integer row from the row's nonzero entries, with no
+dense rational matrix in between, and flags the columns they touch.  A
+system without rows is a 0 x n matrix whose kernel is the identity basis.
 
-Every structural system in nfkit comes as sparse columns, one per unknown,
-keyed by equation (mostly a monomial).  `RatMatrix.from_columns` is the one
-path from those columns to a matrix: it builds each primitive integer row
-from the row's nonzero entries, with no dense rational matrix in between.
-A system without rows is an ordinary 0 x n matrix whose kernel is the
-identity basis, since no column is touched.  Kernel bases do not depend on
-row order: in `mat_kernel`'s normalization each basis vector is fixed by
+One way out: `mat_kernel` runs fraction-free (Bareiss) elimination on the
+integer rows, which keeps intermediate entries to single determinant-sized
+integers, and back-substitutes the integer echelon entries straight into
+`Fraction` unknowns.  Each kernel vector comes with its support; a kernel
+has no particular point.  A free column that no equation touches gets its
+unit vector e_f without back-substitution.  Each basis vector is fixed by
 the column order alone, so callers need not sort their row keys.
+`mat_rank` counts the pivots of the same elimination, and `mat_solve`
+reads Ax = b off the kernel of [A | -b]: it is consistent exactly when
+column n is free, whose vector is then (x, 1).
+
+Square integer systems with many right-hand sides go through one
+fraction-free Gauss-Jordan elimination, `solve_square`, which returns
+integer numerators over one determinant: the resonance degree bound solves
+every column set with it, and the rewrite over the invariant generators
+every exponent row of a field, on coordinates chosen by `pivot_columns`.
+The simplex `lp_max` uses Bland's rule, so it terminates on every input.
+No request runs `mat_solve` or `lp_max`; `lp_max` is the reference that the
+integer basic points of `resonance.lp_degree_bound` are tested against.
+`nfkit` exports none of these names.
 """
 
 from __future__ import annotations
@@ -56,15 +54,7 @@ class RatMatrix:
 
     __slots__ = ("rows", "cols", "_ints", "_touched")
 
-    def __init__(self, data):
-        entries = [list(enumerate(map(frac, row))) for row in data]
-        width = len(entries[0]) if entries else 0
-        if any(len(row) != width for row in entries):
-            raise DimensionMismatch("ragged rows")
-        self._fill(entries, width)
-
-    @classmethod
-    def from_columns(cls, columns):
+    def __init__(self, columns):
         """Matrix whose column t holds the sparse column ``columns[t]``.
 
         Each column maps row keys to coefficients (ints or Fractions); rows
@@ -72,7 +62,8 @@ class RatMatrix:
         The matrix has ``len(columns)`` columns, also when no column has a
         key (a 0 x n matrix).  Each row's primitive integer row is built
         from its nonzero entries alone, with one lcm of their denominators
-        and one gcd; no dense rational matrix is made.
+        and one gcd, and a column is flagged as touched when some row holds
+        a nonzero entry there.
         """
         index = {}
         entries = []
@@ -83,13 +74,7 @@ class RatMatrix:
                     i = index[key] = len(entries)
                     entries.append([])
                 entries[i].append((t, c))
-        matrix = cls.__new__(cls)
-        matrix._fill(entries, len(columns))
-        return matrix
-
-    def _fill(self, entries, ncols):
-        """Primitive integer rows of the (column, coefficient) lists ``entries``, and
-        per column a flag that is set when some row holds a nonzero entry there."""
+        ncols = len(columns)
         ints = []
         touched = bytearray(ncols)
         for row in entries:
@@ -112,10 +97,8 @@ class RatMatrix:
 
 @dataclass(frozen=True)
 class SolutionSpace:
-    """Affine solution set: particular point (kernel: the origin) + basis, with
-    ``supports[k]`` the ascending columns where ``basis[k]`` is nonzero."""
+    """Kernel basis, with ``supports[k]`` the ascending columns where ``basis[k]`` is nonzero."""
 
-    particular: Vec | None
     basis: tuple[Vec, ...]
     supports: tuple[tuple[int, ...], ...]
 
@@ -245,30 +228,33 @@ def mat_kernel(M: RatMatrix) -> SolutionSpace:
     other free column, ordered by free column index.
     """
     ech, pivots = _bareiss_echelon(M._ints)
-    origin = tuple(Fraction(0) for _ in range(M.cols))
-    return SolutionSpace(origin, *_kernel_basis(ech, pivots, M._touched))
+    return SolutionSpace(*_kernel_basis(ech, pivots, M._touched))
 
 
-def mat_solve(rows, b) -> SolutionSpace | None:
-    """Particular solution of Ax = b plus kernel basis, A given by its rows; None if inconsistent.
+def mat_solve(rows, b) -> tuple[Vec, SolutionSpace] | None:
+    """(particular solution, kernel) of Ax = b, A given by its rows; None if inconsistent.
 
-    One elimination of [A | b] gives both: its pivots left of the last
-    column are those of A, so the kernel reads off the same echelon form.
-    When b is consistent the last column is free, and the last kernel
-    vector of [A | b] is (-x, 1) for the particular solution x.  Without
-    rows there is no unknown, and the solution set is the empty point.
+    The kernel of [A | -b] holds both: its pivots left of the last column
+    are those of A, so the vectors of A's free columns are A's kernel
+    basis.  Ax = b is consistent exactly when the last column is free, and
+    its vector is then (x, 1) for the particular solution x, which is 0 at
+    A's free columns.  Without rows there is no unknown, and the solution
+    set is the empty point.
     """
     if len(b) != len(rows):
         raise DimensionMismatch("rhs length != rows")
     if not rows:
-        return SolutionSpace((), (), ())
+        return (), SolutionSpace((), ())
     n = len(rows[0])
-    aug = RatMatrix([(*row, x) for row, x in zip(rows, b)])
-    ech, pivots = _bareiss_echelon(aug._ints)
-    if n in pivots:
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatch("ragged rows")
+    columns = [{i: row[t] for i, row in enumerate(rows)} for t in range(n)]
+    columns.append({i: -x for i, x in enumerate(b)})
+    space = mat_kernel(RatMatrix(columns))
+    if not space.supports or space.supports[-1][-1] != n:
         return None
-    (*kernel, last), supports = _kernel_basis(ech, pivots, aug._touched)
-    return SolutionSpace(tuple(-x for x in last[:n]), tuple(v[:n] for v in kernel), supports[:-1])
+    *kernel, last = space.basis
+    return last[:n], SolutionSpace(tuple(v[:n] for v in kernel), space.supports[:-1])
 
 
 OPTIMAL = "optimal"

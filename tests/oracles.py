@@ -22,6 +22,17 @@ from nfkit.spectrum import (
 )
 
 
+def columns_of(rows):
+    """The sparse columns of a matrix given by its dense rows, keyed by row index.
+
+    Zeros are kept as explicit entries, so the matrix `RatMatrix` builds
+    from them has one row per given row, in the given order.
+    """
+    width = len(rows[0]) if rows else 0
+    assert all(len(row) == width for row in rows), "ragged rows"
+    return [{i: row[t] for i, row in enumerate(rows)} for t in range(width)]
+
+
 def exponent_rows(total: int, parts: int):
     """All rows of ``parts`` nonnegative integers summing to ``total``, lex order.
 
@@ -287,11 +298,14 @@ def vertex_lp_max(c, A, b):
     for size in range(0, n + 1):
         for cols in itertools.combinations(range(n), size):
             sol = mat_solve([[row[j] for j in cols] for row in A], b)
-            if sol is None or sol.basis:
+            if sol is None:
+                continue
+            particular, kernel = sol
+            if kernel.basis:
                 continue
             x = [Fraction(0)] * n
             for pos, j in enumerate(cols):
-                x[j] = sol.particular[pos]
+                x[j] = particular[pos]
             if any(v < 0 for v in x):
                 continue
             feasible = True
@@ -336,7 +350,7 @@ def whole_matrix_commutant(s: EigenSpectrum):
             col[key] = col.get(key, 0) + c
             col, key = columns[j * n + i], ("nilpotent", j, k)
             col[key] = col.get(key, 0) - c
-    vecs = mat_kernel(RatMatrix.from_columns(columns)).basis
+    vecs = mat_kernel(RatMatrix(columns)).basis
     return tuple(tuple(v[i * n:(i + 1) * n] for i in range(n)) for v in vecs)
 
 

@@ -42,6 +42,7 @@ from nfkit.spectrum import build_spectrum, c_matrix_basis, classify_dim3, zero_s
 
 from oracles import (
     brute_monoid,
+    columns_of,
     decomposes_over,
     dim3_condition_a,
     is_monoid_minimal,
@@ -217,12 +218,12 @@ def test_criterion_06_linear_symmetries_lower_bound():
         assert res.dimension >= s.q + 1
         keys = sorted({k for b in res.basis for k in b.terms})
         rows = [[b.terms.get(k, F(0)) for k in keys] for b in res.basis]
-        rank0 = mat_rank(RatMatrix(rows))
+        rank0 = mat_rank(RatMatrix(columns_of(rows)))
         for C in c_matrix_basis(s):
             Cf = diag_field(*C)
             assert lie_bracket(Cf, f).is_zero()
             crow = [Cf.terms.get(k, F(0)) for k in keys]
-            assert mat_rank(RatMatrix(rows + [crow])) == rank0
+            assert mat_rank(RatMatrix(columns_of(rows + [crow]))) == rank0
     _report(6, "50 random normal forms: every diagonal symmetry row lies in the kernel, dim >= q+1")
 
 

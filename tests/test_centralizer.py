@@ -29,13 +29,16 @@ from nfkit.fields import (
     series_times_field,
 )
 from nfkit.linalg import RatMatrix, mat_rank
+from nfkit.resonance import resonance_degree_bound
 from nfkit.spectrum import build_spectrum, c_matrix_basis, unit_row
 
 from oracles import (
+    columns_of,
     linear_terms_of,
     pairing,
     random_block_spectrum,
     random_pdnf,
+    spectrum_pool_finite,
     whole_matrix_commutant,
 )
 
@@ -274,7 +277,7 @@ def test_exact_basis_commutes_exactly():
     # basis linearly independent
     keys = sorted({k for b in res.basis for k in b.terms})
     rows = [[b.terms.get(k, F(0)) for k in keys] for b in res.basis]
-    assert mat_rank(RatMatrix(rows)) == res.dimension
+    assert mat_rank(RatMatrix(columns_of(rows))) == res.dimension
 
 
 def test_jordan_example():
@@ -354,12 +357,30 @@ def test_truncated_lowerest_cj_membership():
     assert res.dimension >= s.q + 1
     keys = sorted({k for b in res.basis for k in b.terms})
     rows = [[b.terms.get(k, F(0)) for k in keys] for b in res.basis]
-    base_rank = mat_rank(RatMatrix(rows))
+    base_rank = mat_rank(RatMatrix(columns_of(rows)))
     for C in c_matrix_basis(s):
         Cf = diag_field(*C)
         assert lie_bracket(Cf, f).is_zero()
         crow = [Cf.terms.get(k, F(0)) for k in keys]
-        assert mat_rank(RatMatrix(rows + [crow])) == base_rank
+        assert mat_rank(RatMatrix(columns_of(rows + [crow]))) == base_rank
+
+
+def test_truncation_at_the_degree_bound_loses_no_equation():
+    """For a finite resonance set and D >= max(1, degree bound), the truncated
+    centralizer has the exact dimension.  The bracket of two resonant fields is
+    resonant, and no resonance lies above the bound, so truncating at D drops no
+    equation of the exact system."""
+    rng = random.Random(23)
+    with_jordan = 0
+    for _ in range(60):
+        s = spectrum_pool_finite(rng, rng.randint(2, 5))
+        f = random_pdnf(s, rng, 4, explicit=rng.random() < 0.5)
+        exact = centralizer_exact(s, f).dimension
+        bound = max(1, resonance_degree_bound(s))
+        for D in (bound, bound + 1):
+            assert centralizer_truncated(s, f, D).dimension == exact, (s, f, D)
+        with_jordan += bool(s.nilpotent)
+    assert with_jordan >= 10
 
 
 def test_normalizer_nonresonant_diagonal():
@@ -383,7 +404,7 @@ def test_normalizer_contains_f_with_zero_lambda():
         for g, lam in res.basis
     ]
     frow = [f.terms.get(k, F(0)) for k in keys_g] + [F(0)] * len(keys_l)
-    assert mat_rank(RatMatrix(rows + [frow])) == mat_rank(RatMatrix(rows))
+    assert mat_rank(RatMatrix(columns_of(rows + [frow]))) == mat_rank(RatMatrix(columns_of(rows)))
 
 
 def test_normalizer_requires_explicit_linear_part():
@@ -413,7 +434,7 @@ def test_normalizer_contains_counterexample_pair():
         for g, lam in res.basis
     ]
     target = [g0.terms.get(k, F(0)) for k in keys_g] + [lam0.terms.get(k, F(0)) for k in keys_l]
-    assert mat_rank(RatMatrix(rows + [target])) == mat_rank(RatMatrix(rows))
+    assert mat_rank(RatMatrix(columns_of(rows + [target]))) == mat_rank(RatMatrix(columns_of(rows)))
 
 
 def normalizerex_data(D=8):

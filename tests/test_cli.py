@@ -498,7 +498,7 @@ def test_normalizer_too_large_is_refused_up_front(tmp_path, capsys, monkeypatch,
 
     def no_kernel(M):
         solved.append(M.cols)
-        return SolutionSpace(particular=None, basis=(), supports=())
+        return SolutionSpace(basis=(), supports=())
 
     monkeypatch.setattr(centralizer, "mat_kernel", no_kernel)
     argv = ["normalizer", "--spectrum", str(spectrum_path), "--field", str(field_path)]
@@ -780,7 +780,7 @@ real_commutant = centralizer.linear_commutant
 
 
 def no_kernel(M):
-    return SolutionSpace(particular=None, basis=(), supports=())
+    return SolutionSpace(basis=(), supports=())
 
 
 def commutant_with_real_kernel(s):
@@ -832,7 +832,7 @@ real_kernel = centralizer.mat_kernel
 
 def without_last_vector(M):
     space = real_kernel(M)
-    return SolutionSpace(space.particular, space.basis[:-1], space.supports[:-1])
+    return SolutionSpace(space.basis[:-1], space.supports[:-1])
 
 
 centralizer.mat_kernel = without_last_vector
@@ -855,6 +855,60 @@ def test_truncated_centralizer_certificate_catches_a_dropped_vector_under_optimi
         "error": "certificate-failure",
         "message": "the deviation f~ truncated at D is not in the span of the truncated"
                    " centralizer basis",
+    }
+
+
+MUTATED_SYSTEM_SCRIPT = """
+import sys
+from nfkit import centralizer
+from nfkit.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real_matrix = centralizer.RatMatrix
+spectrum_path, field_path, mutation = sys.argv[1:]
+
+
+def mutated_matrix(columns):
+    # the bracket system is the first the truncated centralizer builds, and the
+    # certificate runs before any other
+    columns = list(columns)
+    if mutation == "drop-last-column":
+        columns.pop()
+    else:
+        columns[0] = {key: -c for key, c in columns[0].items()}
+    return real_matrix(columns)
+
+
+centralizer.RatMatrix = mutated_matrix
+print("cli", main(["centralizer", "--spectrum", spectrum_path, "--field", field_path, "--truncate", "3"]))
+"""
+
+
+# the known solution that each mutation of the saddle's system leaves outside the span
+MUTATION_CATCHES = {
+    # the saddle's deviation has the term 2 x1 x2^2 e_2 at the last unknown
+    "drop-last-column": "the deviation f~ truncated at D",
+    # C_1 x = x1 e_1 - x2 e_2 solves the system only while [x1 e_1, f~] keeps its sign
+    "flip-first-column": "C_1 x",
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATION_CATCHES)
+def test_truncated_centralizer_certificate_catches_a_mutated_system_under_optimize(files, mutation):
+    """Dropping the last unknown's column, or negating the first bracket column,
+    leaves a known solution outside the returned span, also under `python -O`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MUTATED_SYSTEM_SCRIPT,
+         files["saddle"], files["saddle_field"], mutation],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cli 4"]
+    assert json.loads(proc.stderr) == {
+        "error": "certificate-failure",
+        "message": f"{MUTATION_CATCHES[mutation]} is not in the span of the truncated centralizer basis",
     }
 
 

@@ -21,7 +21,7 @@ from nfkit.linalg import (
     mat_solve,
 )
 
-from oracles import vertex_lp_max
+from oracles import columns_of, vertex_lp_max
 
 IDENTITY_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -31,16 +31,16 @@ def annihilates(rows, v):
 
 
 def test_kernel_zero_matrix():
-    space = mat_kernel(RatMatrix([[0, 0], [0, 0]]))
+    space = mat_kernel(RatMatrix(columns_of([[0, 0], [0, 0]])))
     assert space.dimension == 2
     # columns without keys: a 0 x 3 system whose kernel is the identity basis
-    empty = RatMatrix.from_columns([{}, {}, {}])
+    empty = RatMatrix([{}, {}, {}])
     assert (empty.rows, empty.cols) == (0, 3)
     assert mat_kernel(empty).basis == tuple(IDENTITY_3)
 
 
 def test_kernel_identity():
-    space = mat_kernel(RatMatrix(IDENTITY_3))
+    space = mat_kernel(RatMatrix(columns_of(IDENTITY_3)))
     assert space.dimension == 0
 
 
@@ -52,14 +52,14 @@ def test_kernel_eg3_matrix():
         [-1, 0, 4, 0, -1, 0, 1],
         [0, -1, 2, 0, 0, 0, 0],
     ]
-    space = mat_kernel(RatMatrix(rows))
+    space = mat_kernel(RatMatrix(columns_of(rows)))
     assert space.dimension == 3
     for v in space.basis:
         assert annihilates(rows, v)
 
 
 def test_kernel_reduced_echelon_shape():
-    M = RatMatrix([[1, 2, 0, 3], [0, 0, 1, 4]])
+    M = RatMatrix(columns_of([[1, 2, 0, 3], [0, 0, 1, 4]]))
     space = mat_kernel(M)
     free = [1, 3]
     assert space.dimension == 2
@@ -78,7 +78,7 @@ def test_kernel_reduced_echelon_shape():
     st.randoms(use_true_random=False),
 )
 def test_kernel_rank_nullity_and_exactness(rows, rng):
-    M = RatMatrix(rows)
+    M = RatMatrix(columns_of(rows))
     space = mat_kernel(M)
     assert mat_rank(M) + space.dimension == M.cols
     for v in space.basis:
@@ -87,7 +87,7 @@ def test_kernel_rank_nullity_and_exactness(rows, rng):
     order = list(range(len(rows)))
     rng.shuffle(order)
     columns = [{i: rows[i][t] for i in order} for t in range(M.cols)]
-    assert mat_kernel(RatMatrix.from_columns(columns)).basis == space.basis
+    assert mat_kernel(RatMatrix(columns)).basis == space.basis
 
 
 # Zero entries are drawn often, so rank-deficient matrices are common.
@@ -112,21 +112,21 @@ def _from_sympy(vec):
 
 
 def _dense_rows(columns):
-    """The rows of ``from_columns(columns)`` built entry by entry, zeros included."""
+    """The rows of ``RatMatrix(columns)`` built entry by entry, zeros included."""
     keys = list(dict.fromkeys(key for col in columns for key in col))
     return [[F(col.get(key, 0)) for col in columns] for key in keys]
 
 
 def _sparse_system(columns):
     """(rational rows, matrix) of a system given by its sparse columns."""
-    return _dense_rows(columns), RatMatrix.from_columns(columns)
+    return _dense_rows(columns), RatMatrix(columns)
 
 
 # (rational rows, matrix) pairs: dense rows, and wide sparse systems as the
 # solvers build them: up to 12 columns over at most 6 row keys, so most
 # columns are free, many of them left of later pivots, and empty columns
 # are common
-RATIONAL_SYSTEMS = RATIONAL_MATRICES.map(lambda rows: (rows, RatMatrix(rows)))
+RATIONAL_SYSTEMS = RATIONAL_MATRICES.map(lambda rows: (rows, RatMatrix(columns_of(rows))))
 WIDE_SPARSE_SYSTEMS = st.lists(
     st.dictionaries(st.integers(0, 5), RATIONALS, max_size=3), min_size=1, max_size=12
 ).map(_sparse_system)
@@ -154,14 +154,14 @@ def test_kernel_and_rank_match_sympy(sympy, system):
     assert mat_rank(M) == S.rank()
 
 
-# sparse columns keyed by row labels, the shape every solver hands to from_columns
+# sparse columns keyed by row labels, the shape every solver hands to RatMatrix
 SPARSE_COLUMNS = st.lists(st.dictionaries(st.integers(0, 5), RATIONALS, max_size=4), max_size=7)
 
 
 @settings(max_examples=150, deadline=None)
 @given(SPARSE_COLUMNS)
 def test_kernel_vectors_annihilate_their_columns(columns):
-    basis = mat_kernel(RatMatrix.from_columns(columns)).basis
+    basis = mat_kernel(RatMatrix(columns)).basis
     keys = {key for col in columns for key in col}
     for v in basis:
         assert len(v) == len(columns)
@@ -192,17 +192,17 @@ def test_empty_free_columns_are_not_back_substituted(monkeypatch):
     log.clear()
     # pivots 0, 2 and 4; column 1 has no entry, column 3 only explicit zeros
     columns = [{0: 1}, {}, {0: 1, 1: 1}, {0: F(0), 2: F(0)}, {0: 1, 1: 2, 2: 3}]
-    space = mat_kernel(RatMatrix.from_columns(columns))
+    space = mat_kernel(RatMatrix(columns))
     assert space.basis == ((0, 1, 0, 0, 0), (0, 0, 0, 1, 0))
     assert space.supports == ((1,), (3,))
     assert log == []
-    # b = 0 is an empty last column of [A | b]: the particular solution is 0 at no cost
+    # b = 0 is an empty last column of [A | -b]: the particular solution is 0 at no cost
     rows = [[1, 0, 1], [0, 0, 1]]
-    assert mat_solve(rows, [0, 0]) == mat_kernel(RatMatrix(rows))
+    assert mat_solve(rows, [0, 0]) == ((0, 0, 0), mat_kernel(RatMatrix(columns_of(rows))))
     assert log == []
     # once column 3 is touched, its vector is back-substituted through pivots 2 and 0
     columns[3] = {0: F(1, 2)}
-    space = mat_kernel(RatMatrix.from_columns(columns))
+    space = mat_kernel(RatMatrix(columns))
     assert space.basis == ((0, 1, 0, 0, 0), (F(-1, 2), 0, 0, 1, 0))
     assert space.supports == ((1,), (0, 3))
     assert log
@@ -211,13 +211,13 @@ def test_empty_free_columns_are_not_back_substituted(monkeypatch):
 def test_solve_homogeneous():
     # b = 0: the particular solution is the origin, the basis that of the kernel
     rows = [[1, 2, 0, -1], [2, 4, 0, F(1, 3)]]
-    sol = mat_solve(rows, [0, 0])
-    kernel = mat_kernel(RatMatrix(rows))
-    assert sol.particular == (0, 0, 0, 0)
-    assert (sol.basis, sol.supports) == (kernel.basis, kernel.supports)
-    assert sol.basis == ((-2, 1, 0, 0), (0, 0, 1, 0))
+    particular, space = mat_solve(rows, [0, 0])
+    kernel = mat_kernel(RatMatrix(columns_of(rows)))
+    assert particular == (0, 0, 0, 0)
+    assert (space.basis, space.supports) == (kernel.basis, kernel.supports)
+    assert space.basis == ((-2, 1, 0, 0), (0, 0, 1, 0))
     # without rows there is no unknown: the solution set is the empty point
-    assert mat_solve([], []) == SolutionSpace((), (), ())
+    assert mat_solve([], []) == ((), SolutionSpace((), ()))
 
 
 def _with_rhs(rows):
@@ -240,7 +240,8 @@ def test_supports_are_the_nonzero_positions(system, solved):
     assert space.supports == tuple(map(_nonzero_positions, space.basis))
     sol = mat_solve(*solved)
     if sol is not None:
-        assert sol.supports == tuple(map(_nonzero_positions, sol.basis))
+        _, kernel = sol
+        assert kernel.supports == tuple(map(_nonzero_positions, kernel.basis))
 
 
 def _primitive(row):
@@ -266,8 +267,8 @@ EDGE_COLUMNS = {
 
 @pytest.mark.parametrize("columns", EDGE_COLUMNS.values(), ids=EDGE_COLUMNS.keys())
 def test_integer_rows_from_sparse_columns(sympy, columns):
-    """`from_columns` builds each primitive integer row from the row's own entries."""
-    system = RatMatrix.from_columns(columns)
+    """`RatMatrix` builds each primitive integer row from the row's own entries."""
+    system = RatMatrix(columns)
     rows = _dense_rows(columns)
     assert system._ints == [_primitive(row) for row in rows]
     assert (system.rows, system.cols) == (len(rows), len(columns))
@@ -279,8 +280,8 @@ def test_integer_rows_from_sparse_columns(sympy, columns):
     )
     assert basis == tuple(_from_sympy(v) for v in S.nullspace())
     if rows:
-        assert basis == mat_kernel(RatMatrix(rows)).basis
-        assert mat_rank(system) == mat_rank(RatMatrix(rows)) == S.rank()
+        assert basis == mat_kernel(RatMatrix(columns_of(rows))).basis
+        assert mat_rank(system) == mat_rank(RatMatrix(columns_of(rows))) == S.rank()
     else:
         assert basis == tuple(IDENTITY_3)
 
@@ -316,14 +317,14 @@ def test_kernel_of_a_block_diagonal_system_is_the_union_of_block_kernels(system)
     n = len(columns)
     embedded = []
     for cols, at in zip(blocks, positions):
-        for v in mat_kernel(RatMatrix.from_columns(cols)).basis:
+        for v in mat_kernel(RatMatrix(cols)).basis:
             x = [F(0)] * n
             for t, c in zip(at, v):
                 x[t] = c
             # the free column of a basis vector is its last nonzero entry
             embedded.append((max(t for t, c in enumerate(x) if c), tuple(x)))
     expected = tuple(x for _, x in sorted(embedded))
-    assert mat_kernel(RatMatrix.from_columns(columns)).basis == expected
+    assert mat_kernel(RatMatrix(columns)).basis == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,20 +336,21 @@ def test_solve_matches_sympy(sympy, system):
     consistent = S.rank() == S.row_join(_to_sympy(sympy, [[x] for x in b])).rank()
     assert (sol is not None) == consistent
     if sol is not None:
-        assert S * sympy.Matrix(sol.particular) == _to_sympy(sympy, [[x] for x in b])
-        assert sol.basis == tuple(_from_sympy(v) for v in S.nullspace())
+        particular, kernel = sol
+        assert S * sympy.Matrix(particular) == _to_sympy(sympy, [[x] for x in b])
+        assert kernel.basis == tuple(_from_sympy(v) for v in S.nullspace())
 
 
 def test_solve_identity():
-    sol = mat_solve(IDENTITY_3, [5, F(1, 2), -2])
-    assert sol.particular == (5, F(1, 2), -2)
-    assert sol.basis == ()
+    particular, kernel = mat_solve(IDENTITY_3, [5, F(1, 2), -2])
+    assert particular == (5, F(1, 2), -2)
+    assert kernel.basis == ()
 
 
 def test_solve_underdetermined():
-    sol = mat_solve([[1, 1]], [1])
-    assert sol.particular == (1, 0)
-    assert len(sol.basis) == 1
+    particular, kernel = mat_solve([[1, 1]], [1])
+    assert particular == (1, 0)
+    assert len(kernel.basis) == 1
 
 
 def test_solve_inconsistent():
@@ -356,8 +358,12 @@ def test_solve_inconsistent():
 
 
 def test_solve_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="rhs length"):
         mat_solve([[1, 0]], [1, 2])
+    with pytest.raises(DimensionMismatch, match="ragged rows"):
+        mat_solve([[1, 0], [1]], [1, 2])
+    with pytest.raises(DimensionMismatch, match="ragged rows"):
+        mat_solve([[1], [1, 0]], [1, 2])
 
 
 def test_lp_simplex_example():

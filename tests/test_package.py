@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import random
 import sys
 from fractions import Fraction as F
@@ -109,7 +110,7 @@ def test_spectrum_ranks_on_integer_rows():
 
 
 def test_simplex_is_off_the_request_path():
-    """Only `linalg` (which defines it) and `__init__` (which exports it) name `lp_max`."""
+    """Only `linalg`, which defines it, names `lp_max`."""
     package = Path(nfkit.__file__).resolve().parent
     named = set()
     for path in sorted(package.glob("*.py")):
@@ -117,7 +118,7 @@ def test_simplex_is_off_the_request_path():
             for field in ("id", "attr", "name"):  # Name, Attribute; alias, def
                 if getattr(node, field, None) == "lp_max":
                     named.add(path.name)
-    assert named == {"__init__.py", "linalg.py"}
+    assert named == {"linalg.py"}
 
 
 def _fraction_free_steps(tree):
@@ -171,17 +172,47 @@ def _called_names(fn):
 
 def test_kernels_run_on_integer_rows():
     """The back-substitution multiplies integer echelon entries into its unknowns
-    without making them `Fraction`s, and `from_columns` builds the integer rows
-    from the sparse entries, with no dense rational pass."""
+    without making them `Fraction`s, and `RatMatrix.__init__` builds the integer
+    rows from the sparse entries, with no dense rational pass."""
     linalg = _modules()["linalg.py"]
     for name, call in _called_names(_function(linalg, "_kernel_basis")):
         assert name != "frac"
         if name == "Fraction":  # only the constants 0 and 1 of a fresh unknown
             assert all(isinstance(arg, ast.Constant) for arg in call.args)
-    called = {
-        name for fn in ("from_columns", "_fill") for name, _ in _called_names(_function(linalg, fn))
-    }
+    called = {name for name, _ in _called_names(_function(_class(linalg, "RatMatrix"), "__init__"))}
     assert not called & {"integer_rows", "frac", "Fraction", "cls"}
+
+
+def test_linalg_has_one_way_in_and_one_way_out():
+    """`RatMatrix(columns)` is the only constructor, a kernel carries no particular
+    point, `mat_solve` reaches the elimination only through `mat_kernel`, and the
+    package exports no `linalg` name."""
+    tree = _modules()["linalg.py"]
+    methods = [node for node in _class(tree, "RatMatrix").body if isinstance(node, ast.FunctionDef)]
+    assert [fn.name for fn in methods] == ["__init__"]
+    assert [arg.arg for arg in methods[0].args.args] == ["self", "columns"]
+    assert [field.name for field in dataclasses.fields(SolutionSpace)] == ["basis", "supports"]
+    called = {name for name, _ in _called_names(_function(tree, "mat_solve"))}
+    assert "mat_kernel" in called
+    assert not called & {"_bareiss_echelon", "_kernel_basis", "pivot_columns", "solve_square"}
+    defined = set(_top_level_names(tree))
+    assert not _used_names(_modules()["__init__.py"]) & defined
+    assert not set(vars(nfkit)) & defined
+
+
+def _class(tree, name):
+    """The top-level class called ``name`` in a module."""
+    return next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+
+
+def _top_level_names(tree):
+    """Names a module defines at top level: functions, classes and assigned names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
 
 
 def _modules():
@@ -224,20 +255,10 @@ def test_every_private_top_level_name_is_referenced():
     """A private helper that lost its last caller fails here."""
     modules = _modules()
     used = set().union(*(_used_names(tree) for tree in modules.values()))
-    unreferenced = []
-    for name, tree in modules.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            unreferenced += [
-                (name, d) for d in defined
-                if d.startswith("_") and not d.startswith("__") and d not in used
-            ]
+    unreferenced = [
+        (name, d) for name, tree in modules.items() for d in _top_level_names(tree)
+        if d.startswith("_") and not d.startswith("__") and d not in used
+    ]
     assert not unreferenced
 
 
@@ -329,7 +350,7 @@ def test_matrices_keep_integer_rows_only():
     no `row`, no `__iter__`, no per-row scales, and no `.row(` call in the package.
     Besides the rows it keeps only the per-column flags of the entries they hold."""
     tree = _modules()["linalg.py"]
-    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RatMatrix")
+    cls = _class(tree, "RatMatrix")
     defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
     assert not defined & {"row", "__iter__"}
     assert set(RatMatrix.__slots__) == {"rows", "cols", "_ints", "_touched"}
@@ -389,7 +410,7 @@ def test_solvers_read_kernel_vectors_through_their_supports(monkeypatch):
         space = real(M)
         handed.append(space.dimension)
         basis = tuple(map(_UnscannableVector, space.basis))
-        return SolutionSpace(space.particular, basis, space.supports)
+        return SolutionSpace(basis, space.supports)
 
     bindings = [
         module for name, module in list(sys.modules.items())

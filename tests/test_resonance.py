@@ -38,6 +38,7 @@ from oracles import (
     brute_commuting_degrees,
     brute_resonances,
     brute_semiinvariant_ladder,
+    columns_of,
     pairing,
     per_coordinate_degree_bound,
     random_block_spectrum,
@@ -101,7 +102,7 @@ def test_degree_bound_is_one_lp_per_eigenvalue():
             n = rng.randint(q, 6)
             while True:
                 rows = rng.sample(pool, q) + [rng.choice(pool) for _ in range(n - q)]
-                if mat_rank(RatMatrix(rows)) == q:
+                if mat_rank(RatMatrix(columns_of(rows))) == q:
                     break
             spectra.append(build_spectrum(n, q, rng.sample(rows, n)))
     above_one = set()
