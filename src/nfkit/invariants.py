@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import (
     CertificateFailure,
@@ -27,7 +29,7 @@ from .fields import (
     lie_derivative,
     normal_form_deviation,
 )
-from .linalg import RatMatrix, mat_kernel, pivot_columns, solve_square
+from .linalg import RatMatrix, mat_kernel, pivot_columns
 from .resonance import commuting_degree_ladder, semiinvariant_degree_ladder
 from .spectrum import (
     EigenSpectrum,
@@ -114,39 +116,40 @@ def check_onediv(s: EigenSpectrum) -> OneDivVerdict:
 def _rewrite_in_generators(inv: InvariantAlgebra, rows):
     """Solve M^T k = v over Z_+ for every exponent row v, in one elimination.
 
-    The pivot columns of the generator rows M are independent coordinates,
-    r of them exactly when the generators are independent; the square
-    system on those coordinates, with one right-hand side per row, gives
-    det * k in integers.  Each row is then checked in order, on all n
-    coordinates, for integrality and for k >= 0, so the first failing row
-    raises.  A consistent row over dependent generators has no unique k.
+    Like every exact solve it reads `mat_kernel`, here of [M^T | -I]: a free
+    generator column means dependent generators, with no unique k; else
+    the free unit columns are r coordinates on which M^T is invertible, and
+    the vectors hold that inverse.  Rows are checked in order, so the first
+    failing row raises: k must meet v on every coordinate, then be integral
+    and >= 0.  A row that k misses is no combination of the generators only
+    if it raises the rank of M; else the kernel is at fault.
     """
     gens = inv.generators
-    coords = pivot_columns(gens)
-    used = range(inv.r)
-    if len(coords) < inv.r:  # independent generator columns on those coordinates
-        used = pivot_columns([[g[i] for g in gens] for i in coords])
-    system = [[gens[a][i] for a in used] + [v[i] for v in rows] for i in coords]
-    solved = solve_square(system) if coords else (1, [()] * len(rows))
-    det, points = solved if solved is not None else (0, [])
-    if det <= 0 or len(points) != len(rows):
-        raise CertificateFailure(
-            f"generator system on coordinates {coords} gave det {det} and"
-            f" {len(points)} points for {len(rows)} exponent rows"
-        )
+    units = [{i: -1} for i in range(max(map(len, rows), default=0))]
+    kernel = mat_kernel(RatMatrix([{i: x for i, x in enumerate(g) if x} for g in gens] + units))
+    coords = [sup[-1] - inv.r for sup in kernel.supports]
+    independent = min(coords, default=0) >= 0
+    columns = [v[:inv.r] for v in kernel.basis]
+    den = lcm(*(x.denominator for col in columns for x in col))
+    # the rows of den times the inverse of M^T on `coords`, as integers
+    inverse = [[x.numerator * (den // x.denominator) for x in a] for a in zip(*columns)]
     out = []
-    for v, x in zip(rows, points):
-        if any(
-            sum(gens[a][i] * xa for a, xa in zip(used, x)) != vi * det for i, vi in enumerate(v)
+    for v in rows:
+        k = [sum(map(mul, row, [v[i] for i in coords])) for row in inverse]
+        if not independent or any(
+            sum(g[i] * ka for g, ka in zip(gens, k)) != vi * den for i, vi in enumerate(v)
         ):
-            raise RewriteFailure(f"exponent row {v} is not a combination of the generators", v)
-        if len(used) < inv.r:
-            raise CertificateFailure("generator exponents must be independent here")
-        if any(xa % det or xa < 0 for xa in x):
+            if len(pivot_columns([*gens, v])) > len(pivot_columns(gens)):
+                raise RewriteFailure(f"exponent row {v} is not a combination of the generators", v)
+            raise CertificateFailure(
+                f"generator combination {k}/{den} misses exponent row {v}, a combination of the"
+                " generators" if independent else "generator exponents must be independent here"
+            )
+        if any(ka % den or ka < 0 for ka in k):
             raise RewriteFailure(
                 f"exponent row {v} needs a non-integer or negative generator combination", v
             )
-        out.append(tuple(xa // det for xa in x))
+        out.append(tuple(ka // den for ka in k))
     return out
 
 

@@ -30,7 +30,11 @@ from .invariants import (
 )
 from .linalg import RatMatrix, mat_kernel, mat_rank
 from .resonance import RESONANCE_SCAN_LIMIT, SemiInvariantLadder, semiinvariant_degree_ladder
-from .spectrum import EigenSpectrum, eigen_monomials, unit_row
+from .spectrum import EigenSpectrum, count_eigen_monomials, eigen_monomials, unit_row
+
+# unknowns of the largest multiplier sweep: 287 ((1, -1, 0), D = 32, r = 2) take 5-7.5 s on
+# a 2-core Xeon under Python 3.11 (119, D = 20: 0.3 s); the time grows about cubically
+MULTIPLIER_UNKNOWN_LIMIT = 300
 
 
 def multiplier_support(s: EigenSpectrum, d: int):
@@ -117,7 +121,8 @@ def solve_multiplier(
 
     Refuses up front, with a scope error, a support scan over more than
     `RESONANCE_SCAN_LIMIT` monomials: the sum over d = 1..D of
-    C(d + n - 1, n - 1), which telescopes to C(D + n, n) - 1.
+    C(d + n - 1, n - 1), which telescopes to C(D + n, n) - 1; likewise, before any
+    listing, a largest sweep (r = r_min) of more than `MULTIPLIER_UNKNOWN_LIMIT` unknowns.
     """
     dev, _ = normal_form_deviation(s, f)
     if not (1 <= r_min <= r_max <= D):
@@ -130,6 +135,13 @@ def solve_multiplier(
             f"multiplier support scan up to degree {D} tests {count} monomials,"
             f" above the limit {RESONANCE_SCAN_LIMIT}"
         )
+    if comb(D + s.n, s.n) - comb(r_min - 1 + s.n, s.n) > MULTIPLIER_UNKNOWN_LIMIT:
+        unknowns = count_eigen_monomials(s, (1,) * s.n, r_min, D)
+        if unknowns > MULTIPLIER_UNKNOWN_LIMIT:
+            raise ScopeError(
+                f"multiplier sweep from order {r_min} up to degree {D} has {unknowns}"
+                f" unknowns, above the limit {MULTIPLIER_UNKNOWN_LIMIT}"
+            )
     div_dev = divergence(dev)
     support = {d: multiplier_support(s, d) for d in range(1, D + 1)}
     mindeg = dev.min_degree() or 2

@@ -18,11 +18,12 @@ the column order alone, so callers need not sort their row keys.
 reads Ax = b off the kernel of [A | -b]: it is consistent exactly when
 column n is free, whose vector is then (x, 1).
 
-Square integer systems with many right-hand sides go through one
-fraction-free Gauss-Jordan elimination, `solve_square`, which returns
-integer numerators over one determinant: the resonance degree bound solves
-every column set with it, and the rewrite over the invariant generators
-every exponent row of a field, on coordinates chosen by `pivot_columns`.
+Every exact solve reads `mat_kernel`.  The resonance degree bound and the
+rewrite over the invariant generators take the kernel of [A | -I]: when
+A's columns are independent, the free unit columns are coordinates on
+which A is invertible, and their vectors hold that inverse.  The only
+other way into the elimination is `pivot_columns`, for ranks.
+
 The simplex `lp_max` uses Bland's rule, so it terminates on every input.
 No request runs `mat_solve` or `lp_max`; `lp_max` is the reference that the
 integer basic points of `resonance.lp_degree_bound` are tested against.
@@ -36,15 +37,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CertificateFailure, DimensionMismatch
+from .errors import CertificateFailure, DimensionMismatch, InputError
 
 Vec = tuple[Fraction, ...]
 
 
 def frac(x) -> Fraction:
+    """An int (not a bool) or a Fraction as a Fraction; anything else is refused."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    if type(x) is int:
+        return Fraction(x)
+    raise InputError(f"coefficient {x!r} must be an int or a Fraction")
 
 
 class RatMatrix:
@@ -150,34 +154,6 @@ def mat_rank(M: RatMatrix) -> int:
 def pivot_columns(rows) -> list[int]:
     """Pivot columns of integer rows, left to right: a maximal independent set of columns."""
     return _bareiss_echelon(rows)[1]
-
-
-def solve_square(rows):
-    """(det, numerators per right-hand side) of a q x (q + r) integer system [A | T].
-
-    Fraction-free Gauss-Jordan elimination: every division is exact, and at
-    the end each diagonal entry is the last pivot, +-det A, so column q + k
-    holds det A times the solution for the k-th right-hand side.  The sign
-    is normalized to det > 0; returns None when A is singular.  With q = 0
-    there is no row to read a right-hand side from, and the list is empty.
-    """
-    q = len(rows)
-    prev = 1
-    for c in range(q):
-        p = next((i for i in range(c, q) if rows[i][c]), None)
-        if p is None:
-            return None
-        rows[c], rows[p] = rows[p], rows[c]
-        pivot_row = rows[c]
-        piv = pivot_row[c]
-        for i in range(q):
-            if i != c:
-                f = rows[i][c]
-                rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], pivot_row)]
-        prev = piv
-    sign = 1 if prev > 0 else -1
-    points = zip(*(row[q:] for row in rows))
-    return sign * prev, [tuple(sign * v for v in x) for x in points]
 
 
 def _kernel_basis(ech, pivots, touched):

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from .errors import (
     CertificateFailure,
@@ -14,7 +15,7 @@ from .errors import (
     InfiniteResonanceWithoutCap,
     ScopeError,
 )
-from .linalg import frac, solve_square
+from .linalg import RatMatrix, frac, mat_kernel
 from .spectrum import (
     EigenSpectrum,
     compositions,
@@ -57,11 +58,12 @@ def lp_degree_bound(s: EigenSpectrum) -> int:
     `eigen_system` for lambda_j, and returns max(1, floor of the maximum).
     A has rank q, and with a trivial zero-resonance monoid the region is
     bounded, so the maximum sits at a basic point: m = A_B^-1 t on a set B
-    of q columns with A_B invertible, zero elsewhere.  Every column set is
-    solved once by integer Gauss-Jordan elimination, with the target of each
-    eigenvalue block (its first component) as one right-hand side, since A
-    is the same for every block.  For q = 1 the points are t / w_i over the
-    weights w_i of the sign of t.
+    of q columns with A_B invertible, zero elsewhere.  Each column set reads
+    A_B^-1 off `mat_kernel`, like every exact solve: in the kernel of
+    [A_B | -I], A_B is singular exactly when the first free column lies in
+    B, and otherwise vector k starts with column k of A_B^-1.  A is the same
+    for every eigenvalue block, so its integer numerators give each block's
+    point from the block's target t (its first component).
 
     Refuses up front, with a scope error, more than `DEGREE_BOUND_SYSTEM_LIMIT`
     column systems: C(n, q) column sets times the eigenvalue blocks.
@@ -77,27 +79,31 @@ def lp_degree_bound(s: EigenSpectrum) -> int:
     systems = [eigen_system(s, unit_row(s.n, block[0])) for block in blocks]
     coefficients = [row[:-1] for row in systems[0]]
     targets = [[row[-1] for row in rows] for rows in systems]
-    best = None  # (sum of numerators, det, columns, numerators, target)
+    columns = [dict(enumerate(col)) for col in zip(*coefficients)]
+    units = [{k: -1} for k in range(s.q)]
+    best = None  # (sum of numerators, denominator, columns, numerators, target)
     for cols in combinations(range(s.n), s.q):
-        solved = solve_square(
-            [[row[c] for c in cols] + [t[k] for t in targets] for k, row in enumerate(coefficients)]
-        )
-        if solved is None:
+        kernel = mat_kernel(RatMatrix([columns[c] for c in cols] + units))
+        if kernel.supports[0][-1] < s.q:
             continue
-        det, points = solved
-        for x, t in zip(points, targets):
-            if min(x) >= 0 and (best is None or sum(x) * best[1] > best[0] * det):
-                best = (sum(x), det, cols, x, t)
+        inverse = [v[:s.q] for v in kernel.basis]
+        den = lcm(*(x.denominator for v in inverse for x in v))
+        # the rows of den A_B^-1 as integers, and their sum, whose product with t is den |x|
+        rows = [[x.numerator * (den // x.denominator) for x in a] for a in zip(*inverse)]
+        ones = [sum(col) for col in zip(*rows)]
+        for t in targets:
+            total = sum(map(mul, ones, t))
+            if best is None or total * best[1] > best[0] * den:
+                x = [sum(map(mul, row, t)) for row in rows]
+                if min(x) >= 0:
+                    best = (total, den, cols, x, t)
     if best is None:
         raise CertificateFailure("degree bound found no basic point, although m = e_j is feasible")
-    total, det, cols, x, t = best
-    if det <= 0 or min(x) < 0 or not all(
-        sum(row[c] * xi for c, xi in zip(cols, x)) == tk * det
-        for row, tk in zip(coefficients, t)
-    ):
-        raise CertificateFailure(f"degree bound point {list(x)}/{det} on columns {list(cols)}"
+    total, den, cols, x, t = best
+    if [sum(map(mul, (row[c] for c in cols), x)) for row in coefficients] != [tk * den for tk in t]:
+        raise CertificateFailure(f"degree bound point {x}/{den} on columns {list(cols)}"
                                  f" misses the target {list(t)}")
-    return max(1, total // det)
+    return max(1, total // den)
 
 
 def resonances_by_component(s: EigenSpectrum, dmin: int, dmax: int):

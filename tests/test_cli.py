@@ -479,6 +479,44 @@ def test_multiplier_support_scan_too_large_is_refused_up_front(
     assert json.loads(captured.err) == {"error": "scope-error", "message": message}
 
 
+@pytest.mark.parametrize(
+    "D, limit, message",
+    [
+        # the r = 2 sweep up to degree 6 has 14 unknowns x^a y^a z^b, at a lowered limit of 14
+        (6, 14, None),
+        (7, 14, "multiplier sweep from order 2 up to degree 7 has 18 unknowns, above the limit 14"),
+        # the smallest refused degree at the real limit, and a degree far past it
+        (33, None, "multiplier sweep from order 2 up to degree 33 has 304 unknowns,"
+                   " above the limit 300"),
+        (60, None, "multiplier sweep from order 2 up to degree 60 has 959 unknowns,"
+                   " above the limit 300"),
+    ],
+)
+def test_multiplier_sweep_too_large_is_refused_before_listing(
+    files, capsys, monkeypatch, D, limit, message
+):
+    if limit is not None:
+        monkeypatch.setattr(jacobi, "MULTIPLIER_UNKNOWN_LIMIT", limit)
+    scanned = []
+    support = jacobi.multiplier_support
+
+    def counted(s, d):
+        scanned.append(d)
+        return support(s, d)
+
+    monkeypatch.setattr(jacobi, "multiplier_support", counted)
+    argv = ["jacobi", "--spectrum", files["ifac"], "--field", files["ifac_field"],
+            "--r-min", "2", "--r-max", "5", "--truncate", str(D)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and scanned == list(range(1, D + 1))
+        assert json.loads(captured.out)["D"] == D
+        return
+    assert code == 3 and scanned == [] and captured.out == ""
+    assert json.loads(captured.err) == {"error": "scope-error", "message": message}
+
+
 @pytest.mark.parametrize("D, code", [(6, 0), (7, 3)])
 def test_normalizer_too_large_is_refused_up_front(tmp_path, capsys, monkeypatch, D, code):
     spectrum_path = tmp_path / "spectrum.json"

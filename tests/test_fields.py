@@ -13,7 +13,7 @@ from nfkit.centralizer import (
     normalizer_reduce,
     normalizer_truncated,
 )
-from nfkit.errors import DimensionMismatch, LinearPartMismatch, NotPDNF
+from nfkit.errors import DimensionMismatch, InputError, LinearPartMismatch, NotPDNF
 from nfkit.fields import (
     INF,
     PolySeries,
@@ -29,7 +29,7 @@ from nfkit.fields import (
 )
 from nfkit.invariants import decompose_eta, invariant_generators
 from nfkit.jacobi import divergence_integral_check, solve_multiplier
-from nfkit.resonance import resonance_set
+from nfkit.resonance import resonance_set, semiinvariant_degree_ladder
 from nfkit.spectrum import build_spectrum
 
 from oracles import random_field, random_series
@@ -308,6 +308,32 @@ def test_constructors_refuse_floats_and_booleans(build):
     never coerced from a float or a bool."""
     with pytest.raises(DimensionMismatch):
         build()
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/3"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: build_spectrum(2, 1, [[1], [x]]),
+        lambda x: build_spectrum(2, 1, [[1], [1]], [(0, 1, x)]),
+        lambda x: PolySeries(2, {(1, 0): x}),
+        lambda x: PolyVectorField(2, {(0, (1, 1)): x}),
+        lambda x: PolySeries.monomial(2, (1, 0), x),
+        lambda x: PolyVectorField.monomial(2, 0, (1, 1), x),
+        lambda x: PolySeries.monomial(2, (1, 0)).scale(x),
+        lambda x: PolyVectorField.linear_combination(2, [(x, PolyVectorField.monomial(2, 0, (1, 1)))]),
+        lambda x: semiinvariant_degree_ladder([x, 1], 2),
+        lambda x: semiinvariant_degree_ladder([1, 2], x),
+    ],
+    ids=[
+        "spectrum-row", "spectrum-nilpotent", "series", "field", "series-monomial",
+        "field-monomial", "scale", "linear-combination", "ladder-mu", "ladder-value",
+    ],
+)
+def test_coefficients_refuse_floats_bools_and_strings(build, bad):
+    """Exact coefficients are ints or Fractions, never coerced from anything else."""
+    with pytest.raises(InputError, match="must be an int or a Fraction"):
+        build(bad)
 
 
 def test_linear_combination():

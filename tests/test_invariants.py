@@ -42,6 +42,7 @@ from nfkit.invariants import (
     substitute_generators,
     triviality_certificate,
 )
+from nfkit.linalg import SolutionSpace
 from nfkit.spectrum import build_spectrum, least_witness, unit_row
 
 from oracles import (
@@ -405,10 +406,18 @@ def test_rewrite_over_dependent_generators_fails_row_by_row():
 
 
 def test_rewrite_needs_one_point_per_row(monkeypatch):
-    real_solve = invariants.solve_square
-    monkeypatch.setattr(invariants, "solve_square", lambda rows: (real_solve(rows)[0], []))
+    """A kernel that lost a vector is a defect, not an input error: the point it
+    gives misses the row, yet appending the row to the generators keeps their rank."""
+    real_kernel = invariants.mat_kernel
+
+    def dropped(M):
+        kernel = real_kernel(M)
+        return SolutionSpace(kernel.basis[:-1], kernel.supports[:-1])
+
+    monkeypatch.setattr(invariants, "mat_kernel", dropped)
     inv = InvariantAlgebra(generators=((1, 1),), independent=True)
-    with pytest.raises(CertificateFailure, match=r"gave det 1 and 0 points for 2 exponent rows"):
+    with pytest.raises(CertificateFailure, match=r"^generator combination \[\]/1 misses exponent row"
+                                                 r" \(1, 1\), a combination of the generators$"):
         invariants._rewrite_in_generators(inv, [(1, 1), (2, 2)])
 
 
@@ -434,26 +443,27 @@ REWRITE_CERTIFICATE_SCRIPT = """
 import sys
 from nfkit import invariants
 from nfkit.cli import main
+from nfkit.linalg import SolutionSpace
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-real_solve = invariants.solve_square
+real_kernel = invariants.mat_kernel
 
 
-def doubled(rows):
-    # same determinant, every point twice as far: no row meets its coordinates
-    det, points = real_solve(rows)
-    return det, [tuple(2 * v for v in x) for x in points]
+def doubled(M):
+    # every vector twice as long: no row's combination meets the row
+    kernel = real_kernel(M)
+    return SolutionSpace(tuple(tuple(2 * x for x in v) for v in kernel.basis), kernel.supports)
 
 
-def dropped(rows):
-    det, points = real_solve(rows)
-    return det, points[:-1]
+def dropped(M):
+    kernel = real_kernel(M)
+    return SolutionSpace(kernel.basis[:-1], kernel.supports[:-1])
 
 
-for solver in (doubled, dropped):
-    invariants.solve_square = solver
-    print(solver.__name__, main(["reduce", "--spectrum", sys.argv[1], "--field", sys.argv[2]]))
+for kernel in (doubled, dropped):
+    invariants.mat_kernel = kernel
+    print(kernel.__name__, main(["reduce", "--spectrum", sys.argv[1], "--field", sys.argv[2]]))
 """
 
 
@@ -472,12 +482,11 @@ def test_rewrite_checks_fire_under_optimize(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["doubled 2", "dropped 4"]
+    assert proc.stdout.splitlines() == ["doubled 4", "dropped 4"]
     assert [json.loads(line) for line in proc.stderr.splitlines()] == [
-        {"error": "rewrite-failure",
-         "message": "exponent row (1, 1) is not a combination of the generators"},
-        {"error": "certificate-failure",
-         "message": "generator system on coordinates [0] gave det 1 and 1 points for 2 exponent rows"},
+        {"error": "certificate-failure", "message": f"generator combination {k}/1 misses"
+                                                   " exponent row (1, 1), a combination of the generators"}
+        for k in ("[2]", "[]")
     ]
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import nfkit
-from nfkit import cli, linalg, resonance
+from nfkit import cli, linalg
 from nfkit.centralizer import (
     centralizer_exact,
     centralizer_truncated,
@@ -140,17 +140,24 @@ def _fraction_free_steps(tree):
 
 
 def test_linalg_is_the_one_fraction_free_elimination():
-    """Kernels, ranks and pivots use Bareiss; square systems with many right-hand
-    sides use `solve_square`, for the degree bound and the generator rewrite alike."""
+    """Kernels, ranks and pivots use Bareiss, and every exact solve reads `mat_kernel`:
+    the degree bound and the generator rewrite alike.  The rewrite's rank re-check is
+    its one other way into the elimination."""
     steps = {
         (name, fn) for name, tree in _modules().items() for fn in _fraction_free_steps(tree)
     }
-    assert steps == {("linalg.py", "_bareiss_echelon"), ("linalg.py", "solve_square")}
-    assert not hasattr(resonance, "_solve_square")
-    assert set(_callers("solve_square")) == {
-        ("resonance.py", "lp_degree_bound"),
-        ("invariants.py", "_rewrite_in_generators"),
-    }
+    assert steps == {("linalg.py", "_bareiss_echelon")}
+    assert not any(
+        isinstance(node, ast.FunctionDef) and node.name in {"solve_square", "_solve_square"}
+        for tree in _modules().values() for node in ast.walk(tree)
+    )
+    for module, fn, others in [
+        ("resonance.py", "lp_degree_bound", set()),
+        ("invariants.py", "_rewrite_in_generators", {"pivot_columns"}),
+    ]:
+        called = {name for name, _ in _called_names(_function(_modules()[module], fn))}
+        assert "mat_kernel" in called
+        assert called & {"_bareiss_echelon", "_kernel_basis", "pivot_columns", "mat_rank"} == others
     # `mat_solve` stays public (the benchmark wraps it by name) but serves no request
     assert _callers("mat_solve") == []
 
@@ -194,7 +201,7 @@ def test_linalg_has_one_way_in_and_one_way_out():
     assert [field.name for field in dataclasses.fields(SolutionSpace)] == ["basis", "supports"]
     called = {name for name, _ in _called_names(_function(tree, "mat_solve"))}
     assert "mat_kernel" in called
-    assert not called & {"_bareiss_echelon", "_kernel_basis", "pivot_columns", "solve_square"}
+    assert not called & {"_bareiss_echelon", "_kernel_basis", "pivot_columns"}
     defined = set(_top_level_names(tree))
     assert not _used_names(_modules()["__init__.py"]) & defined
     assert not set(vars(nfkit)) & defined

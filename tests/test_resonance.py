@@ -120,20 +120,21 @@ import sys
 from nfkit import resonance
 from nfkit.cli import main
 from nfkit.errors import CertificateFailure
+from nfkit.linalg import SolutionSpace
 from nfkit.spectrum import build_spectrum
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-real_solve = resonance.solve_square
+real_kernel = resonance.mat_kernel
 
 
-def doubled(rows):
-    # same determinant, every point twice as far: none satisfies its rows
-    det, points = real_solve(rows)
-    return det, [tuple(2 * v for v in x) for x in points]
+def doubled(M):
+    # every vector twice as long: no point satisfies its rows
+    kernel = real_kernel(M)
+    return SolutionSpace(tuple(tuple(2 * x for x in v) for v in kernel.basis), kernel.supports)
 
 
-resonance.solve_square = doubled
+resonance.mat_kernel = doubled
 try:
     resonance.resonance_degree_bound(build_spectrum(3, 1, [[12], [6], [3]]))
 except CertificateFailure as exc:
