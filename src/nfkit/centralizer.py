@@ -191,38 +191,38 @@ def _check_truncation(f: PolyVectorField, D: int):
         raise DimensionMismatch(f"field truncation {f.trunc} is below D = {D}")
 
 
-def _check_known_solutions(s: EigenSpectrum, ftilde: PolyVectorField, unknown_keys, kernel):
-    """Certificate: ftilde and each C_k x solve the truncated system, so each is the
-    sum of the basis vectors, each weighted by its coefficient at the vector's free column.
+def _check_known_solutions(s: EigenSpectrum, name, field, index, kernel, what):
+    """Certificate: ``field`` and each C_k x solve the system, so each is the sum of
+    the basis vectors, each weighted by its coefficient at the vector's free column.
 
-    [ftilde, ftilde] = 0, and C_k x commutes with the nilpotent part and with
-    every resonant monomial.  A basis vector is 1 at its free column (the
-    last of its support) and 0 at every other free column, so the weights
-    are read off there; one pass over the supports sums all of them.
+    ``index`` numbers the unknown vector monomials, keyed by (j, m); every
+    other unknown of a known solution is 0.  C_k x commutes with the
+    nilpotent part and with every resonant monomial, so with every field in
+    normal form.  A basis vector is 1 at its free column (the last of its
+    support) and 0 at every other free column, so the weights are read off
+    there; one pass over the supports sums all of them.  A miss names the
+    solution and ``what`` the basis spans.
     """
-    index = {(j, m): t for t, (_deg, j, m) in enumerate(unknown_keys)}
-    known = {"the deviation f~ truncated at D": ftilde.terms}
+    known = {name: field.terms}
     for k, C in enumerate(c_matrix_basis(s), 1):
         known[f"C_{k} x"] = {(i, unit_row(s.n, i)): c for i, c in enumerate(C) if c}
     wanted = {}
-    for name, terms in known.items():
+    for label, terms in known.items():
         if not terms.keys() <= index.keys():
-            raise CertificateFailure(f"{name} has a term outside the resonant unknowns")
-        wanted[name] = {index[key]: c for key, c in terms.items() if c}
-    sums = {name: {} for name in known}
+            raise CertificateFailure(f"{label} has a term outside the unknowns of the {what}")
+        wanted[label] = {index[key]: c for key, c in terms.items() if c}
+    sums = {label: {} for label in known}
     for v, sup in zip(kernel.basis, kernel.supports):
-        for name, want in wanted.items():
+        for label, want in wanted.items():
             w = want.get(sup[-1])
             if w:
-                got = sums[name]
+                got = sums[label]
                 for t in sup:
                     x = w * v[t]
                     got[t] = got[t] + x if t in got else x
-    for name, want in wanted.items():
-        if {t: c for t, c in sums[name].items() if c} != want:
-            raise CertificateFailure(
-                f"{name} is not in the span of the truncated centralizer basis"
-            )
+    for label, want in wanted.items():
+        if {t: c for t, c in sums[label].items() if c} != want:
+            raise CertificateFailure(f"{label} is not in the span of the {what} basis")
 
 
 def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> CentralizerResult:
@@ -241,7 +241,9 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
     generators = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in unknown_keys]
     brackets = [lie_bracket(g, ftilde) for g in generators]
     kernel = mat_kernel(RatMatrix([br.terms for br in brackets]))
-    _check_known_solutions(s, ftilde, unknown_keys, kernel)
+    index = {(j, m): t for t, (_deg, j, m) in enumerate(unknown_keys)}
+    _check_known_solutions(s, "the deviation f~ truncated at D", ftilde, index, kernel,
+                           "truncated centralizer")
     basis = [PolyVectorField.linear_combination(s.n, [(v[t], generators[t]) for t in sup], D)
              for v, sup in zip(kernel.basis, kernel.supports)]
     # a vector's first nonzero entry fixes its degree
@@ -285,7 +287,8 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
     to resonant monomials, so the semisimple part enters the equations as
     actual rational numbers.  Refuses up front, with a scope error, more than
     `NORMALIZER_UNKNOWN_LIMIT` unknowns: n (C(D + n, n) - 1) vector and
-    C(D - 1 + n, n) scalar monomials.
+    C(D - 1 + n, n) scalar monomials.  Checks that the basis spans
+    (f truncated at D, 0) and each (C_k x, 0) (`_check_known_solutions`).
     """
     _require_explicit(s, f)
     _check_truncation(f, D)
@@ -296,17 +299,15 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
             f" above the limit {NORMALIZER_UNKNOWN_LIMIT}"
         )
     fD = f.truncated(D)
-    g_monos = [
-        PolyVectorField.monomial(s.n, j, m)
-        for deg in range(1, D + 1)
-        for j in range(s.n)
-        for m in compositions(deg, s.n)
-    ]
+    g_keys = [(j, m) for deg in range(1, D + 1) for j in range(s.n) for m in compositions(deg, s.n)]
+    g_monos = [PolyVectorField.monomial(s.n, j, m) for j, m in g_keys]
     lam_monos = [PolySeries.monomial(s.n, m) for deg in range(D) for m in compositions(deg, s.n)]
     columns = [lie_bracket(g, fD) for g in g_monos]
     columns += [series_times_field(lam, fD).scale(-1) for lam in lam_monos]
     kernel = mat_kernel(RatMatrix([c.terms for c in columns]))
     ng = len(g_monos)
+    _check_known_solutions(s, "(f truncated at D, 0)", fD, {key: t for t, key in enumerate(g_keys)},
+                           kernel, "truncated normalizer")
     basis = [
         (
             PolyVectorField.linear_combination(s.n, [(v[t], g_monos[t]) for t in sup if t < ng], D),

@@ -4,19 +4,29 @@ All coefficients are `fractions.Fraction`; there is no floating point
 anywhere.  One way in: every system comes as sparse columns, one per
 unknown, keyed by equation (mostly a monomial), and `RatMatrix(columns)`
 builds each primitive integer row from the row's nonzero entries, with no
-dense rational matrix in between, and flags the columns they touch.  A
-system without rows is a 0 x n matrix whose kernel is the identity basis.
+dense rational matrix in between.  The rows are narrow: they span only the
+touched columns, those where some row holds a nonzero entry, and the
+matrix keeps the map from a row's entry k to its column.  No other column
+can hold a pivot, so no full-width row is ever built.  A system without
+rows is a 0 x n matrix whose kernel is the identity basis.
 
 One way out: `mat_kernel` runs fraction-free (Bareiss) elimination on the
-integer rows, which keeps intermediate entries to single determinant-sized
-integers, and back-substitutes the integer echelon entries straight into
-`Fraction` unknowns.  Each kernel vector comes with its support; a kernel
-has no particular point.  A free column that no equation touches gets its
-unit vector e_f without back-substitution.  Each basis vector is fixed by
-the column order alone, so callers need not sort their row keys.
-`mat_rank` counts the pivots of the same elimination, and `mat_solve`
-reads Ax = b off the kernel of [A | -b]: it is consistent exactly when
-column n is free, whose vector is then (x, 1).
+narrow integer rows, which keeps intermediate entries to single
+determinant-sized integers.  The step is pivot-forward: a row below the
+pivot at column c is zero left of c and loses its entry at c, so only its
+entries from c + 1 on are updated.  A row with no entry at c is only
+scaled, and those scalings telescope, so each row is scaled up once, when
+it next takes part; the echelon rows are the integers of the plain
+step-by-step elimination.  The integer echelon entries are back-substituted
+in narrow coordinates straight into `Fraction` unknowns, and each vector is
+scattered to its full columns.  Each kernel vector comes with its support;
+a kernel has no particular point.  A free column that no equation touches
+gets its unit vector e_f without back-substitution.  Each basis vector is
+fixed by the column order alone (the reduced row echelon form is unique),
+so callers need not sort their row keys.  `mat_rank` counts the pivots of
+the same elimination, and `mat_solve` reads Ax = b off the kernel of
+[A | -b]: it is consistent exactly when column n is free, whose vector is
+then (x, 1).
 
 Every exact solve reads `mat_kernel`.  The resonance degree bound and the
 rewrite over the invariant generators take the kernel of [A | -I]: when
@@ -64,39 +74,42 @@ class RatMatrix:
         Each column maps row keys to coefficients (ints or Fractions); rows
         are indexed by the union of the keys in order of first appearance.
         The matrix has ``len(columns)`` columns, also when no column has a
-        key (a 0 x n matrix).  Each row's primitive integer row is built
-        from its nonzero entries alone, with one lcm of their denominators
-        and one gcd, and a column is flagged as touched when some row holds
-        a nonzero entry there.
+        key (a 0 x n matrix).  A column is touched when some row holds a
+        nonzero entry there; ``_touched`` lists those columns in ascending
+        order, and each row's primitive integer row is held over them only,
+        its entry k at column ``_touched[k]``: it is built from the row's
+        nonzero entries alone, with one lcm of their denominators and one
+        gcd.  No other column can hold a pivot.
         """
         index = {}
         entries = []
+        touched = []
         for t, col in enumerate(columns):
+            k = len(touched)  # the entry index of column t, if it is touched
             for key, c in col.items():
                 i = index.get(key)
                 if i is None:
                     i = index[key] = len(entries)
                     entries.append([])
-                entries[i].append((t, c))
-        ncols = len(columns)
+                if c:
+                    entries[i].append((k, c))
+                    if len(touched) == k:
+                        touched.append(t)
         ints = []
-        touched = bytearray(ncols)
         for row in entries:
             mult = lcm(*[c.denominator for _, c in row])
             nums = [c.numerator * (mult // c.denominator) for _, c in row]
             g = gcd(*nums)
             if g > 1:
                 nums = [v // g for v in nums]
-            dense = [0] * ncols
-            for (t, _), v in zip(row, nums):
-                if v:
-                    dense[t] = v
-                    touched[t] = 1
-            ints.append(dense)
+            narrow = [0] * len(touched)
+            for (k, _), v in zip(row, nums):
+                narrow[k] = v
+            ints.append(narrow)
         self.rows = len(ints)
-        self.cols = ncols
+        self.cols = len(columns)
         self._ints = ints
-        self._touched = touched
+        self._touched = tuple(touched)
 
 
 @dataclass(frozen=True)
@@ -115,13 +128,23 @@ def _bareiss_echelon(mat):
     """Fraction-free elimination.  Returns (echelon rows, pivot columns).
 
     Pivot columns are scanned left to right; the produced matrix is upper
-    trapezoidal with integer entries.
+    trapezoidal with integer entries.  A row below pivot (r, c) is zero left
+    of c, and the update (piv a - factor b) // prev clears its column c, so
+    only its entries from c + 1 on are computed.  A row whose factor is 0 is
+    only scaled by piv / prev, and across pivots r0..r - 1 these scalings
+    telescope to dets[r] / dets[r0], with dets[k] the pivot of echelon row
+    k - 1 (dets[0] = 1).  So each row records how many pivots it is current
+    through, and is scaled up only when it next has a nonzero factor or
+    becomes the pivot row.  A scaling keeps every zero, so the pivot search
+    reads stale rows; the echelon rows are the same integers as those of
+    the step-by-step elimination, and each division is exact.
     """
     rows = [list(row) for row in mat]
     m = len(rows)
     n = len(rows[0]) if rows else 0
+    current = [0] * m
+    dets = [1]
     pivots = []
-    prev = 1
     r = 0
     for c in range(n):
         pivot_row = None
@@ -132,14 +155,23 @@ def _bareiss_echelon(mat):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        current[r], current[pivot_row] = current[pivot_row], current[r]
+        prev = dets[r]
+        # the pivot row and every row it updates are first scaled up to date
+        for i in range(r, m):
+            if rows[i][c] and current[i] < r:
+                old = dets[current[i]]
+                rows[i] = [prev * a // old for a in rows[i]]
         piv = rows[r][c]
+        tail = rows[r][c + 1:]
         for i in range(r + 1, m):
-            if not any(rows[i]):
-                continue
-            factor = rows[i][c]
-            for j in range(n):
-                rows[i][j] = (piv * rows[i][j] - factor * rows[r][j]) // prev
-        prev = piv
+            row = rows[i]
+            factor = row[c]
+            if factor:
+                row[c + 1:] = [(piv * a - factor * b) // prev for a, b in zip(row[c + 1:], tail)]
+                row[c] = 0
+                current[i] = r + 1
+        dets.append(piv)
         pivots.append(c)
         r += 1
         if r == m:
@@ -156,34 +188,25 @@ def pivot_columns(rows) -> list[int]:
     return _bareiss_echelon(rows)[1]
 
 
-def _kernel_basis(ech, pivots, touched):
-    """(basis, supports) of the kernel of an integer echelon form whose columns
-    are flagged by ``touched`` (the matrix's `_touched`).
+def _kernel_basis(ech, pivots, width):
+    """(free column, vector, support) for each free column of an integer echelon
+    form over ``width`` columns, in ascending order of the free column.
 
     The vector of free column f is back-substituted only inside its
     triangle, the pivots c < f and the columns c < j <= f.  This is exact:
     x_f = 1 and every other free entry is 0, so, from the last pivot down,
     each pivot c > f sums only zeros and gets x_c = 0; every skipped
-    product has a zero factor.  A column that no row touches stays zero in
-    the echelon form, so inside its triangle every sum is zero as well: its
-    vector is the unit vector e_f, with support (f,), and is not
-    back-substituted at all.  Each product is a `Fraction` unknown times an
+    product has a zero factor.  Each product is a `Fraction` unknown times an
     integer echelon entry: `Fraction.__mul__` takes the int directly, with the
     value of the rational product, so no entry is first made into a `Fraction`.
     Its support is f and each pivot c < f whose sum has a nonzero numerator (row[c] != 0).
     """
-    n = len(touched)
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    supports = []
-    for f in free:
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        if not touched[f]:
-            basis.append(tuple(x))
-            supports.append((f,))
+    for f in range(width):
+        if f in pivot_set:
             continue
+        x = [Fraction(0)] * (f + 1)
+        x[f] = Fraction(1)
         support = [f]
         for k in range(bisect_left(pivots, f) - 1, -1, -1):
             c = pivots[k]
@@ -192,19 +215,41 @@ def _kernel_basis(ech, pivots, touched):
             x[c] = -acc / row[c]
             if acc.numerator:
                 support.append(c)
-        basis.append(tuple(x))
-        supports.append(tuple(reversed(support)))
-    return tuple(basis), tuple(supports)
+        yield f, x, support[::-1]
 
 
 def mat_kernel(M: RatMatrix) -> SolutionSpace:
     """Exact basis of {x : Mx = 0}, in reduced-echelon pivot order.
 
     Each basis vector carries value 1 at its own free column and 0 at every
-    other free column, ordered by free column index.
+    other free column, ordered by free column index.  The elimination runs
+    over the touched columns only: each of their vectors is back-substituted
+    in those coordinates and scattered to its full columns.  A column that
+    no row touches stays zero in every echelon row, so inside its triangle
+    every sum would be zero: its vector is the unit vector e_f, with support
+    (f,), and is not back-substituted at all.
     """
     ech, pivots = _bareiss_echelon(M._ints)
-    return SolutionSpace(*_kernel_basis(ech, pivots, M._touched))
+    touched = M._touched
+    # each touched free column's nonzero entries, ascending, at their full columns
+    solved = {
+        touched[f]: [(touched[j], x[j]) for j in support]
+        for f, x, support in _kernel_basis(ech, pivots, len(touched))
+    }
+    pivoted = {touched[c] for c in pivots}
+    zero = Fraction(0)
+    basis = []
+    supports = []
+    for f in range(M.cols):
+        if f in pivoted:
+            continue
+        entries = solved.get(f) or [(f, Fraction(1))]
+        v = [zero] * M.cols
+        for t, value in entries:
+            v[t] = value
+        basis.append(tuple(v))
+        supports.append(tuple(t for t, _ in entries))
+    return SolutionSpace(tuple(basis), tuple(supports))
 
 
 def mat_solve(rows, b) -> tuple[Vec, SolutionSpace] | None:

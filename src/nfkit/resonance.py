@@ -61,7 +61,9 @@ def lp_degree_bound(s: EigenSpectrum) -> int:
     of q columns with A_B invertible, zero elsewhere.  Each column set reads
     A_B^-1 off `mat_kernel`, like every exact solve: in the kernel of
     [A_B | -I], A_B is singular exactly when the first free column lies in
-    B, and otherwise vector k starts with column k of A_B^-1.  A is the same
+    B, and otherwise vector k starts with column k of A_B^-1.  [A_B | -I] has
+    rank q, so a nonsingular A_B must give exactly q vectors, at the free
+    columns q..2q-1; any other kernel raises `CertificateFailure`.  A is the same
     for every eigenvalue block, so its integer numerators give each block's
     point from the block's target t (its first component).
 
@@ -84,8 +86,14 @@ def lp_degree_bound(s: EigenSpectrum) -> int:
     best = None  # (sum of numerators, denominator, columns, numerators, target)
     for cols in combinations(range(s.n), s.q):
         kernel = mat_kernel(RatMatrix([columns[c] for c in cols] + units))
-        if kernel.supports[0][-1] < s.q:
+        free = [sup[-1] for sup in kernel.supports]
+        if free and free[0] < s.q:
             continue
+        if free != list(range(s.q, 2 * s.q)):
+            raise CertificateFailure(
+                f"kernel of [A_B | -I] on columns {list(cols)} has free columns {free},"
+                f" not {list(range(s.q, 2 * s.q))}"
+            )
         inverse = [v[:s.q] for v in kernel.basis]
         den = lcm(*(x.denominator for v in inverse for x in v))
         # the rows of den A_B^-1 as integers, and their sum, whose product with t is den |x|

@@ -85,6 +85,94 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+def dense_bareiss_echelon(mat):
+    """Fraction-free elimination over full-width rows, every entry of every row
+    below a pivot updated.  Returns (echelon rows, pivot columns)."""
+    rows = [list(row) for row in mat]
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(n):
+        pivot_row = None
+        for i in range(r, m):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, m):
+            if not any(rows[i]):
+                continue
+            factor = rows[i][c]
+            for j in range(n):
+                rows[i][j] = (piv * rows[i][j] - factor * rows[r][j]) // prev
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows[:r], pivots
+
+
+def _dense_kernel_basis(ech, pivots, touched):
+    """(basis, supports) of the kernel of a full-width integer echelon form, one
+    vector per free column f, back-substituted inside its triangle (pivots c < f,
+    columns c < j <= f); a column with no nonzero entry gets e_f at once."""
+    n = len(touched)
+    pivot_set = set(pivots)
+    basis = []
+    supports = []
+    for f in (j for j in range(n) if j not in pivot_set):
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        if not touched[f]:
+            basis.append(tuple(x))
+            supports.append((f,))
+            continue
+        support = [f]
+        for k in range(sum(1 for c in pivots if c < f) - 1, -1, -1):
+            c = pivots[k]
+            row = ech[k]
+            acc = sum((x[j] * row[j] for j in range(c + 1, f + 1)), Fraction(0))
+            x[c] = -acc / row[c]
+            if acc.numerator:
+                support.append(c)
+        basis.append(tuple(x))
+        supports.append(tuple(reversed(support)))
+    return tuple(basis), tuple(supports)
+
+
+def dense_primitive_rows(columns):
+    """One primitive integer row per row key of the sparse columns, in order of first
+    appearance, at full width with every zero written out."""
+    keys = list(dict.fromkeys(key for col in columns for key in col))
+    rows = []
+    for key in keys:
+        row = [Fraction(col.get(key, 0)) for col in columns]
+        mult = math.lcm(*(x.denominator for x in row))
+        ints = [int(x * mult) for x in row]
+        g = math.gcd(*ints)
+        rows.append([x // g for x in ints] if g > 1 else ints)
+    return rows
+
+
+def dense_bareiss_kernel(columns):
+    """(basis, supports, rank) of a system given by its sparse columns, by dense Bareiss.
+
+    The reference for `nfkit.linalg`'s elimination over the touched columns:
+    the `dense_primitive_rows`, eliminated with every entry of every row
+    updated at each pivot, and back-substituted over all columns.
+    """
+    rows = dense_primitive_rows(columns)
+    touched = [any(row[t] for row in rows) for t in range(len(columns))]
+    ech, pivots = dense_bareiss_echelon(rows)
+    return (*_dense_kernel_basis(ech, pivots, touched), len(pivots))
+
+
 def fraction_rewrite(generators, v):
     """The k >= 0 in Z^r with sum_a k_a g_a = v, for one exponent row v.
 

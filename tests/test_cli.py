@@ -531,21 +531,28 @@ def test_normalizer_too_large_is_refused_up_front(tmp_path, capsys, monkeypatch,
             {"j": 3, "m": [0, 0, 1], "c": "-1"},
         ],
     }))
-    # D = 6 (305 unknowns) is accepted; its elimination (5-9 s) is skipped
+    # D = 6 (305 unknowns) is accepted; its elimination (3-9 s) is skipped, and with it
+    # the certificate, which the empty stand-in kernel could not pass
     solved = []
+    certified = []
 
     def no_kernel(M):
         solved.append(M.cols)
         return SolutionSpace(basis=(), supports=())
 
+    def no_certificate(s, name, field, index, kernel, what):
+        certified.append((len(index), kernel.dimension))
+
     monkeypatch.setattr(centralizer, "mat_kernel", no_kernel)
+    monkeypatch.setattr(centralizer, "_check_known_solutions", no_certificate)
     argv = ["normalizer", "--spectrum", str(spectrum_path), "--field", str(field_path)]
     assert main(argv + ["--truncate", str(D)]) == code
     captured = capsys.readouterr()
     if code == 0:
-        assert solved == [305]
+        # 3 (C(9, 3) - 1) vector monomials of the 305 unknowns
+        assert solved == [305] and certified == [(249, 0)]
         return
-    assert solved == [] and captured.out == ""
+    assert solved == [] and certified == [] and captured.out == ""
     # 3 (C(10, 3) - 1) vector and C(9, 3) scalar monomials
     assert json.loads(captured.err) == {
         "error": "scope-error",
@@ -947,6 +954,49 @@ def test_truncated_centralizer_certificate_catches_a_mutated_system_under_optimi
     assert json.loads(proc.stderr) == {
         "error": "certificate-failure",
         "message": f"{MUTATION_CATCHES[mutation]} is not in the span of the truncated centralizer basis",
+    }
+
+
+DROPPED_NORMALIZER_VECTOR_SCRIPT = """
+import sys
+from nfkit import centralizer
+from nfkit.cli import main
+from nfkit.linalg import SolutionSpace
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real_kernel = centralizer.mat_kernel
+spectrum_path, field_path, dropped = sys.argv[1:]
+
+
+def without_vector(M):
+    space = real_kernel(M)
+    kept = [k for k, sup in enumerate(space.supports) if sup[-1] != int(dropped)]
+    if len(kept) != len(space.supports) - 1:
+        sys.exit(f"no kernel vector has the free column {dropped}")
+    return SolutionSpace(tuple(space.basis[k] for k in kept), tuple(space.supports[k] for k in kept))
+
+
+centralizer.mat_kernel = without_vector
+print("cli", main(["normalizer", "--spectrum", spectrum_path, "--field", field_path, "--truncate", "3"]))
+"""
+
+
+def test_truncated_normalizer_certificate_catches_a_dropped_vector_under_optimize(files):
+    """(f truncated at 3, 0) for the saddle needs the vector of free column 15, the unit
+    vector of x1 x2^2 e_2 (unknown 15 of the vector monomials, lex within each degree
+    and component), which holds its term 2 x1 x2^2 e_2."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DROPPED_NORMALIZER_VECTOR_SCRIPT,
+         files["saddle"], files["saddle_field"], "15"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cli 4"]
+    assert json.loads(proc.stderr) == {
+        "error": "certificate-failure",
+        "message": "(f truncated at D, 0) is not in the span of the truncated normalizer basis",
     }
 
 

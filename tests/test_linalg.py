@@ -21,7 +21,13 @@ from nfkit.linalg import (
     mat_solve,
 )
 
-from oracles import columns_of, vertex_lp_max
+from oracles import (
+    columns_of,
+    dense_bareiss_echelon,
+    dense_bareiss_kernel,
+    dense_primitive_rows,
+    vertex_lp_max,
+)
 
 IDENTITY_3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -267,13 +273,19 @@ EDGE_COLUMNS = {
 
 @pytest.mark.parametrize("columns", EDGE_COLUMNS.values(), ids=EDGE_COLUMNS.keys())
 def test_integer_rows_from_sparse_columns(sympy, columns):
-    """`RatMatrix` builds each primitive integer row from the row's own entries."""
+    """`RatMatrix` builds each primitive integer row from the row's own entries, and
+    holds it over the touched columns only."""
     system = RatMatrix(columns)
     rows = _dense_rows(columns)
-    assert system._ints == [_primitive(row) for row in rows]
-    assert (system.rows, system.cols) == (len(rows), len(columns))
     # a column is touched when it holds a nonzero entry; explicit zeros do not count
-    assert system._touched == bytes(any(c != 0 for c in col.values()) for col in columns)
+    touched = tuple(t for t, col in enumerate(columns) if any(c != 0 for c in col.values()))
+    assert system._touched == touched
+    # each narrow row is the primitive row restricted to the touched columns, which
+    # loses nothing: the primitive row is zero at every other column
+    primitive = [_primitive(row) for row in rows]
+    assert system._ints == [[row[t] for t in touched] for row in primitive]
+    assert all(row[t] == 0 for row in primitive for t in range(len(columns)) if t not in touched)
+    assert (system.rows, system.cols) == (len(rows), len(columns))
     basis = mat_kernel(system).basis
     S = sympy.Matrix(
         len(rows), len(columns), [sympy.Rational(x.numerator, x.denominator) for row in rows for x in row]
@@ -284,6 +296,55 @@ def test_integer_rows_from_sparse_columns(sympy, columns):
         assert mat_rank(system) == mat_rank(RatMatrix(columns_of(rows))) == S.rank()
     else:
         assert basis == tuple(IDENTITY_3)
+
+
+# entries with denominators up to 9, zero often and as an int or a Fraction
+MIXED = st.one_of(st.just(0), st.just(F(0)), st.integers(-5, 5), st.fractions(-5, 5, max_denominator=9))
+
+
+@st.composite
+def narrowed_systems(draw):
+    """Sparse columns with every shape the narrow rows must survive: columns with
+    no entry or only explicit zeros, rows of explicit zeros, rows repeated (scaled)
+    under another key, and entries over mixed denominators."""
+    ncols = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), MIXED, max_size=4), max_size=6))
+    for i in draw(st.lists(st.sampled_from(range(len(rows))), max_size=2)) if rows else []:
+        scale = draw(st.sampled_from([1, -1, 2, F(-1, 3)]))
+        rows.append({t: scale * c for t, c in rows[i].items()})
+    for support in draw(st.lists(st.sets(st.integers(0, ncols - 1), min_size=1), max_size=2)):
+        rows.append(dict.fromkeys(support, F(0)))
+    zeroed = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    order = draw(st.permutations(range(len(rows))))
+    columns = [{} for _ in range(ncols)]
+    for key in order:
+        for t, c in rows[key].items():
+            columns[t][key] = 0 if t in zeroed else c
+    return columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(narrowed_systems())
+@example(
+    # column 0 untouched, column 2 explicit zeros only, rows b and c duplicates of a,
+    # row d explicit zeros, and a pivot at 3 right of the free column 1
+    [{"d": F(0)}, {"a": F(1, 6), "b": F(1, 3), "c": F(-1, 6)}, {"a": 0, "d": 0},
+     {"a": F(-5, 4), "b": F(-5, 2), "c": F(5, 4), "e": 7}, {}, {"e": F(2, 9)}]
+)
+def test_kernel_and_rank_match_the_dense_bareiss_oracle(columns):
+    """Over the touched columns, the elimination gives the dense echelon rows (the same
+    integers, untouched columns left out) and pivots, `mat_kernel` the dense basis and
+    supports, in the same order, and `mat_rank` the dense rank."""
+    basis, supports, rank = dense_bareiss_kernel(columns)
+    M = RatMatrix(columns)
+    echelon, pivots = linalg._bareiss_echelon(M._ints)
+    dense_echelon, dense_pivots = dense_bareiss_echelon(dense_primitive_rows(columns))
+    assert [M._touched[c] for c in pivots] == dense_pivots
+    assert echelon == [[row[t] for t in M._touched] for row in dense_echelon]
+    space = mat_kernel(M)
+    assert space.basis == basis
+    assert space.supports == supports
+    assert mat_rank(M) == rank
 
 
 @st.composite

@@ -355,12 +355,18 @@ def test_cli_reads_inputs_in_main_and_declares_each_command_once():
 def test_matrices_keep_integer_rows_only():
     """`RatMatrix` holds primitive integer rows and gives back no rational rows:
     no `row`, no `__iter__`, no per-row scales, and no `.row(` call in the package.
-    Besides the rows it keeps only the per-column flags of the entries they hold."""
+    Besides the rows it keeps only the map from a row's entries to the columns:
+    the touched columns, ascending, one per entry of every row."""
     tree = _modules()["linalg.py"]
     cls = _class(tree, "RatMatrix")
     defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
     assert not defined & {"row", "__iter__"}
     assert set(RatMatrix.__slots__) == {"rows", "cols", "_ints", "_touched"}
+    # columns 0 and 3 hold only explicit zeros or nothing: the rows are 2 entries wide
+    system = RatMatrix([{"a": 0}, {"a": F(1, 2), "b": 1}, {"b": F(-3, 4)}, {}])
+    assert (system.rows, system.cols) == (2, 4)
+    assert system._touched == (1, 2)
+    assert system._ints == [[1, 0], [4, -3]]
     calls = [
         (name, node.lineno)
         for name, module in _modules().items()

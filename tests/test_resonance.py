@@ -160,6 +160,45 @@ def test_degree_bound_certificate_fires_under_optimize(tmp_path):
     assert json.loads(proc.stderr)["error"] == "certificate-failure"
 
 
+DROPPED_KERNEL_VECTOR_SCRIPT = """
+import sys
+from nfkit import resonance
+from nfkit.cli import main
+from nfkit.linalg import SolutionSpace
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real_kernel = resonance.mat_kernel
+
+
+def without_last_vector(M):
+    kernel = real_kernel(M)
+    return SolutionSpace(kernel.basis[:-1], kernel.supports[:-1])
+
+
+resonance.mat_kernel = without_last_vector
+print("cli", main(["resonances", "--spectrum", sys.argv[1]]))
+"""
+
+
+def test_degree_bound_kernel_check_fires_under_optimize(tmp_path):
+    """A nonsingular A_B gives exactly q kernel vectors, at the free columns q..2q-1:
+    with one dropped, diag(12, 6, 3) (q = 1) is a certificate failure, not an IndexError."""
+    path = tmp_path / "spectrum.json"
+    path.write_text('{"n": 3, "q": 1, "lambda": [["12"], ["6"], ["3"]]}')
+    env = dict(os.environ, PYTHONPATH=str(Path(resonance.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DROPPED_KERNEL_VECTOR_SCRIPT, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cli 4"]
+    assert json.loads(proc.stderr) == {
+        "error": "certificate-failure",
+        "message": "kernel of [A_B | -I] on columns [0] has free columns [], not [1]",
+    }
+
+
 def test_degree_bound_requires_finite():
     with pytest.raises(InfiniteResonance):
         resonance_degree_bound(build_spectrum(2, 1, [[1], [-1]]))
