@@ -8,6 +8,13 @@ All brackets against the semisimple part vanish structurally (commutant
 fields and resonant monomials commute with it by construction), so only
 the rational data, nilpotent part and nonlinear terms, enters the system.
 
+Every system is assembled in integers, one column per unknown monomial,
+by `fields.CommutatorColumns`; no generator field is built and no bracket
+is taken in `Fraction`.  A kernel vector on unit-monomial unknowns is read
+straight off at its support as the coefficients of its element.  Each
+solver re-checks its basis against solutions known in closed form
+(`_check_known_solutions`).
+
 Not provided: rescaling a normalizer element into an honest commuting field
 for a time-reparametrized system; that construction needs the semisimple
 part of an arbitrary commuting linear map and is out of scope here.
@@ -30,6 +37,7 @@ from .errors import (
     ZeroSemisimplePart,
 )
 from .fields import (
+    CommutatorColumns,
     PolySeries,
     PolyVectorField,
     lie_bracket,
@@ -69,8 +77,12 @@ def _check_kernel_size(what: str, unknowns: int):
 
 @dataclass(frozen=True)
 class CommutantBasis:
+    """The linear fields Bx of a commutant basis; ``free[t]`` is the entry (i, k) at
+    which basis matrix t is 1 and every other basis matrix is 0."""
+
     dimension: int
     basis: tuple[PolyVectorField, ...]
+    free: tuple[tuple[int, int], ...]
 
 
 def _block_kernels(s: EigenSpectrum, blocks):
@@ -113,9 +125,13 @@ def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
         for v, sup in zip(kernel.basis, kernel.supports):
             entries = [(block[t // size], block[t % size], v[t]) for t in sup]
             field = PolyVectorField(n, {(i, unit_row(n, k)): x for i, k, x in entries})
-            placed.append((entries[-1][0] * n + entries[-1][1], field))
-    basis = tuple(field for _, field in sorted(placed, key=lambda p: p[0]))
-    return CommutantBasis(dimension=len(basis), basis=basis)
+            placed.append((entries[-1][0] * n + entries[-1][1], entries[-1][:2], field))
+    placed.sort(key=lambda p: p[0])
+    return CommutantBasis(
+        dimension=len(placed),
+        basis=tuple(field for _, _, field in placed),
+        free=tuple(entry for _, entry, _ in placed),
+    )
 
 
 @dataclass(frozen=True)
@@ -136,9 +152,11 @@ def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult
 
     Unknowns: d commutant coordinates + one coefficient per resonance;
     equations: vanishing of every resonant coefficient of the bracket with
-    the nilpotent-plus-nonlinear part of f.  Refuses up front, once the
-    resonances are listed, a kernel over sum |b|^2 + r unknowns that
-    `_check_kernel_size` rejects.
+    the nilpotent-plus-nonlinear part of f.  A commutant unknown's column
+    sums the integer columns of the entries of its matrix.  Refuses up front,
+    once the resonances are listed, a kernel over sum |b|^2 + r unknowns that
+    `_check_kernel_size` rejects.  Checks that the basis spans ftilde and each
+    C_k x, each commutant unknown weighted by its free entry (i, x_k).
     """
     if not is_finite_linear_centralizer(s):
         raise InfiniteResonance("exact centralizer requires a finite resonance set")
@@ -149,21 +167,44 @@ def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult
     comm = linear_commutant(s)
     d = comm.dimension
     res_keys = sorted(rset.pairs(), key=lambda k: (sum(k[1]), k[0], k[1]))
-    generators = list(comm.basis) + [PolyVectorField.monomial(s.n, j, m) for j, m in res_keys]
-    brackets = [lie_bracket(g, ftilde) for g in generators]
-    if any(sum(m) < 2 or not rset.contains(j, m) for br in brackets for j, m in br.terms):
+    system = CommutatorColumns(ftilde)
+    columns = []
+    for B in comm.basis:
+        column = {}
+        for (i, row), b in B.terms.items():
+            for key, c in system.bracket(i, row).items():
+                column[key] = column.get(key, 0) + b * c
+        columns.append({key: c for key, c in column.items() if c})
+    columns += [system.bracket(j, m) for j, m in res_keys]
+    if any(sum(m) < 2 or not rset.contains(j, m) for col in columns for j, m in col):
         raise CertificateFailure(
             "bracket left the resonant span; the finite system would be incomplete"
         )
-    kernel = mat_kernel(RatMatrix([br.terms for br in brackets]))
-
-    basis = [PolyVectorField.linear_combination(s.n, [(v[t], generators[t]) for t in sup])
-             for v, sup in zip(kernel.basis, kernel.supports)]
-    dim = len(basis)
+    kernel = mat_kernel(RatMatrix(columns))
+    dim = kernel.dimension
     if not d <= dim <= d + r:
         raise CertificateFailure(f"dimension {dim} violates d = {d} <= dim <= d + r = {d + r}")
     if dim < s.n:
         raise CertificateFailure(f"dimension {dim} is below the space dimension {s.n}")
+    index = {(i, unit_row(s.n, k)): t for t, (i, k) in enumerate(comm.free)}
+    index.update((key, d + t) for t, key in enumerate(res_keys))
+    # a linear term off the free entries is fixed by those of its commutant matrix
+    known = {"the deviation f~": ftilde.terms, **_linear_solutions(s)}
+    _check_known_solutions(
+        {label: {key: c for key, c in terms.items() if key in index or sum(key[1]) > 1}
+         for label, terms in known.items()},
+        index, kernel, "exact centralizer",
+    )
+    basis = []
+    for v, sup in zip(kernel.basis, kernel.supports):
+        terms = {}
+        for t in sup:
+            if t < d:
+                for key, c in comm.basis[t].terms.items():
+                    terms[key] = terms.get(key, 0) + v[t] * c
+            else:
+                terms[res_keys[t - d]] = v[t]
+        basis.append(PolyVectorField(s.n, terms))
     # with A_n = 0 the commutant holds all |b|^2 entries of each block b, so
     # sum |b|^2 = d; the components of b share one listing of r_b resonances, so
     # sum |b| r_b = r by construction
@@ -191,37 +232,43 @@ def _check_truncation(f: PolyVectorField, D: int):
         raise DimensionMismatch(f"field truncation {f.trunc} is below D = {D}")
 
 
-def _check_known_solutions(s: EigenSpectrum, name, field, index, kernel, what):
-    """Certificate: ``field`` and each C_k x solve the system, so each is the sum of
-    the basis vectors, each weighted by its coefficient at the vector's free column.
+def _linear_solutions(s: EigenSpectrum):
+    """The terms of each C_k x, labelled.  C_k x commutes with the nilpotent part and
+    with every resonant monomial, so with every field in normal form."""
+    return {
+        f"C_{k} x": {(i, unit_row(s.n, i)): c for i, c in enumerate(C) if c}
+        for k, C in enumerate(c_matrix_basis(s), 1)
+    }
 
-    ``index`` numbers the unknown vector monomials, keyed by (j, m); every
-    other unknown of a known solution is 0.  C_k x commutes with the
-    nilpotent part and with every resonant monomial, so with every field in
-    normal form.  A basis vector is 1 at its free column (the last of its
-    support) and 0 at every other free column, so the weights are read off
-    there; one pass over the supports sums all of them.  A miss names the
+
+def _check_known_solutions(known, index, kernel, what):
+    """Certificate: each known solution is the sum of the basis vectors, each
+    weighted by its coefficient at the vector's free column.
+
+    ``known`` maps a label to a solution's terms, keyed like ``index``, which
+    numbers the unknowns; every other unknown of a known solution is 0.  A
+    basis vector is 1 at its free column (the last of its support) and 0 at
+    every other free column, so the weights are read off there and only the
+    vectors of the solution's free columns are summed.  A miss names the
     solution and ``what`` the basis spans.
     """
-    known = {name: field.terms}
-    for k, C in enumerate(c_matrix_basis(s), 1):
-        known[f"C_{k} x"] = {(i, unit_row(s.n, i)): c for i, c in enumerate(C) if c}
     wanted = {}
     for label, terms in known.items():
         if not terms.keys() <= index.keys():
             raise CertificateFailure(f"{label} has a term outside the unknowns of the {what}")
         wanted[label] = {index[key]: c for key, c in terms.items() if c}
-    sums = {label: {} for label in known}
-    for v, sup in zip(kernel.basis, kernel.supports):
-        for label, want in wanted.items():
-            w = want.get(sup[-1])
-            if w:
-                got = sums[label]
-                for t in sup:
-                    x = w * v[t]
-                    got[t] = got[t] + x if t in got else x
+    vector_of = {sup[-1]: k for k, sup in enumerate(kernel.supports)}
     for label, want in wanted.items():
-        if {t: c for t, c in sums[label].items() if c} != want:
+        got = {}
+        for f, w in want.items():
+            k = vector_of.get(f)
+            if k is None:
+                continue
+            v = kernel.basis[k]
+            for t in kernel.supports[k]:
+                x = w * v[t]
+                got[t] = got[t] + x if t in got else x
+        if {t: c for t, c in got.items() if c} != want:
             raise CertificateFailure(f"{label} is not in the span of the {what} basis")
 
 
@@ -238,14 +285,15 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
         (sum(m), j, m) for j, rj in enumerate(resonances_by_component(s, 1, D)) for m in rj
     )
     _check_kernel_size("truncated centralizer", len(unknown_keys))
-    generators = [PolyVectorField.monomial(s.n, j, m) for _deg, j, m in unknown_keys]
-    brackets = [lie_bracket(g, ftilde) for g in generators]
-    kernel = mat_kernel(RatMatrix([br.terms for br in brackets]))
+    system = CommutatorColumns(ftilde)
+    kernel = mat_kernel(RatMatrix([system.bracket(j, m) for _deg, j, m in unknown_keys]))
     index = {(j, m): t for t, (_deg, j, m) in enumerate(unknown_keys)}
-    _check_known_solutions(s, "the deviation f~ truncated at D", ftilde, index, kernel,
-                           "truncated centralizer")
-    basis = [PolyVectorField.linear_combination(s.n, [(v[t], generators[t]) for t in sup], D)
-             for v, sup in zip(kernel.basis, kernel.supports)]
+    known = {"the deviation f~ truncated at D": ftilde.terms, **_linear_solutions(s)}
+    _check_known_solutions(known, index, kernel, "truncated centralizer")
+    basis = [
+        PolyVectorField(s.n, {unknown_keys[t][1:]: v[t] for t in sup}, D)
+        for v, sup in zip(kernel.basis, kernel.supports)
+    ]
     # a vector's first nonzero entry fixes its degree
     graded_count = Counter(unknown_keys[sup[0]][0] for sup in kernel.supports)
     # the commutant dimension, without building its basis fields
@@ -278,6 +326,26 @@ def _require_explicit(s, f):
         )
 
 
+def _normalizer_solutions(s: EigenSpectrum, fD: PolyVectorField, D: int):
+    """Known solutions (g, lambda) of [g, f] = lambda f mod degree > D, labelled, with
+    g's terms keyed (j, m) and lambda's by its exponent rows.
+
+    For each scalar monomial beta with |beta| <= D - 1, [beta f, f] = -X_f(beta) f,
+    so (beta f truncated at D, -X_f beta truncated at D - 1) solves the system:
+    f has no constant term, so the dropped terms only reach degrees above D.
+    beta = 1 gives (f truncated at D, 0).  Each (C_k x, 0) solves it too.
+    """
+    known = {"(f truncated at D, 0)": fD.terms, **_linear_solutions(s)}
+    for deg in range(1, D):
+        for beta in compositions(deg, s.n):
+            terms = {(j, tuple(a + b for a, b in zip(beta, m))): c
+                     for (j, m), c in fD.terms.items() if deg + sum(m) <= D}
+            lam = lie_derivative(fD, PolySeries.monomial(s.n, beta, trunc=D - 1))
+            terms.update((m, -c) for m, c in lam.terms.items())
+            known[f"(x^{beta} f, -X_f x^{beta})"] = terms
+    return known
+
+
 def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> NormalizerResult:
     """Joint solve of [g, f] = lambda f mod degree > D.
 
@@ -287,8 +355,8 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
     to resonant monomials, so the semisimple part enters the equations as
     actual rational numbers.  Refuses up front, with a scope error, more than
     `NORMALIZER_UNKNOWN_LIMIT` unknowns: n (C(D + n, n) - 1) vector and
-    C(D - 1 + n, n) scalar monomials.  Checks that the basis spans
-    (f truncated at D, 0) and each (C_k x, 0) (`_check_known_solutions`).
+    C(D - 1 + n, n) scalar monomials.  Checks that the basis spans every
+    solution of `_normalizer_solutions` (`_check_known_solutions`).
     """
     _require_explicit(s, f)
     _check_truncation(f, D)
@@ -300,20 +368,19 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
         )
     fD = f.truncated(D)
     g_keys = [(j, m) for deg in range(1, D + 1) for j in range(s.n) for m in compositions(deg, s.n)]
-    g_monos = [PolyVectorField.monomial(s.n, j, m) for j, m in g_keys]
-    lam_monos = [PolySeries.monomial(s.n, m) for deg in range(D) for m in compositions(deg, s.n)]
-    columns = [lie_bracket(g, fD) for g in g_monos]
-    columns += [series_times_field(lam, fD).scale(-1) for lam in lam_monos]
-    kernel = mat_kernel(RatMatrix([c.terms for c in columns]))
-    ng = len(g_monos)
-    _check_known_solutions(s, "(f truncated at D, 0)", fD, {key: t for t, key in enumerate(g_keys)},
-                           kernel, "truncated normalizer")
+    lam_keys = [m for deg in range(D) for m in compositions(deg, s.n)]
+    system = CommutatorColumns(fD)
+    columns = [system.bracket(j, m) for j, m in g_keys]
+    columns += [system.scalar(m) for m in lam_keys]
+    kernel = mat_kernel(RatMatrix(columns))
+    ng = len(g_keys)
+    # a vector key (j, m) never equals a scalar key, a row of n integers
+    index = {key: t for t, key in enumerate(g_keys + lam_keys)}
+    _check_known_solutions(_normalizer_solutions(s, fD, D), index, kernel, "truncated normalizer")
     basis = [
         (
-            PolyVectorField.linear_combination(s.n, [(v[t], g_monos[t]) for t in sup if t < ng], D),
-            PolySeries.linear_combination(
-                s.n, [(v[t], lam_monos[t - ng]) for t in sup if t >= ng], D - 1
-            ),
+            PolyVectorField(s.n, {g_keys[t]: v[t] for t in sup if t < ng}, D),
+            PolySeries(s.n, {lam_keys[t - ng]: v[t] for t in sup if t >= ng}, D - 1),
         )
         for v, sup in zip(kernel.basis, kernel.supports)
     ]

@@ -5,12 +5,18 @@ exponent row) pairs (fields), with Fraction coefficients and no stored
 zeros.  Every object carries a truncation budget; binary operations take
 the minimum of the budgets and drop anything beyond it, so no result ever
 claims exactness past its horizon.  ``math.inf`` marks genuine polynomials.
+
+The solvers do not assemble their linear systems from these objects:
+`CommutatorColumns` gives each unknown monomial's column straight from its
+key, in integers.  It shares the one product rule, `_add_derivative`, with
+`lie_bracket` and `lie_derivative`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import DimensionMismatch, InfiniteResonanceWithoutCap, LinearPartMismatch, NotPDNF
 from .linalg import frac
@@ -207,18 +213,23 @@ def series_times_field(psi: PolySeries, h: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(h.n, data, min(psi.trunc, h.trunc))
 
 
-def _by_component(g: PolyVectorField):
-    """g's terms (row, degree, coefficient) per component, in term order."""
-    groups = [[] for _ in range(g.n)]
-    for (i, l), c in g.terms.items():
+def _by_component(n, terms):
+    """The terms (row, degree, coefficient) of a field's ``terms`` per component, in term order."""
+    groups = [[] for _ in range(n)]
+    for (i, l), c in terms.items():
         groups[i].append((l, sum(l), c))
     return groups
+
+
+def _constant_groups(n, j):
+    """`_by_component` of the constant field e_j, whose Lie derivative is d/dx_j."""
+    return [[((0,) * n, 0, 1)] if i == j else [] for i in range(n)]
 
 
 def _add_derivative(data, groups, m, c, trunc, j=None):
     """Add c * X_g(x^m) up to degree ``trunc`` into ``data``, keyed by row or by (j, row).
 
-    ``groups`` is `_by_component(g)`.
+    ``groups`` is `_by_component` of g's terms.  Integer coefficients stay integers.
     """
     for i, terms in enumerate(groups):
         if m[i] == 0 or not terms:
@@ -230,7 +241,7 @@ def _add_derivative(data, groups, m, c, trunc, j=None):
                 continue
             row = tuple(x + y for x, y in zip(dm, l))
             key = row if j is None else (j, row)
-            data[key] = data.get(key, Fraction(0)) + m[i] * c * cg
+            data[key] = data.get(key, 0) + m[i] * c * cg
 
 
 def lie_bracket(g: PolyVectorField, h: PolyVectorField) -> PolyVectorField:
@@ -239,7 +250,7 @@ def lie_bracket(g: PolyVectorField, h: PolyVectorField) -> PolyVectorField:
         raise DimensionMismatch("bracket dimension mismatch")
     trunc = min(g.trunc, h.trunc)
     data = {}
-    g_groups, h_groups = _by_component(g), _by_component(h)
+    g_groups, h_groups = _by_component(g.n, g.terms), _by_component(h.n, h.terms)
     for (j, m), c in h.terms.items():
         _add_derivative(data, g_groups, m, c, trunc, j)
     for (j, m), c in g.terms.items():
@@ -253,10 +264,77 @@ def lie_derivative(g: PolyVectorField, phi: PolySeries) -> PolySeries:
         raise DimensionMismatch("lie derivative dimension mismatch")
     trunc = min(g.trunc, phi.trunc)
     data = {}
-    groups = _by_component(g)
+    groups = _by_component(g.n, g.terms)
     for m, c in phi.terms.items():
         _add_derivative(data, groups, m, c, trunc)
     return PolySeries(g.n, data, trunc)
+
+
+class CommutatorColumns:
+    """Sparse integer columns of the linear systems around one field h.
+
+    The solvers look for g = sum a_t x^m e_j, lambda = sum b_t x^k and
+    phi = sum c_t x^m, one unknown per monomial.  Each unknown's column is
+    built straight from its key, as L times the `Fraction` terms it stands
+    for, with L the lcm of h's denominators:
+
+    - ``bracket(j, m)``: L [x^m e_j, h], for [g, h] = 0 and [g, h] = lambda h;
+    - ``scalar(k)``: -L x^k h, for lambda in [g, h] = lambda h;
+    - ``multiplier(m)``: L (X_h(x^m) - div h x^m), for X_h(phi) = div h phi.
+
+    One builder serves every column of a system, so all share one L: the
+    kernel is that of the `Fraction` system, and `RatMatrix` builds the same
+    primitive rows.  Terms above ``min(trunc, h.trunc)`` are dropped, and so
+    are entries that cancel.  A bracket is x^m d_j h - X_h(x^m) e_j.  The
+    partial derivative d_j h = X_{e_j}(h) is taken once per j, and X_h(x^m)
+    once per column, both by `_add_derivative`, the product rule of
+    `lie_bracket` and `lie_derivative`; div h sums the d_j h_j.
+    """
+
+    __slots__ = ("trunc", "_terms", "_groups", "_partials", "_div")
+
+    def __init__(self, h: PolyVectorField, trunc=INF):
+        n = h.n
+        self.trunc = min(h.trunc, trunc)
+        L = math.lcm(*(c.denominator for c in h.terms.values()))
+        terms = {key: c.numerator * (L // c.denominator) for key, c in h.terms.items()}
+        self._terms = [(i, l, sum(l), c) for (i, l), c in terms.items()]
+        self._groups = _by_component(n, terms)
+        self._partials = []
+        div = {}
+        for j in range(n):
+            data = {}
+            e_j = _constant_groups(n, j)
+            for (i, l), c in terms.items():
+                _add_derivative(data, e_j, l, c, INF, i)
+            self._partials.append([(i, row, sum(row), c) for (i, row), c in data.items()])
+            for (i, row), c in data.items():
+                if i == j:
+                    div[row] = div.get(row, 0) + c
+        self._div = [(row, sum(row), c) for row, c in div.items() if c]
+
+    def bracket(self, j, m):
+        trunc, base, data = self.trunc, sum(m), {}
+        for i, row, degree, c in self._partials[j]:
+            if base + degree <= trunc:
+                data[(i, tuple(map(add, m, row)))] = c
+        _add_derivative(data, self._groups, m, -1, trunc, j)
+        return {key: c for key, c in data.items() if c}
+
+    def scalar(self, k):
+        trunc, base = self.trunc, sum(k)
+        return {
+            (i, tuple(map(add, k, l))): -c for i, l, degree, c in self._terms if base + degree <= trunc
+        }
+
+    def multiplier(self, m):
+        trunc, base, data = self.trunc, sum(m), {}
+        _add_derivative(data, self._groups, m, 1, trunc)
+        for row, degree, c in self._div:
+            if base + degree <= trunc:
+                key = tuple(map(add, m, row))
+                data[key] = data.get(key, 0) - c
+        return {key: c for key, c in data.items() if c}
 
 
 def divergence(f: PolyVectorField) -> PolySeries:
@@ -265,10 +343,7 @@ def divergence(f: PolyVectorField) -> PolySeries:
     trunc = f.trunc if f.trunc == INF else max(f.trunc - 1, 0)
     data = {}
     for (j, m), c in f.terms.items():
-        if m[j] == 0:
-            continue
-        dm = tuple(x - (1 if t == j else 0) for t, x in enumerate(m))
-        data[dm] = data.get(dm, Fraction(0)) + m[j] * c
+        _add_derivative(data, _constant_groups(n, j), m, c, INF)
     return PolySeries(n, data, trunc)
 
 

@@ -23,9 +23,9 @@ from .errors import (
 )
 from .fields import (
     INF,
+    CommutatorColumns,
     PolySeries,
     PolyVectorField,
-    lie_bracket,
     lie_derivative,
     normal_form_deviation,
 )
@@ -291,8 +291,8 @@ def triviality_certificate(red: ReducedField) -> TrivialityCertificate:
         reasons.append(f"commuting ladder admits degrees {sorted(set(ladder.degrees) - {2})}")
     f2 = quadratic_from_nu(nu)
     unknowns = [(i, m) for i in range(r) for m in compositions(2, r)]
-    columns = [lie_bracket(PolyVectorField.monomial(r, i, m), f2).terms for i, m in unknowns]
-    kdim = mat_kernel(RatMatrix(columns)).dimension
+    system = CommutatorColumns(f2)
+    kdim = mat_kernel(RatMatrix([system.bracket(i, m) for i, m in unknowns])).dimension
     if kdim != 1:
         reasons.append(f"degree-2 commutator kernel has dimension {kdim}")
     fi_ladder = semiinvariant_degree_ladder(mu, 0)

@@ -16,6 +16,7 @@ from math import comb
 from .errors import CertificateFailure, DimensionMismatch, RewriteFailure, ScopeError, WrongShape
 from .fields import (
     INF,
+    CommutatorColumns,
     PolySeries,
     PolyVectorField,
     divergence,
@@ -145,12 +146,9 @@ def solve_multiplier(
     div_dev = divergence(dev)
     support = {d: multiplier_support(s, d) for d in range(1, D + 1)}
     mindeg = dev.min_degree() or 2
-    # X_dev(x^m) - div dev * x^m does not depend on r: one column per (d, m)
-    column_of = {}
-    for d in range(r_min, D + 1):
-        for m in support[d]:
-            mono = PolySeries.monomial(s.n, m)
-            column_of[(d, m)] = lie_derivative(dev, mono) - div_dev * mono
+    # L (X_dev(x^m) - div dev * x^m) does not depend on r: one column per (d, m)
+    system = CommutatorColumns(dev, div_dev.trunc)
+    column_of = {(d, m): system.multiplier(m) for d in range(r_min, D + 1) for m in support[d]}
 
     entries = []
     for r in range(r_min, r_max + 1):
@@ -166,11 +164,10 @@ def solve_multiplier(
             if f.trunc != INF:
                 # rows past the field budget would miss unknown field terms
                 maxrow = min(maxrow, int(f.trunc) + r - 1)
-            system = RatMatrix(
-                [{v: c for v, c in col.terms.items() if sum(v) <= maxrow}
+            kernel = mat_kernel(RatMatrix(
+                [{v: c for v, c in col.items() if sum(v) <= maxrow}
                  for _m, col in unknowns[:active]]
-            )
-            kernel = mat_kernel(system)
+            ))
             # the first vector with a nonzero entry in the lowest-order block
             first = next((k for k, nz in enumerate(kernel.supports) if nz[0] < low), None)
             if first is None:

@@ -14,6 +14,7 @@ from nfkit.centralizer import (
     normalizer_truncated,
 )
 from nfkit.errors import (
+    CertificateFailure,
     InfiniteResonance,
     LinearPartMismatch,
     NotNormalizerPair,
@@ -28,7 +29,7 @@ from nfkit.fields import (
     lie_derivative,
     series_times_field,
 )
-from nfkit.linalg import RatMatrix, mat_rank
+from nfkit.linalg import RatMatrix, SolutionSpace, mat_rank
 from nfkit.resonance import resonance_degree_bound
 from nfkit.spectrum import build_spectrum, c_matrix_basis, unit_row
 
@@ -286,6 +287,33 @@ def test_jordan_example():
     a = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(11)]
     assert centralizer_exact(s, jordan_field(a)).dimension == 6
     assert centralizer_exact(s, jordan_field([0] * 11)).dimension == 10
+
+
+@pytest.mark.parametrize("dropped, label", [(1, "the deviation f~"), (2, "C_1 x")])
+def test_exact_certificate_catches_a_dropped_vector(monkeypatch, dropped, label):
+    """The linear Jordan field has dimension 10 in [d, d + r] = [6, 17], so one vector
+    less keeps the dimension bounds and only the span certificate sees it.  Vector 1
+    is x2 e_1 + x3 e_2, free at the commutant entry (1, 2), where A_n x has weight 1;
+    vector 2 is the first block's identity, free at (2, 2), where C_1 x has weight 3."""
+    s = jordan_spectrum()
+    f = jordan_field([0] * 11)
+    full = centralizer_exact(s, f)
+    assert (full.dimension, full.d, full.r) == (10, 6, 11)
+    real = centralizer.mat_kernel
+
+    def without_vector(M):
+        space = real(M)
+        if M.cols != full.d + full.r:  # the commutant blocks keep their kernels
+            return space
+        kept = [k for k in range(space.dimension) if k != dropped]
+        return SolutionSpace(
+            tuple(space.basis[k] for k in kept), tuple(space.supports[k] for k in kept)
+        )
+
+    monkeypatch.setattr(centralizer, "mat_kernel", without_vector)
+    with pytest.raises(CertificateFailure) as info:
+        centralizer_exact(s, f)
+    assert str(info.value) == f"{label} is not in the span of the exact centralizer basis"
 
 
 def test_pure_linear_attains_upper_bound():

@@ -540,8 +540,8 @@ def test_normalizer_too_large_is_refused_up_front(tmp_path, capsys, monkeypatch,
         solved.append(M.cols)
         return SolutionSpace(basis=(), supports=())
 
-    def no_certificate(s, name, field, index, kernel, what):
-        certified.append((len(index), kernel.dimension))
+    def no_certificate(known, index, kernel, what):
+        certified.append((len(known), len(index), kernel.dimension))
 
     monkeypatch.setattr(centralizer, "mat_kernel", no_kernel)
     monkeypatch.setattr(centralizer, "_check_known_solutions", no_certificate)
@@ -549,8 +549,9 @@ def test_normalizer_too_large_is_refused_up_front(tmp_path, capsys, monkeypatch,
     assert main(argv + ["--truncate", str(D)]) == code
     captured = capsys.readouterr()
     if code == 0:
-        # 3 (C(9, 3) - 1) vector monomials of the 305 unknowns
-        assert solved == [305] and certified == [(249, 0)]
+        # (f, 0), (C_1 x, 0) and (beta f, -X_f beta) for the C(8, 3) - 1 monomials
+        # 1 <= |beta| <= 5, against all 305 unknowns
+        assert solved == [305] and certified == [(57, 305, 0)]
         return
     assert solved == [] and certified == [] and captured.out == ""
     # 3 (C(10, 3) - 1) vector and C(9, 3) scalar monomials
@@ -997,6 +998,66 @@ def test_truncated_normalizer_certificate_catches_a_dropped_vector_under_optimiz
     assert json.loads(proc.stderr) == {
         "error": "certificate-failure",
         "message": "(f truncated at D, 0) is not in the span of the truncated normalizer basis",
+    }
+
+
+MUTATED_NORMALIZER_SCRIPT = """
+import sys
+from nfkit import centralizer
+from nfkit.cli import main
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real_matrix = centralizer.RatMatrix
+spectrum_path, field_path, mutation, column = sys.argv[1:]
+
+
+def mutated_matrix(columns):
+    # the normalizer builds one system, and its certificate runs before any other
+    columns = list(columns)
+    t = int(column)
+    columns[t] = {} if mutation == "drop" else {key: -c for key, c in columns[t].items()}
+    return real_matrix(columns)
+
+
+centralizer.RatMatrix = mutated_matrix
+print("cli", main(["normalizer", "--spectrum", spectrum_path, "--field", field_path, "--truncate", "3"]))
+"""
+
+
+# The saddle's normalizer at D = 3 has 18 vector unknowns, x^m e_j by degree, then
+# component, then lex m, and 6 scalar unknowns x^k from 18 on: 1, x2, x1, x2^2, x1 x2,
+# x1^2.  Each mutation leaves the named known solution outside the returned span.
+NORMALIZER_MUTATIONS = {
+    # f holds x2 e_2 (unknown 2), so f no longer solves the system
+    ("drop", 2): "(f truncated at D, 0)",
+    # the first bracket column that a solution uses, [x1 e_1, f] (unknown 1): column 0,
+    # [x2 e_1, f], is 0 in every kernel vector, so negating it changes no kernel
+    ("negate", 1): "(f truncated at D, 0)",
+    # lambda = -X_f x1 = -x1 mod degree 2 for beta = x1, the first beta that reads x1
+    ("negate", 20): "(x^(1, 0) f, -X_f x^(1, 0))",
+}
+
+
+@pytest.mark.parametrize("mutation, column", NORMALIZER_MUTATIONS)
+def test_truncated_normalizer_certificate_catches_a_mutated_system_under_optimize(
+    files, mutation, column
+):
+    """Dropping the column of an unknown that f uses, negating a bracket column, or
+    negating a lambda column leaves a known solution outside the returned span, also
+    under `python -O`.  Only the (beta f, -X_f beta) solutions read the lambda columns."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MUTATED_NORMALIZER_SCRIPT,
+         files["saddle"], files["saddle_field"], mutation, str(column)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cli 4"]
+    label = NORMALIZER_MUTATIONS[(mutation, column)]
+    assert json.loads(proc.stderr) == {
+        "error": "certificate-failure",
+        "message": f"{label} is not in the span of the truncated normalizer basis",
     }
 
 

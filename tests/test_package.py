@@ -284,8 +284,9 @@ def _size_guards(fn):
 
 def test_every_centralizer_kernel_is_sized_first():
     """A function of `centralizer` that solves a kernel, by `mat_kernel` or through
-    `_block_kernels` (which sizes each block), applies a size refusal first; the
-    exact centralizer does so before it builds the commutant or any bracket."""
+    `_block_kernels` (which sizes each block), applies a size refusal before it
+    assembles or solves; the exact centralizer does so before it builds the
+    commutant or the column builder."""
     tree = _modules()["centralizer.py"]
     solvers = {}
     for top in tree.body:
@@ -294,8 +295,9 @@ def test_every_centralizer_kernel_is_sized_first():
         solves = [call.lineno for name, call in _called_names(top) if name == "mat_kernel"]
         if not solves:
             continue
+        builds = [call.lineno for name, call in _called_names(top) if name == "CommutatorColumns"]
         guards = _size_guards(top)
-        solvers[top.name] = bool(guards) and min(guards) < min(solves)
+        solvers[top.name] = bool(guards) and min(guards) < min(solves + builds)
     assert solvers == {
         "_block_kernels": True,
         "centralizer_exact": True,
@@ -312,8 +314,39 @@ def test_every_centralizer_kernel_is_sized_first():
     assert all(
         call.lineno > guard
         for name, call in _called_names(exact)
-        if name in ("linear_commutant", "lie_bracket")
+        if name in ("linear_commutant", "CommutatorColumns")
     )
+
+
+# every solver that assembles a commutator system, by module
+ASSEMBLERS = {
+    ("centralizer.py", "centralizer_exact"),
+    ("centralizer.py", "centralizer_truncated"),
+    ("centralizer.py", "normalizer_truncated"),
+    ("invariants.py", "triviality_certificate"),
+    ("jacobi.py", "solve_multiplier"),
+}
+
+
+def test_systems_are_assembled_in_integers_from_monomial_keys():
+    """Each solver builds its system's columns with `CommutatorColumns`, straight
+    from the unknowns' keys, and reads a unit-monomial basis element off its kernel
+    vector: none brackets, multiplies or differentiates a generator field in
+    `Fraction`, builds a monomial field, or combines fields into a basis element.
+    The builder and the field algebra share one product rule, `_add_derivative`."""
+    forbidden = {
+        "lie_bracket", "lie_derivative", "series_times_field", "linear_combination", "monomial",
+    }
+    modules = _modules()
+    for module, fn in sorted(ASSEMBLERS):
+        called = {name for name, _ in _called_names(_function(modules[module], fn))}
+        assert "CommutatorColumns" in called, fn
+        assert not called & forbidden, (fn, called & forbidden)
+    assert set(_callers("CommutatorColumns")) == ASSEMBLERS
+    assert set(_callers("_add_derivative")) == {
+        ("fields.py", name)
+        for name in ("lie_bracket", "lie_derivative", "CommutatorColumns", "divergence")
+    }
 
 
 def test_centralizer_layer_keeps_one_representation():
