@@ -1,19 +1,22 @@
 """Linear commutants, exact and truncated centralizers, truncated normalizers.
 
-The exact centralizer follows the finite-resonance construction: unknowns
-are the coordinates of the linear part over a commutant basis plus one
-coefficient per resonant vector monomial, and commuting with the field is a
+The exact centralizer follows the finite-resonance construction: every
+resonant monomial has degree at most the proven bound, and brackets of
+resonant fields stay resonant, so it is the truncated centralizer's system
+at that bound.  Unknowns are the within-block linear monomials x_k e_i and
+the resonant vector monomials, and commuting with the field is a
 homogeneous linear system whose rows are indexed by resonant monomials.
-All brackets against the semisimple part vanish structurally (commutant
-fields and resonant monomials commute with it by construction), so only
-the rational data, nilpotent part and nonlinear terms, enters the system.
+All brackets against the semisimple part vanish structurally (every unknown
+commutes with it), so only the rational data, nilpotent part and nonlinear
+terms, enters the system; its degree-1 part is the linear commutant's.
 
-Every system is assembled in integers, one column per unknown monomial,
-by `fields.CommutatorColumns`; no generator field is built and no bracket
-is taken in `Fraction`.  A kernel vector on unit-monomial unknowns is read
-straight off at its support as the coefficients of its element.  Each
-solver re-checks its basis against solutions known in closed form
-(`_check_known_solutions`).
+Every system, each commutant block's included, is assembled in integers,
+one column per unknown monomial, by `fields.CommutatorColumns`; no
+generator field is built and no bracket is taken in `Fraction`.  A kernel
+vector on unit-monomial unknowns is read straight off at its support as the
+coefficients of its element.  Each solver re-checks its basis against
+solutions known in closed form (`_check_known_solutions`), and the
+truncated normalizer its dimension class by class (`_check_class_dimensions`).
 
 Not provided: rescaling a normalizer element into an honest commuting field
 for a time-reparametrized system; that construction needs the semisimple
@@ -77,32 +80,23 @@ def _check_kernel_size(what: str, unknowns: int):
 
 @dataclass(frozen=True)
 class CommutantBasis:
-    """The linear fields Bx of a commutant basis; ``free[t]`` is the entry (i, k) at
-    which basis matrix t is 1 and every other basis matrix is 0."""
+    """The linear fields Bx of a commutant basis."""
 
     dimension: int
     basis: tuple[PolyVectorField, ...]
-    free: tuple[tuple[int, int], ...]
 
 
 def _block_kernels(s: EigenSpectrum, blocks):
-    """Per eigenvalue block b, the kernel of its [B, A_n] = 0 system on B_{b_a b_c},
-    each block's |b|^2 unknowns first sized by `_check_kernel_size`."""
+    """Per eigenvalue block b, the kernel of its [x_k e_i, A_n x] = 0 system on the
+    |b|^2 fields x_k e_i with i, k in b (column a |b| + c for i = b_a, k = b_c), each
+    block first sized by `_check_kernel_size`."""
+    n = s.n
     for block in blocks:
         size = len(block)
         _check_kernel_size(f"commutant block of size {size}", size * size)
-        local = {i: a for a, i in enumerate(block)}
-        columns = [{} for _ in range(size * size)]
-        # N_ik = c enters (NB - BN)_ij as +c B_kj and (NB - BN)_jk as -c B_ji
-        for i, k, c in s.nilpotent:
-            if i not in local:
-                continue
-            a, b = local[i], local[k]
-            for t in range(size):
-                col, key = columns[b * size + t], (a, t)
-                col[key] = col.get(key, 0) + c
-                col, key = columns[t * size + a], (t, b)
-                col[key] = col.get(key, 0) - c
+        nilpotent = {(i, unit_row(n, k)): c for i, k, c in s.nilpotent if i in block}
+        system = CommutatorColumns(PolyVectorField(n, nilpotent))
+        columns = [system.bracket(i, unit_row(n, k)) for i in block for k in block]
         yield block, mat_kernel(RatMatrix(columns))
 
 
@@ -111,12 +105,12 @@ def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
 
     Entry (i, k) of [B, A_s] is B_ik (lambda_k - lambda_i), so B vanishes
     across blocks, and [B, A_n] = 0 splits into one |b|^2-column system per
-    block b on its own entries B_{b_a b_c} (column a |b| + c), with rows from
-    that block's nilpotent entries; a block without them has no rows and
-    its kernel is the identity.  Each kernel vector B becomes the linear
-    field Bx, and the union is ordered by free column, the vector's last
-    nonzero entry B_ik at i n + k: that is exactly `mat_kernel`'s basis of
-    the whole n^2 system, whose cross-block columns are all pivots.
+    block b on its own entries B_{b_a b_c}, with rows from that block's
+    nilpotent entries; a block without them has no rows and its kernel is
+    the identity.  Each kernel vector B becomes the linear field Bx, and the
+    union is ordered by the vector's last nonzero entry B_ik at i n + k:
+    that is exactly `mat_kernel`'s basis of the whole n^2 system, whose
+    cross-block columns are all pivots.
     """
     n = s.n
     placed = []
@@ -125,13 +119,9 @@ def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
         for v, sup in zip(kernel.basis, kernel.supports):
             entries = [(block[t // size], block[t % size], v[t]) for t in sup]
             field = PolyVectorField(n, {(i, unit_row(n, k)): x for i, k, x in entries})
-            placed.append((entries[-1][0] * n + entries[-1][1], entries[-1][:2], field))
+            placed.append((entries[-1][0] * n + entries[-1][1], field))
     placed.sort(key=lambda p: p[0])
-    return CommutantBasis(
-        dimension=len(placed),
-        basis=tuple(field for _, _, field in placed),
-        free=tuple(entry for _, entry, _ in placed),
-    )
+    return CommutantBasis(dimension=len(placed), basis=tuple(field for _, field in placed))
 
 
 @dataclass(frozen=True)
@@ -150,61 +140,47 @@ class CentralizerResult:
 def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult:
     """Exact formal centralizer for finite resonance sets.
 
-    Unknowns: d commutant coordinates + one coefficient per resonance;
-    equations: vanishing of every resonant coefficient of the bracket with
-    the nilpotent-plus-nonlinear part of f.  A commutant unknown's column
-    sums the integer columns of the entries of its matrix.  Refuses up front,
-    once the resonances are listed, a kernel over sum |b|^2 + r unknowns that
-    `_check_kernel_size` rejects.  Checks that the basis spans ftilde and each
-    C_k x, each commutant unknown weighted by its free entry (i, x_k).
+    Every resonant monomial has degree at most the proven bound, and brackets
+    of resonant fields stay resonant, so this is the truncated centralizer's
+    system at that bound.  Unknowns: the sum |b|^2 linear fields x_k e_i with
+    lambda_i = lambda_k, in (i, k) order, then one coefficient per resonance,
+    by degree, component and exponent; equations: vanishing of every
+    resonant coefficient of the bracket with the nilpotent-plus-nonlinear
+    part of f.  Refuses up front, once the resonances are listed, a kernel
+    over those unknowns that `_check_kernel_size` rejects.  Checks that every
+    bracket stays resonant, that the dimension lies in [d, d + r], and that
+    the basis spans ftilde and each C_k x (`_check_known_solutions`).
     """
     if not is_finite_linear_centralizer(s):
         raise InfiniteResonance("exact centralizer requires a finite resonance set")
     ftilde, _ = normal_form_deviation(s, f)
     rset = finite_resonance_set(s)
     r = rset.total
-    _check_kernel_size("exact centralizer", sum(len(b) ** 2 for b in s.blocks()) + r)
-    comm = linear_commutant(s)
-    d = comm.dimension
-    res_keys = sorted(rset.pairs(), key=lambda k: (sum(k[1]), k[0], k[1]))
+    blocks = s.blocks()
+    _check_kernel_size("exact centralizer", sum(len(b) ** 2 for b in blocks) + r)
+    block_of = {i: b for b in blocks for i in b}
+    keys = [(i, unit_row(s.n, k)) for i in range(s.n) for k in block_of[i]]
+    keys += sorted(rset.pairs(), key=lambda k: (sum(k[1]), k[0], k[1]))
     system = CommutatorColumns(ftilde)
-    columns = []
-    for B in comm.basis:
-        column = {}
-        for (i, row), b in B.terms.items():
-            for key, c in system.bracket(i, row).items():
-                column[key] = column.get(key, 0) + b * c
-        columns.append({key: c for key, c in column.items() if c})
-    columns += [system.bracket(j, m) for j, m in res_keys]
-    if any(sum(m) < 2 or not rset.contains(j, m) for col in columns for j, m in col):
+    columns = [system.bracket(j, m) for j, m in keys]
+    if any(not s.is_resonant(m, j) for col in columns for j, m in col):
         raise CertificateFailure(
             "bracket left the resonant span; the finite system would be incomplete"
         )
     kernel = mat_kernel(RatMatrix(columns))
     dim = kernel.dimension
+    d = sum(space.dimension for _, space in _block_kernels(s, blocks))
     if not d <= dim <= d + r:
         raise CertificateFailure(f"dimension {dim} violates d = {d} <= dim <= d + r = {d + r}")
     if dim < s.n:
         raise CertificateFailure(f"dimension {dim} is below the space dimension {s.n}")
-    index = {(i, unit_row(s.n, k)): t for t, (i, k) in enumerate(comm.free)}
-    index.update((key, d + t) for t, key in enumerate(res_keys))
-    # a linear term off the free entries is fixed by those of its commutant matrix
+    index = {key: t for t, key in enumerate(keys)}
     known = {"the deviation f~": ftilde.terms, **_linear_solutions(s)}
-    _check_known_solutions(
-        {label: {key: c for key, c in terms.items() if key in index or sum(key[1]) > 1}
-         for label, terms in known.items()},
-        index, kernel, "exact centralizer",
-    )
-    basis = []
-    for v, sup in zip(kernel.basis, kernel.supports):
-        terms = {}
-        for t in sup:
-            if t < d:
-                for key, c in comm.basis[t].terms.items():
-                    terms[key] = terms.get(key, 0) + v[t] * c
-            else:
-                terms[res_keys[t - d]] = v[t]
-        basis.append(PolyVectorField(s.n, terms))
+    _check_known_solutions(known, index, kernel, "exact centralizer")
+    basis = [
+        PolyVectorField(s.n, {keys[t]: v[t] for t in sup})
+        for v, sup in zip(kernel.basis, kernel.supports)
+    ]
     # with A_n = 0 the commutant holds all |b|^2 entries of each block b, so
     # sum |b|^2 = d; the components of b share one listing of r_b resonances, so
     # sum |b| r_b = r by construction
@@ -346,6 +322,50 @@ def _normalizer_solutions(s: EigenSpectrum, fD: PolyVectorField, D: int):
     return known
 
 
+def _check_class_dimensions(s: EigenSpectrum, g_keys, lam_keys, kernel):
+    """Certificate: the truncated normalizer kernel splits by semisimple class, and
+    each class c != 0 holds as many basis vectors as scalar unknowns.
+
+    f commutes with A_s, so [g, f] = lambda f is block diagonal by class: x^m e_j
+    has class <m, lambda> - lambda_j, x^k has class <k, lambda>, both read in the
+    spectrum's integer weights (`EigenSpectrum.weight_class`).  An element of
+    class c != 0 has alpha = 0 and g - beta f commuting with A_s
+    (`normalizer_reduce`), so it is (beta f, -X_f beta): the class-c vectors,
+    counted at their free column, are as many as the scalar unknowns of class c.
+    Class 0 is left unchecked.
+    """
+    classes = [s.weight_class(m, j) for j, m in g_keys] + [s.weight_class(k) for k in lam_keys]
+    ng = len(g_keys)
+
+    def name(c):
+        # the class in the spectrum's rational coordinates, read off its first unknown
+        t = classes.index(c)
+        if t < ng:
+            j, m = g_keys[t]
+            coords = [a - b for a, b in zip(s.eigen_coords(m), s.eigen_coords(unit_row(s.n, j)))]
+        else:
+            coords = s.eigen_coords(lam_keys[t - ng])
+        return f"class ({', '.join(map(str, coords))})"
+
+    want = Counter(c for c in classes[ng:] if any(c))
+    got = Counter()
+    for sup in kernel.supports:
+        c = classes[sup[-1]]
+        crossed = next((classes[t] for t in sup if classes[t] != c), None)
+        if crossed is not None:
+            raise CertificateFailure(
+                f"a truncated normalizer basis vector crosses {name(c)} and {name(crossed)}"
+            )
+        if any(c):
+            got[c] += 1
+    for c in sorted(want.keys() | got.keys()):
+        if got[c] != want[c]:
+            raise CertificateFailure(
+                f"the truncated normalizer basis has dimension {got[c]} in {name(c)},"
+                f" not {want[c]}, the number of scalar unknowns of the class"
+            )
+
+
 def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> NormalizerResult:
     """Joint solve of [g, f] = lambda f mod degree > D.
 
@@ -356,7 +376,9 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
     actual rational numbers.  Refuses up front, with a scope error, more than
     `NORMALIZER_UNKNOWN_LIMIT` unknowns: n (C(D + n, n) - 1) vector and
     C(D - 1 + n, n) scalar monomials.  Checks that the basis spans every
-    solution of `_normalizer_solutions` (`_check_known_solutions`).
+    solution of `_normalizer_solutions` (`_check_known_solutions`), and that each
+    class c != 0 holds as many basis vectors as scalar unknowns
+    (`_check_class_dimensions`).
     """
     _require_explicit(s, f)
     _check_truncation(f, D)
@@ -377,6 +399,7 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
     # a vector key (j, m) never equals a scalar key, a row of n integers
     index = {key: t for t, key in enumerate(g_keys + lam_keys)}
     _check_known_solutions(_normalizer_solutions(s, fD, D), index, kernel, "truncated normalizer")
+    _check_class_dimensions(s, g_keys, lam_keys, kernel)
     basis = [
         (
             PolyVectorField(s.n, {g_keys[t]: v[t] for t in sup if t < ng}, D),

@@ -168,9 +168,6 @@ class ResonanceSet:
     def total(self) -> int:
         return sum(len(r) for r in self.by_component)
 
-    def contains(self, j, m) -> bool:
-        return m in self.by_component[j]
-
     def pairs(self):
         for j, rj in enumerate(self.by_component):
             for m in rj:

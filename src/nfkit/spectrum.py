@@ -95,6 +95,13 @@ class EigenSpectrum:
         """<m, lambda> = lambda_j, checked in all q coordinates."""
         return all(sum(map(mul, m, w)) == w[j] for w in self.weights)
 
+    def weight_class(self, m, j=None) -> tuple[int, ...]:
+        """The semisimple class <m, lambda> - lambda_j of x^m e_j, or <m, lambda> of
+        x^m when j is None, as integer weight sums: equal classes give equal rows."""
+        if j is None:
+            return tuple(sum(map(mul, m, w)) for w in self.weights)
+        return tuple(sum(map(mul, m, w)) - w[j] for w in self.weights)
+
     def is_integral_monomial(self, m) -> bool:
         """<m, lambda> = 0, i.e. x^m is a first integral of the linear flow."""
         return not any(sum(map(mul, m, w)) for w in self.weights)

@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from nfkit.fields import PolySeries, PolyVectorField
+from nfkit.fields import PolySeries, PolyVectorField, lie_bracket
 from nfkit.linalg import RatMatrix, mat_kernel, mat_solve
 from nfkit.errors import CertificateFailure, RankMismatch, RewriteFailure, SearchCapReached
 from nfkit.spectrum import (
@@ -440,6 +440,40 @@ def whole_matrix_commutant(s: EigenSpectrum):
             col[key] = col.get(key, 0) - c
     vecs = mat_kernel(RatMatrix(columns)).basis
     return tuple(tuple(v[i * n:(i + 1) * n] for i in range(n)) for v in vecs)
+
+
+def commutant_coordinate_centralizer(s: EigenSpectrum, f: PolyVectorField, bound: int):
+    """The exact centralizer solved over commutant coordinates.
+
+    Unknowns: the coordinates of the linear part over the commutant basis of
+    `whole_matrix_commutant`, ordered by the last nonzero entry of each matrix,
+    then one coefficient per resonance of `brute_resonances` up to ``bound``,
+    by degree, component and exponent.  An unknown's column is the `Fraction`
+    bracket of its field with f; every such field commutes with A_s, so the
+    semisimple part drops out whether f writes it out or not.  A kernel
+    vector sums its commutant fields and resonant monomials into one element.
+
+    Returns (dimension, d, r, block_bounds, basis terms), the block bounds
+    [d, d + r] only without a nilpotent part.
+    """
+    n = s.n
+    unknowns = [
+        PolyVectorField(n, {(i, unit_row(n, k)): x for i, row in enumerate(B) for k, x in enumerate(row)})
+        for B in whole_matrix_commutant(s)
+    ]
+    d = len(unknowns)
+    resonances = sorted((sum(m), j, m) for j in range(n) for m in brute_resonances(s, j, bound))
+    unknowns += [PolyVectorField.monomial(n, j, m) for _, j, m in resonances]
+    kernel = mat_kernel(RatMatrix([lie_bracket(g, f).terms for g in unknowns]))
+    basis = []
+    for v in kernel.basis:
+        terms = {}
+        for g, x in zip(unknowns, v):
+            for key, c in g.terms.items():
+                terms[key] = terms.get(key, 0) + x * c
+        basis.append({key: c for key, c in terms.items() if c})
+    r = len(resonances)
+    return kernel.dimension, d, r, None if s.nilpotent else (d, d + r), basis
 
 
 def random_block_spectrum(rng: random.Random, n: int, q: int):

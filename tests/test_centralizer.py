@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nfkit import centralizer
 from nfkit.centralizer import (
@@ -19,6 +21,7 @@ from nfkit.errors import (
     LinearPartMismatch,
     NotNormalizerPair,
     NotPDNF,
+    RankMismatch,
     ScopeError,
     ZeroSemisimplePart,
 )
@@ -31,10 +34,11 @@ from nfkit.fields import (
 )
 from nfkit.linalg import RatMatrix, SolutionSpace, mat_rank
 from nfkit.resonance import resonance_degree_bound
-from nfkit.spectrum import build_spectrum, c_matrix_basis, unit_row
+from nfkit.spectrum import build_spectrum, c_matrix_basis, is_finite_linear_centralizer, unit_row
 
 from oracles import (
     columns_of,
+    commutant_coordinate_centralizer,
     linear_terms_of,
     pairing,
     random_block_spectrum,
@@ -234,17 +238,18 @@ def test_linear_commutant_refuses_a_block_of_32():
 
 def test_exact_centralizer_size_rule_at_the_limit(monkeypatch):
     """eg3 has sum |b|^2 + r = 3 + 4 = 7 unknowns: a limit of 49 entries
-    solves it, 48 refuses it before the commutant is built."""
+    solves it, 48 refuses it before any system is built."""
     s = spec_1263()
     f = eg3_field(1, 1, 1, 1)
     monkeypatch.setattr(centralizer, "CENTRALIZER_ENTRY_LIMIT", 49)
     assert centralizer_exact(s, f).dimension == 3
     monkeypatch.setattr(centralizer, "CENTRALIZER_ENTRY_LIMIT", 48)
 
-    def no_commutant(s):
-        raise AssertionError("the commutant was built before the size rule")
+    def no_system(*args):
+        raise AssertionError("a system was built before the size rule")
 
-    monkeypatch.setattr(centralizer, "linear_commutant", no_commutant)
+    monkeypatch.setattr(centralizer, "_block_kernels", no_system)
+    monkeypatch.setattr(centralizer, "CommutatorColumns", no_system)
     with pytest.raises(ScopeError) as exc:
         centralizer_exact(s, f)
     assert str(exc.value) == (
@@ -293,8 +298,8 @@ def test_jordan_example():
 def test_exact_certificate_catches_a_dropped_vector(monkeypatch, dropped, label):
     """The linear Jordan field has dimension 10 in [d, d + r] = [6, 17], so one vector
     less keeps the dimension bounds and only the span certificate sees it.  Vector 1
-    is x2 e_1 + x3 e_2, free at the commutant entry (1, 2), where A_n x has weight 1;
-    vector 2 is the first block's identity, free at (2, 2), where C_1 x has weight 3."""
+    is x2 e_1 + x3 e_2, free at the linear unknown x3 e_2, where A_n x has weight 1;
+    vector 2 is the first block's identity, free at x3 e_3, where C_1 x has weight 3."""
     s = jordan_spectrum()
     f = jordan_field([0] * 11)
     full = centralizer_exact(s, f)
@@ -303,7 +308,9 @@ def test_exact_certificate_catches_a_dropped_vector(monkeypatch, dropped, label)
 
     def without_vector(M):
         space = real(M)
-        if M.cols != full.d + full.r:  # the commutant blocks keep their kernels
+        # the commutant blocks keep their kernels; the main system has 9 + 4 + 1
+        # within-block linear unknowns and the r resonances
+        if M.cols != sum(len(b) ** 2 for b in s.blocks()) + full.r:
             return space
         kept = [k for k in range(space.dimension) if k != dropped]
         return SolutionSpace(
@@ -314,6 +321,45 @@ def test_exact_certificate_catches_a_dropped_vector(monkeypatch, dropped, label)
     with pytest.raises(CertificateFailure) as info:
         centralizer_exact(s, f)
     assert str(info.value) == f"{label} is not in the span of the exact centralizer basis"
+
+
+@st.composite
+def finite_block_spectra(draw):
+    """A finite spectrum with n = 1..4 and positive eigenvalue rows in any order, so
+    that blocks interleave as in lambda = (2, 3, 2), with random nilpotent entries
+    inside the blocks."""
+    n = draw(st.integers(1, 4))
+    q = draw(st.sampled_from((1, 1, 2)))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from((2, 3, 4, 6))] * q), min_size=n, max_size=n))
+    nilpotent = [
+        (i, k, draw(st.sampled_from((1, -1, 2, F(1, 2), F(-3, 2)))))
+        for i in range(n)
+        for k in range(i + 1, n)
+        if rows[i] == rows[k] and draw(st.booleans())
+    ]
+    try:
+        s = build_spectrum(n, q, rows, nilpotent)
+    except RankMismatch:
+        assume(False)
+    assume(is_finite_linear_centralizer(s))
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_block_spectra(), st.integers(0, 2**32 - 1))
+@example(build_spectrum(3, 1, [[2], [3], [2]], [(0, 2, 1)]), 0)
+@example(build_spectrum(4, 1, [[2], [4], [2], [2]], [(0, 2, 1), (2, 3, 1)]), 1)
+def test_exact_centralizer_matches_the_commutant_coordinate_oracle(s, seed):
+    """Solving the truncated system at the degree bound gives the dimension, d, r,
+    block bounds and basis, in order, of the system over commutant coordinates:
+    a kernel vector is fixed by its free columns, and a linear entry is free
+    exactly when it is the last nonzero entry of its commutant matrix."""
+    rng = random.Random(seed)
+    f = random_pdnf(s, rng, 4, density=rng.choice([0.0, 0.3, 0.7]),
+                    explicit=s.q == 1 and rng.random() < 0.5)
+    res = centralizer_exact(s, f)
+    want = commutant_coordinate_centralizer(s, f, resonance_degree_bound(s))
+    assert (res.dimension, res.d, res.r, res.block_bounds, [b.terms for b in res.basis]) == want
 
 
 def test_pure_linear_attains_upper_bound():
@@ -440,6 +486,46 @@ def test_normalizer_requires_explicit_linear_part():
     dev = PolyVectorField.monomial(2, 0, (2, 1))
     with pytest.raises(LinearPartMismatch):
         normalizer_truncated(s, dev, 3)
+
+
+def saddle_field():
+    """diag(1, -1) x + x1^2 x2 e_1 + 2 x1 x2^2 e_2."""
+    terms = {(0, (2, 1)): 1, (1, (1, 2)): 2}
+    return diag_field(1, -1) + PolyVectorField(2, terms)
+
+
+def test_normalizer_class_certificate_catches_an_extra_vector(monkeypatch):
+    """One vector too many passes every known-solution check, but not the class count.
+    The saddle's normalizer at D = 3 has the unknown x2 e_1 at column 0, in class
+    -1 - 1 = -2, where no kernel vector is nonzero; its unit vector joins the one
+    class -2 vector (x2^2 f, -X_f x2^2), against one scalar unknown x2^2."""
+    s = build_spectrum(2, 1, [[1], [-1]])
+    f = saddle_field()
+    assert normalizer_truncated(s, f, 3).dimension == 7
+    real = centralizer.mat_kernel
+
+    def with_extra_vector(M):
+        space = real(M)
+        extra = tuple(F(int(t == 0)) for t in range(M.cols))
+        return SolutionSpace((extra,) + space.basis, ((0,),) + space.supports)
+
+    monkeypatch.setattr(centralizer, "mat_kernel", with_extra_vector)
+    with pytest.raises(CertificateFailure) as info:
+        normalizer_truncated(s, f, 3)
+    assert str(info.value) == (
+        "the truncated normalizer basis has dimension 2 in class (-2), not 1,"
+        " the number of scalar unknowns of the class"
+    )
+
+
+def test_normalizer_class_certificate_catches_a_vector_across_classes():
+    """x2 e_1 (class -2) and x1 e_1 (class 0) never share a kernel vector."""
+    s = build_spectrum(2, 1, [[1], [-1]])
+    g_keys = [(0, (0, 1)), (0, (1, 0))]
+    kernel = SolutionSpace(((F(1), F(1)),), ((0, 1),))
+    with pytest.raises(CertificateFailure) as info:
+        centralizer._check_class_dimensions(s, g_keys, [], kernel)
+    assert str(info.value) == "a truncated normalizer basis vector crosses class (0) and class (-2)"
 
 
 def test_normalizer_contains_counterexample_pair():

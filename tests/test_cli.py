@@ -532,7 +532,7 @@ def test_normalizer_too_large_is_refused_up_front(tmp_path, capsys, monkeypatch,
         ],
     }))
     # D = 6 (305 unknowns) is accepted; its elimination (3-9 s) is skipped, and with it
-    # the certificate, which the empty stand-in kernel could not pass
+    # both certificates, which the empty stand-in kernel could not pass
     solved = []
     certified = []
 
@@ -545,6 +545,7 @@ def test_normalizer_too_large_is_refused_up_front(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(centralizer, "mat_kernel", no_kernel)
     monkeypatch.setattr(centralizer, "_check_known_solutions", no_certificate)
+    monkeypatch.setattr(centralizer, "_check_class_dimensions", lambda *args: None)
     argv = ["normalizer", "--spectrum", str(spectrum_path), "--field", str(field_path)]
     assert main(argv + ["--truncate", str(D)]) == code
     captured = capsys.readouterr()
@@ -822,24 +823,24 @@ from nfkit.serialize import field_from_json, load_json_file, spectrum_from_json
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 real_kernel = centralizer.mat_kernel
-real_commutant = centralizer.linear_commutant
+real_block_kernels = centralizer._block_kernels
 
 
 def no_kernel(M):
     return SolutionSpace(basis=(), supports=())
 
 
-def commutant_with_real_kernel(s):
+def block_kernels_with_real_kernel(s, blocks):
     # the commutant (d = 3) keeps its kernel, the centralizer system loses its own
     centralizer.mat_kernel = real_kernel
     try:
-        return real_commutant(s)
+        yield from real_block_kernels(s, blocks)
     finally:
         centralizer.mat_kernel = no_kernel
 
 
 centralizer.mat_kernel = no_kernel
-centralizer.linear_commutant = commutant_with_real_kernel
+centralizer._block_kernels = block_kernels_with_real_kernel
 spectrum_path, field_path = sys.argv[1:]
 s = spectrum_from_json(load_json_file(spectrum_path))
 f = field_from_json(load_json_file(field_path))
@@ -1058,6 +1059,25 @@ def test_truncated_normalizer_certificate_catches_a_mutated_system_under_optimiz
     assert json.loads(proc.stderr) == {
         "error": "certificate-failure",
         "message": f"{label} is not in the span of the truncated normalizer basis",
+    }
+
+
+def test_truncated_normalizer_class_certificate_catches_an_emptied_column_under_optimize(files):
+    """Emptying the column of x2 e_1 (unknown 0, class -1 - 1 = -2) adds its unit vector
+    to the kernel.  Every known solution is 0 there, so each stays in the span, and
+    only the class count sees the eighth vector, also under `python -O`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MUTATED_NORMALIZER_SCRIPT,
+         files["saddle"], files["saddle_field"], "drop", "0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cli 4"]
+    assert json.loads(proc.stderr) == {
+        "error": "certificate-failure",
+        "message": "the truncated normalizer basis has dimension 2 in class (-2), not 1,"
+                   " the number of scalar unknowns of the class",
     }
 
 

@@ -285,8 +285,8 @@ def _size_guards(fn):
 def test_every_centralizer_kernel_is_sized_first():
     """A function of `centralizer` that solves a kernel, by `mat_kernel` or through
     `_block_kernels` (which sizes each block), applies a size refusal before it
-    assembles or solves; the exact centralizer does so before it builds the
-    commutant or the column builder."""
+    assembles or solves; the exact centralizer does so before it solves the
+    commutant blocks or builds the column builder."""
     tree = _modules()["centralizer.py"]
     solvers = {}
     for top in tree.body:
@@ -307,6 +307,7 @@ def test_every_centralizer_kernel_is_sized_first():
     # every other use of a block kernel goes through `_block_kernels`
     assert set(_callers("_block_kernels")) == {
         ("centralizer.py", "linear_commutant"),
+        ("centralizer.py", "centralizer_exact"),
         ("centralizer.py", "centralizer_truncated"),
     }
     exact = _function(tree, "centralizer_exact")
@@ -314,12 +315,13 @@ def test_every_centralizer_kernel_is_sized_first():
     assert all(
         call.lineno > guard
         for name, call in _called_names(exact)
-        if name in ("linear_commutant", "CommutatorColumns")
+        if name in ("_block_kernels", "CommutatorColumns")
     )
 
 
 # every solver that assembles a commutator system, by module
 ASSEMBLERS = {
+    ("centralizer.py", "_block_kernels"),
     ("centralizer.py", "centralizer_exact"),
     ("centralizer.py", "centralizer_truncated"),
     ("centralizer.py", "normalizer_truncated"),
