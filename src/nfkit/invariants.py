@@ -17,6 +17,7 @@ from operator import mul
 
 from .errors import (
     CertificateFailure,
+    DimensionMismatch,
     NotFreeModuleShape,
     RewriteFailure,
     ZeroEigenvalue,
@@ -194,31 +195,46 @@ class ReducedField:
     nu: tuple[tuple[Fraction, ...], ...]
 
 
-def substitute_generators(series: PolySeries, inv: InvariantAlgebra, n: int) -> PolySeries:
-    """Evaluate a reduced-coordinate series on the generator monomials."""
+def _substituted(terms, generators, n, trunc=INF):
+    """The terms {k: c} of a reduced-coordinate series at the generator monomials:
+    y^k becomes x^(sum_a k_a psi_a), and terms above degree ``trunc`` are dropped."""
     data = {}
-    for k, c in series.terms.items():
+    for k, c in terms.items():
         m = [0] * n
         for a, e in enumerate(k):
             if e:
-                for i in range(n):
-                    m[i] += e * inv.generators[a][i]
-        key = tuple(m)
-        data[key] = data.get(key, Fraction(0)) + c
-    return PolySeries(n, data, trunc=INF)
+                for i, x in enumerate(generators[a]):
+                    m[i] += e * x
+        if sum(m) <= trunc:
+            key = tuple(m)
+            data[key] = data.get(key, 0) + c
+    return {m: c for m, c in data.items() if c}
+
+
+def substitute_generators(series: PolySeries, inv: InvariantAlgebra, n: int) -> PolySeries:
+    """Evaluate a reduced-coordinate series on the generator monomials."""
+    return PolySeries(n, _substituted(series.terms, inv.generators, n), trunc=INF)
 
 
 def reduce_vectorfield(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorField) -> ReducedField:
     """Push the field through the generator map: f_hat_i = y_i sum_j M[i][j] eta_hat_j.
 
     ``nu[i][j]`` is read off f_hat as its coefficient of y_i y_j in
-    component i.  The defining identity D(Psi) f = f_hat(Psi) is
-    re-verified monomial by monomial up to the truncation budget before
-    returning.
+    component i, so f_hat must be complete at degree 2: a field truncated
+    below 1 + the largest generator degree is refused up front.  The
+    defining identity D(Psi) f = f_hat(Psi) is re-verified before
+    returning: per generator, the terms of X_f(psi_i) must equal those of
+    f_hat_i at the generator monomials, cut at the field's budget.
     """
+    M = inv.generators
+    need = 1 + max(map(sum, M), default=0)
+    if M and f.trunc < need:
+        raise DimensionMismatch(
+            f"field truncation {f.trunc} is below {need}, one more than the largest"
+            " generator degree, which nu at degree 2 of the reduced field needs"
+        )
     etas = decompose_eta(s, inv, f)
     r = inv.r
-    M = inv.generators
     terms = {}
     for i in range(r):
         for j in range(s.n):
@@ -233,11 +249,12 @@ def reduce_vectorfield(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorFie
         for i in range(r)
     )
     # X_{A_s} kills every generator monomial, so X_f and X_ftilde agree on them
+    components = [{} for _ in range(r)]
+    for (i, k), c in fhat.terms.items():
+        components[i][k] = c
     for i in range(r):
-        lhs = lie_derivative(f, PolySeries.monomial(s.n, inv.generators[i], trunc=f.trunc))
-        rhs = substitute_generators(fhat.component(i), inv, s.n)
-        diff = lhs - rhs.truncated(lhs.trunc)
-        if not diff.is_zero():
+        lhs = lie_derivative(f, PolySeries.monomial(s.n, M[i], trunc=f.trunc))
+        if lhs.terms != _substituted(components[i], M, s.n, lhs.trunc):
             raise CertificateFailure(f"reduction identity failed for generator {i + 1}")
     return ReducedField(r=r, field=fhat, nu=nu)
 

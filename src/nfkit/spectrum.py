@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import (
     CertificateFailure,
@@ -31,8 +30,9 @@ from .errors import (
 )
 from .linalg import frac, pivot_columns
 
-# completion work (units of `minimal_nonneg_solutions`): 3 to 8 M units per
-# second on a 2-core Xeon under Python 3.11, so a refused search runs 0.5-1.4 s
+# completion work (units of `minimal_nonneg_solutions`): 12 to 15 M units per
+# second on large searches on a 2-core Xeon under Python 3.11 (about 5 M on
+# small ones, where set-up dominates), so a refused search runs 0.26-0.37 s
 COMPLETION_WORK_LIMIT = 4_000_000
 WITNESS_WINDOW_LIMIT = 1_000_000
 
@@ -183,7 +183,9 @@ def minimal_nonneg_solutions(eqs, nvars):
     the shrinking directions by its sign, or by one product per unfrozen
     direction.  Solutions are indexed by (variable, value): t + e_i lies
     above a solution m only if m_i = t_i + 1, as t lay above none and no
-    other solution of degree |t| lies below t.
+    other solution of degree |t| lies below t.  An empty bucket skips the
+    domination test; otherwise a plain loop compares the bucket's solutions
+    and stops at the first one below t + e_i.
     """
     rows = [r for r in (list(map(int, row)) for row in eqs) if any(r)]
     q, limit = len(rows), COMPLETION_WORK_LIMIT
@@ -215,15 +217,22 @@ def minimal_nonneg_solutions(eqs, nvars):
                 if frozen & bit:
                     continue
                 cand, child, frozen = t + unit, frozen, frozen | bit
-                above = by_value.get(cand & field, ())
-                work += nvars + len(above)
+                above = by_value.get(cand & field)
+                work += nvars + len(above) if above else nvars
                 if work > limit:
                     raise SearchCapReached(
                         f"completion work {work} passed the limit {limit}"
                         f" at degree {level} with {len(frontier)} open candidates",
                         partial=sorted(minimal),
                     )
-                if not any(((cand | guard) - m) & guard == guard for m in above):
+                if above:
+                    high = cand | guard
+                    for m in above:
+                        if (high - m) & guard == guard:
+                            break
+                    else:
+                        above = None  # no solution lies below cand
+                if not above:
                     nxt.append((cand, tuple(map(add, image, col)) if q > 1 else image + col, child))
         frontier = nxt
         level += 1
@@ -461,29 +470,44 @@ def _partial_sum_distance(steps, t, lo, hi):
 
 
 def _lex_least(steps, t, degree):
-    """Lex-least m >= 0 with sum m_i = degree and sum m_i w_i = t, or None."""
-    count = len(steps)
+    """Lex-least m >= 0 with sum m_i = degree and sum m_i w_i = t, or None.
+
+    Depth-first over the indices in order, smallest exponent first, so the
+    first complete m found is the lex-least.  A state (i, r, rest) asks for
+    r more steps from index i on that sum to ``rest``; it is pruned unless
+    rest lies within r times the per-coordinate range of those steps, and
+    its answer is kept in one dict.  Raising m_i by one subtracts w_i from
+    rest once.  The last index has no choice: its range is w itself, so a
+    state that passes the pruning there is solved by m_i = r.
+    """
+    last = len(steps) - 1
     # a suffix of r steps from index i sums, per coordinate, within r * [low, high]
     low = list(accumulate(reversed(steps), lambda a, w: tuple(map(min, a, w))))[::-1]
     high = list(accumulate(reversed(steps), lambda a, w: tuple(map(max, a, w))))[::-1]
+    memo = {}
 
-    @lru_cache(maxsize=None)
     def least(i, r, rest):
-        if i == count:
-            return () if r == 0 and not any(rest) else None
-        if not all(r * a <= x <= r * b for x, a, b in zip(rest, low[i], high[i])):
-            return None
-        for e in range(r + 1):
-            tail = least(i + 1, r - e, _minus(rest, e, steps[i]))
-            if tail is not None:
-                return (e,) + tail
-        return None
+        key = (i, r, rest)
+        if key in memo:
+            return memo[key]
+        found = None
+        if all(r * a <= x <= r * b for x, a, b in zip(rest, low[i], high[i])):
+            if i == last:
+                found = (r,)
+            else:
+                w = steps[i]
+                for e in range(r + 1):
+                    tail = least(i + 1, r - e, rest)
+                    if tail is not None:
+                        found = (e,) + tail
+                        break
+                    rest = tuple(map(sub, rest, w))
+        memo[key] = found
+        return found
 
+    if not steps:
+        return None if degree or any(t) else ()
     return least(0, degree, t)
-
-
-def _minus(rest, e, w):
-    return tuple(x - e * y for x, y in zip(rest, w))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 import nfkit
 from nfkit import invariants
+from nfkit.cli import main
 from nfkit.errors import (
     CertificateFailure,
+    DimensionMismatch,
     NFKitError,
     NotFreeModuleShape,
     RewriteFailure,
@@ -535,6 +537,117 @@ def test_reduce_identity_against_lie_derivative():
         lhs = lie_derivative(f - diag_field(3, 2, -6), psi)
         rhs = substitute_generators(red.field.component(i), inv, 3)
         assert lhs == rhs
+
+
+TRUNCATION_MESSAGE = (
+    "field truncation {} is below 3, one more than the largest generator degree,"
+    " which nu at degree 2 of the reduced field needs"
+)
+
+
+@pytest.mark.parametrize("trunc", [0, 2])
+def test_reduce_refuses_a_field_truncated_below_nu(trunc):
+    """diag(1, -1) has the one generator x1 x2: f_hat is complete at degree 2 only
+    from trunc = 3 on, where x1^2 x2 e_1 can already change nu."""
+    s = build_spectrum(2, 1, [[1], [-1]])
+    inv = invariant_generators(s)
+    f = PolyVectorField(2, {}, trunc=trunc)
+    with pytest.raises(DimensionMismatch) as info:
+        reduce_vectorfield(s, inv, f)
+    assert str(info.value) == TRUNCATION_MESSAGE.format(trunc)
+    f = PolyVectorField(2, {(0, (2, 1)): 4}, trunc=3)
+    assert reduce_vectorfield(s, inv, f).nu == ((4,),)
+
+
+def test_reduce_without_generators_takes_any_truncation():
+    s = build_spectrum(2, 1, [[1], [2]])
+    inv = invariant_generators(s)
+    red = reduce_vectorfield(s, inv, PolyVectorField(2, {}, trunc=0))
+    assert red.r == 0 and red.nu == () and red.field.is_zero()
+
+
+@pytest.mark.parametrize("trunc", [0, 2])
+def test_cli_reduce_refuses_a_field_truncated_below_nu(tmp_path, capsys, trunc):
+    spectrum = tmp_path / "saddle.json"
+    spectrum.write_text('{"n": 2, "q": 1, "lambda": [["1"], ["-1"]]}')
+    field = tmp_path / "field.json"
+    terms = [{"j": 1, "m": [1, 0], "c": "1"}, {"j": 2, "m": [0, 1], "c": "-1"}] if trunc else []
+    field.write_text(json.dumps({"n": 2, "trunc": trunc, "terms": terms}))
+    code = main(["reduce", "--spectrum", str(spectrum), "--field", str(field)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "dimension-mismatch", "message": TRUNCATION_MESSAGE.format(trunc)}
+
+
+def _perturbed_eta(change):
+    """`decompose_eta` with ``change`` applied to the terms of eta_hat_1."""
+    real = invariants.decompose_eta
+
+    def decompose(s, inv, f):
+        first, *rest = real(s, inv, f)
+        return (PolySeries(first.n, change(dict(first.terms)), first.trunc), *rest)
+
+    return decompose
+
+
+PERTURBATIONS = {
+    "coefficient": lambda terms: {k: c + 1 for k, c in terms.items()},
+    "extra-term": lambda terms: {**terms, (2,): F(1, 3)},
+}
+
+
+@pytest.mark.parametrize("perturbation", sorted(PERTURBATIONS))
+def test_reduction_identity_catches_a_perturbed_eta(monkeypatch, perturbation):
+    """diag(1, -1) with x1^2 x2 e_1: eta_hat_1 = y.  Either change makes f_hat miss X_f(x1 x2)."""
+    s = build_spectrum(2, 1, [[1], [-1]])
+    inv = invariant_generators(s)
+    f = diag_field(1, -1) + PolyVectorField(2, {(0, (2, 1)): 1})
+    monkeypatch.setattr(invariants, "decompose_eta", _perturbed_eta(PERTURBATIONS[perturbation]))
+    with pytest.raises(CertificateFailure) as info:
+        reduce_vectorfield(s, inv, f)
+    assert str(info.value) == "reduction identity failed for generator 1"
+
+
+REDUCTION_CERTIFICATE_SCRIPT = """
+import sys
+from nfkit import invariants
+from nfkit.cli import main
+from nfkit.fields import PolySeries
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real = invariants.decompose_eta
+
+
+def perturbed(s, inv, f):
+    # eta_hat_1 doubled: f_hat no longer carries X_f(x1 x2)
+    first, *rest = real(s, inv, f)
+    return (PolySeries(first.n, {k: 2 * c for k, c in first.terms.items()}, first.trunc), *rest)
+
+
+invariants.decompose_eta = perturbed
+print("cli", main(["reduce", "--spectrum", sys.argv[1], "--field", sys.argv[2]]))
+"""
+
+
+def test_reduction_identity_fires_under_optimize(tmp_path):
+    spectrum = tmp_path / "saddle.json"
+    spectrum.write_text('{"n": 2, "q": 1, "lambda": [["1"], ["-1"]]}')
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({"n": 2, "trunc": "inf", "terms": [
+        {"j": 1, "m": [1, 0], "c": "1"}, {"j": 2, "m": [0, 1], "c": "-1"},
+        {"j": 1, "m": [2, 1], "c": "1"},
+    ]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", REDUCTION_CERTIFICATE_SCRIPT, str(spectrum), str(field)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cli 4"]
+    assert json.loads(proc.stderr) == {
+        "error": "certificate-failure", "message": "reduction identity failed for generator 1"
+    }
 
 
 def test_triviality_certificate_r1():
