@@ -13,9 +13,9 @@ terms, enters the system; its degree-1 part is the linear commutant's.
 Every system, each commutant block's included, is assembled in integers,
 one column per unknown monomial, by `fields.CommutatorColumns`; no
 generator field is built and no bracket is taken in `Fraction`.  A kernel
-vector on unit-monomial unknowns is read straight off at its support as the
-coefficients of its element.  Each solver re-checks its basis against
-solutions known in closed form (`_check_known_solutions`), and the
+vector on unit-monomial unknowns is read straight off its (column, value)
+pairs as the coefficients of its element.  Each solver re-checks its basis
+against solutions known in closed form (`_check_known_solutions`), and the
 truncated normalizer its dimension class by class (`_check_class_dimensions`).
 
 Not provided: rescaling a normalizer element into an honest commuting field
@@ -59,8 +59,9 @@ from .spectrum import (
 )
 
 
-# dense entries of a kernel over u unknowns, up to u^2: they grow as n^4 for one
-# eigenvalue block; n = 40 took 3 s and 64-85 MB (2-core Xeon, Python 3.11)
+# (column, value) pairs of a kernel over u unknowns, up to u^2: they grow as n^4
+# for one eigenvalue block.  Lifted, diag(1^40) takes 0.03 s and 18 MB, but one
+# Jordan block of 30 (accepted) 23 s (exact centralizer, 2-core Xeon, Python 3.11)
 CENTRALIZER_ENTRY_LIMIT = 10**6
 # unknowns of the dense truncated normalizer: 305 (n = 3, D = 6) take 5-9 s on
 # a 2-core Xeon under Python 3.11 (200 unknowns, D = 5: 2.4-2.7 s), most of it
@@ -116,8 +117,8 @@ def linear_commutant(s: EigenSpectrum) -> CommutantBasis:
     placed = []
     for block, kernel in _block_kernels(s, s.blocks()):
         size = len(block)
-        for v, sup in zip(kernel.basis, kernel.supports):
-            entries = [(block[t // size], block[t % size], v[t]) for t in sup]
+        for pairs in kernel.vectors:
+            entries = [(block[t // size], block[t % size], x) for t, x in pairs]
             field = PolyVectorField(n, {(i, unit_row(n, k)): x for i, k, x in entries})
             placed.append((entries[-1][0] * n + entries[-1][1], field))
     placed.sort(key=lambda p: p[0])
@@ -177,10 +178,7 @@ def centralizer_exact(s: EigenSpectrum, f: PolyVectorField) -> CentralizerResult
     index = {key: t for t, key in enumerate(keys)}
     known = {"the deviation f~": ftilde.terms, **_linear_solutions(s)}
     _check_known_solutions(known, index, kernel, "exact centralizer")
-    basis = [
-        PolyVectorField(s.n, {keys[t]: v[t] for t in sup})
-        for v, sup in zip(kernel.basis, kernel.supports)
-    ]
+    basis = [PolyVectorField(s.n, {keys[t]: x for t, x in pairs}) for pairs in kernel.vectors]
     # with A_n = 0 the commutant holds all |b|^2 entries of each block b, so
     # sum |b|^2 = d; the components of b share one listing of r_b resonances, so
     # sum |b| r_b = r by construction
@@ -223,7 +221,7 @@ def _check_known_solutions(known, index, kernel, what):
 
     ``known`` maps a label to a solution's terms, keyed like ``index``, which
     numbers the unknowns; every other unknown of a known solution is 0.  A
-    basis vector is 1 at its free column (the last of its support) and 0 at
+    basis vector is 1 at its free column (its last pair) and 0 at
     every other free column, so the weights are read off there and only the
     vectors of the solution's free columns are summed.  A miss names the
     solution and ``what`` the basis spans.
@@ -233,16 +231,12 @@ def _check_known_solutions(known, index, kernel, what):
         if not terms.keys() <= index.keys():
             raise CertificateFailure(f"{label} has a term outside the unknowns of the {what}")
         wanted[label] = {index[key]: c for key, c in terms.items() if c}
-    vector_of = {sup[-1]: k for k, sup in enumerate(kernel.supports)}
+    vector_of = {pairs[-1][0]: pairs for pairs in kernel.vectors}
     for label, want in wanted.items():
         got = {}
         for f, w in want.items():
-            k = vector_of.get(f)
-            if k is None:
-                continue
-            v = kernel.basis[k]
-            for t in kernel.supports[k]:
-                x = w * v[t]
+            for t, x in vector_of.get(f, ()):
+                x = w * x
                 got[t] = got[t] + x if t in got else x
         if {t: c for t, c in got.items() if c} != want:
             raise CertificateFailure(f"{label} is not in the span of the {what} basis")
@@ -267,11 +261,11 @@ def centralizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Centr
     known = {"the deviation f~ truncated at D": ftilde.terms, **_linear_solutions(s)}
     _check_known_solutions(known, index, kernel, "truncated centralizer")
     basis = [
-        PolyVectorField(s.n, {unknown_keys[t][1:]: v[t] for t in sup}, D)
-        for v, sup in zip(kernel.basis, kernel.supports)
+        PolyVectorField(s.n, {unknown_keys[t][1:]: x for t, x in pairs}, D)
+        for pairs in kernel.vectors
     ]
     # a vector's first nonzero entry fixes its degree
-    graded_count = Counter(unknown_keys[sup[0]][0] for sup in kernel.supports)
+    graded_count = Counter(unknown_keys[pairs[0][0]][0] for pairs in kernel.vectors)
     # the commutant dimension, without building its basis fields
     dcomm = sum(kernel.dimension for _, kernel in _block_kernels(s, s.blocks()))
     return CentralizerResult(
@@ -349,9 +343,9 @@ def _check_class_dimensions(s: EigenSpectrum, g_keys, lam_keys, kernel):
 
     want = Counter(c for c in classes[ng:] if any(c))
     got = Counter()
-    for sup in kernel.supports:
-        c = classes[sup[-1]]
-        crossed = next((classes[t] for t in sup if classes[t] != c), None)
+    for pairs in kernel.vectors:
+        c = classes[pairs[-1][0]]
+        crossed = next((classes[t] for t, _ in pairs if classes[t] != c), None)
         if crossed is not None:
             raise CertificateFailure(
                 f"a truncated normalizer basis vector crosses {name(c)} and {name(crossed)}"
@@ -402,10 +396,10 @@ def normalizer_truncated(s: EigenSpectrum, f: PolyVectorField, D: int) -> Normal
     _check_class_dimensions(s, g_keys, lam_keys, kernel)
     basis = [
         (
-            PolyVectorField(s.n, {g_keys[t]: v[t] for t in sup if t < ng}, D),
-            PolySeries(s.n, {lam_keys[t - ng]: v[t] for t in sup if t >= ng}, D - 1),
+            PolyVectorField(s.n, {g_keys[t]: x for t, x in pairs if t < ng}, D),
+            PolySeries(s.n, {lam_keys[t - ng]: x for t, x in pairs if t >= ng}, D - 1),
         )
-        for v, sup in zip(kernel.basis, kernel.supports)
+        for pairs in kernel.vectors
     ]
     return NormalizerResult(dimension=len(basis), basis=tuple(basis), truncation=D)
 

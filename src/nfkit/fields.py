@@ -56,20 +56,6 @@ class _SparseTerms:
         return cls(n, {}, trunc)
 
     @classmethod
-    def linear_combination(cls, n, pairs, trunc=INF):
-        """Sum of c * e over the pairs (c, e) with c != 0; budget min(trunc, each e.trunc)."""
-        data = {}
-        for c, e in pairs:
-            if c == 0:
-                continue
-            cls._check(n, e)
-            trunc = min(trunc, e.trunc)
-            c = frac(c)
-            for key, v in e.terms.items():
-                data[key] = data.get(key, Fraction(0)) + c * v
-        return cls(n, data, trunc)
-
-    @classmethod
     def _check(cls, n, other):
         if not isinstance(other, cls) or other.n != n:
             raise DimensionMismatch(f"{cls._kind} dimension mismatch")
@@ -351,12 +337,13 @@ def _det_series(rows):
     size = len(rows)
     if size == 1:
         return rows[0][0]
-    cofactors = []
+    # the determinant is complete up to the least budget over the entries
+    det = PolySeries.zero(rows[0][0].n, min(e.trunc for row in rows for e in row))
     for i in range(size):
         minor = [row[1:] for k, row in enumerate(rows) if k != i]
-        cofactors.append(((-1) ** i, rows[i][0] * _det_series(minor)))
-    trunc = min(e.trunc for row in rows for e in row)
-    return PolySeries.linear_combination(rows[0][0].n, cofactors, trunc)
+        cofactor = rows[i][0] * _det_series(minor)
+        det = det - cofactor if i % 2 else det + cofactor
+    return det
 
 
 def determinant_multiplier(f: PolyVectorField, gs) -> PolySeries:

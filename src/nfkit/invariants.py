@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import (
@@ -30,7 +29,7 @@ from .fields import (
     lie_derivative,
     normal_form_deviation,
 )
-from .linalg import RatMatrix, mat_kernel, pivot_columns
+from .linalg import RatMatrix, integer_transpose, mat_kernel, pivot_columns
 from .resonance import commuting_degree_ladder, semiinvariant_degree_ladder
 from .spectrum import (
     EigenSpectrum,
@@ -128,12 +127,10 @@ def _rewrite_in_generators(inv: InvariantAlgebra, rows):
     gens = inv.generators
     units = [{i: -1} for i in range(max(map(len, rows), default=0))]
     kernel = mat_kernel(RatMatrix([{i: x for i, x in enumerate(g) if x} for g in gens] + units))
-    coords = [sup[-1] - inv.r for sup in kernel.supports]
+    coords = [pairs[-1][0] - inv.r for pairs in kernel.vectors]
     independent = min(coords, default=0) >= 0
-    columns = [v[:inv.r] for v in kernel.basis]
-    den = lcm(*(x.denominator for col in columns for x in col))
     # the rows of den times the inverse of M^T on `coords`, as integers
-    inverse = [[x.numerator * (den // x.denominator) for x in a] for a in zip(*columns)]
+    den, inverse = integer_transpose(kernel, inv.r)
     out = []
     for v in rows:
         k = [sum(map(mul, row, [v[i] for i in coords])) for row in inverse]
@@ -166,8 +163,13 @@ def decompose_eta(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorField):
 
     Returns the reduced-coordinate series eta_hat_1..eta_hat_n; every
     nonlinear term of component j must carry x_j (free-module shape) and
-    its cofactor monomial must rewrite over the generators.
+    its cofactor monomial must rewrite over the generators.  With generators,
+    a field truncated at 0 is refused: eta_hat's budget needs truncation 1.
     """
+    if inv.generators and f.trunc < 1:
+        raise DimensionMismatch(
+            f"field truncation {f.trunc} is below 1, which eta_hat over the generators needs"
+        )
     ftilde, _ = normal_form_deviation(s, f)
     if not inv.independent:
         raise NotFreeModuleShape("generator exponents are not independent")

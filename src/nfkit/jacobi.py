@@ -29,7 +29,7 @@ from .invariants import (
     _rewrite_in_generators,
     substitute_generators,
 )
-from .linalg import RatMatrix, mat_kernel, mat_rank
+from .linalg import RatMatrix, dense_vector, mat_kernel, mat_rank
 from .resonance import RESONANCE_SCAN_LIMIT, SemiInvariantLadder, semiinvariant_degree_ladder
 from .spectrum import EigenSpectrum, count_eigen_monomials, eigen_monomials, unit_row
 
@@ -169,16 +169,15 @@ def solve_multiplier(
                  for _m, col in unknowns[:active]]
             ))
             # the first vector with a nonzero entry in the lowest-order block
-            first = next((k for k, nz in enumerate(kernel.supports) if nz[0] < low), None)
+            first = next((pairs for pairs in kernel.vectors if pairs[0][0] < low), None)
             if first is None:
                 entries.append(LadderEntry(r=r, status=INCONSISTENT, failed_degree=sweep))
                 break
         else:
-            vec, nonzero = kernel.basis[first], kernel.supports[first]
-            lead = vec[nonzero[0]]
-            phi = {unknowns[t][0]: vec[t] / lead for t in nonzero}
+            lead = first[0][1]
+            phi = {unknowns[t][0]: x / lead for t, x in first}
             # the kernel vectors cut to the lowest-order block, as the columns of their transpose
-            lowest = [{t: v[t] for t in sup if t < low} for v, sup in zip(kernel.basis, kernel.supports)]
+            lowest = [{t: x for t, x in pairs if t < low} for pairs in kernel.vectors]
             entries.append(LadderEntry(
                 r=r,
                 status=SOLVED,
@@ -312,10 +311,10 @@ def reduced_multiplier_obstruction(red: ReducedField) -> ObstructionResult:
     for i, j in pairs:
         columns[i][(i, j)] = nu[i][j] - nu[j][j]
         columns[j][(i, j)] = nu[j][i] - nu[i][i]
-    kernel = mat_kernel(RatMatrix(columns)).basis
+    kernel = mat_kernel(RatMatrix(columns)).vectors
     rows = tuple(tuple(Fraction(col.get(key, 0)) for col in columns) for key in pairs)
     if r >= 3 and not kernel:
         return ObstructionResult(NO_MULTIPLIER, None, rows)
     if r == 2 and len(kernel) == 1:
-        return ObstructionResult(UNIQUE_CANDIDATE, kernel[0], rows)
+        return ObstructionResult(UNIQUE_CANDIDATE, dense_vector(kernel[0], r), rows)
     return ObstructionResult(UNDECIDED, None, rows)

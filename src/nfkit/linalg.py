@@ -18,20 +18,22 @@ entries from c + 1 on are updated.  A row with no entry at c is only
 scaled, and those scalings telescope, so each row is scaled up once, when
 it next takes part; the echelon rows are the integers of the plain
 step-by-step elimination.  The integer echelon entries are back-substituted
-in narrow coordinates straight into `Fraction` unknowns, and each vector is
-scattered to its full columns.  Each kernel vector comes with its support;
-a kernel has no particular point.  A free column that no equation touches
-gets its unit vector e_f without back-substitution.  Each basis vector is
-fixed by the column order alone (the reduced row echelon form is unique),
-so callers need not sort their row keys.  `mat_rank` counts the pivots of
-the same elimination, and `mat_solve` reads Ax = b off the kernel of
-[A | -b]: it is consistent exactly when column n is free, whose vector is
-then (x, 1).
+in narrow coordinates straight into `Fraction` unknowns, and each vector
+comes out as its nonzero (column, value) pairs at its full columns,
+ascending, with its free column last at value 1: no full-width vector is
+built, and every reader takes the pairs.  A kernel has no particular point.
+A free column that no equation touches gets ((f, 1),) without
+back-substitution.  Each basis vector is fixed by the column order alone
+(the reduced row echelon form is unique), so callers need not sort their
+row keys.  `mat_rank` counts the pivots of the same elimination, and
+`mat_solve` reads Ax = b off the kernel of [A | -b]: it is consistent
+exactly when column n is free, whose vector is then (x, 1).
 
 Every exact solve reads `mat_kernel`.  The resonance degree bound and the
 rewrite over the invariant generators take the kernel of [A | -I]: when
 A's columns are independent, the free unit columns are coordinates on
-which A is invertible, and their vectors hold that inverse.  The only
+which A is invertible, and their vectors hold that inverse, which
+`integer_transpose` reads off as integers over one denominator.  The only
 other way into the elimination is `pivot_columns`, for ranks.
 
 The simplex `lp_max` uses Bland's rule, so it terminates on every input.
@@ -112,16 +114,36 @@ class RatMatrix:
         self._touched = tuple(touched)
 
 
+Pairs = tuple[tuple[int, Fraction], ...]
+
+
+def dense_vector(pairs: Pairs, cols: int) -> Vec:
+    """The vector over ``cols`` columns with the value of each (column, value) pair, 0 elsewhere."""
+    v = [Fraction(0)] * cols
+    for t, x in pairs:
+        v[t] = x
+    return tuple(v)
+
+
 @dataclass(frozen=True)
 class SolutionSpace:
-    """Kernel basis, with ``supports[k]`` the ascending columns where ``basis[k]`` is nonzero."""
+    """Kernel basis over ``cols`` unknowns: each vector is the tuple of its nonzero
+    (column, value) pairs by ascending column, its free column last with value 1.
 
-    basis: tuple[Vec, ...]
-    supports: tuple[tuple[int, ...], ...]
+    ``basis`` writes the vectors out densely on access, for the benchmark's
+    kernel sizer and for tests, until nfkit counts its own sizes (ROADMAP item 9).
+    """
+
+    vectors: tuple[Pairs, ...]
+    cols: int
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
+
+    @property
+    def basis(self) -> tuple[Vec, ...]:
+        return tuple(dense_vector(pairs, self.cols) for pairs in self.vectors)
 
 
 def _bareiss_echelon(mat):
@@ -224,32 +246,29 @@ def mat_kernel(M: RatMatrix) -> SolutionSpace:
     Each basis vector carries value 1 at its own free column and 0 at every
     other free column, ordered by free column index.  The elimination runs
     over the touched columns only: each of their vectors is back-substituted
-    in those coordinates and scattered to its full columns.  A column that
-    no row touches stays zero in every echelon row, so inside its triangle
-    every sum would be zero: its vector is the unit vector e_f, with support
-    (f,), and is not back-substituted at all.
+    in those coordinates and its nonzero entries are moved to their full
+    columns.  A column that no row touches stays zero in every echelon row,
+    so inside its triangle every sum would be zero: its vector is the unit
+    vector ((f, 1),), and is not back-substituted at all.
     """
     ech, pivots = _bareiss_echelon(M._ints)
     touched = M._touched
-    # each touched free column's nonzero entries, ascending, at their full columns
     solved = {
-        touched[f]: [(touched[j], x[j]) for j in support]
+        touched[f]: tuple((touched[j], x[j]) for j in support)
         for f, x, support in _kernel_basis(ech, pivots, len(touched))
     }
     pivoted = {touched[c] for c in pivots}
-    zero = Fraction(0)
-    basis = []
-    supports = []
-    for f in range(M.cols):
-        if f in pivoted:
-            continue
-        entries = solved.get(f) or [(f, Fraction(1))]
-        v = [zero] * M.cols
-        for t, value in entries:
-            v[t] = value
-        basis.append(tuple(v))
-        supports.append(tuple(t for t, _ in entries))
-    return SolutionSpace(tuple(basis), tuple(supports))
+    one = Fraction(1)
+    vectors = tuple(solved.get(f) or ((f, one),) for f in range(M.cols) if f not in pivoted)
+    return SolutionSpace(vectors, M.cols)
+
+
+def integer_transpose(space: SolutionSpace, width: int):
+    """(den, rows): rows[i][k] is den times entry i < ``width`` of vector k, and den
+    the lcm of those entries' denominators.  Without vectors there are no rows."""
+    columns = [dense_vector([p for p in pairs if p[0] < width], width) for pairs in space.vectors]
+    den = lcm(*(x.denominator for col in columns for x in col))
+    return den, [[x.numerator * (den // x.denominator) for x in a] for a in zip(*columns)]
 
 
 def mat_solve(rows, b) -> tuple[Vec, SolutionSpace] | None:
@@ -265,17 +284,16 @@ def mat_solve(rows, b) -> tuple[Vec, SolutionSpace] | None:
     if len(b) != len(rows):
         raise DimensionMismatch("rhs length != rows")
     if not rows:
-        return (), SolutionSpace((), ())
+        return (), SolutionSpace((), 0)
     n = len(rows[0])
     if any(len(row) != n for row in rows):
         raise DimensionMismatch("ragged rows")
     columns = [{i: row[t] for i, row in enumerate(rows)} for t in range(n)]
     columns.append({i: -x for i, x in enumerate(b)})
-    space = mat_kernel(RatMatrix(columns))
-    if not space.supports or space.supports[-1][-1] != n:
+    vectors = mat_kernel(RatMatrix(columns)).vectors
+    if not vectors or vectors[-1][-1][0] != n:
         return None
-    *kernel, last = space.basis
-    return last[:n], SolutionSpace(tuple(v[:n] for v in kernel), space.supports[:-1])
+    return dense_vector(vectors[-1][:-1], n), SolutionSpace(vectors[:-1], n)
 
 
 OPTIMAL = "optimal"

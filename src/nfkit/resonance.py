@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from operator import mul
 
 from .errors import (
@@ -15,7 +15,7 @@ from .errors import (
     InfiniteResonanceWithoutCap,
     ScopeError,
 )
-from .linalg import RatMatrix, frac, mat_kernel
+from .linalg import RatMatrix, frac, integer_transpose, mat_kernel
 from .spectrum import (
     EigenSpectrum,
     compositions,
@@ -86,7 +86,7 @@ def lp_degree_bound(s: EigenSpectrum) -> int:
     best = None  # (sum of numerators, denominator, columns, numerators, target)
     for cols in combinations(range(s.n), s.q):
         kernel = mat_kernel(RatMatrix([columns[c] for c in cols] + units))
-        free = [sup[-1] for sup in kernel.supports]
+        free = [pairs[-1][0] for pairs in kernel.vectors]
         if free and free[0] < s.q:
             continue
         if free != list(range(s.q, 2 * s.q)):
@@ -94,10 +94,8 @@ def lp_degree_bound(s: EigenSpectrum) -> int:
                 f"kernel of [A_B | -I] on columns {list(cols)} has free columns {free},"
                 f" not {list(range(s.q, 2 * s.q))}"
             )
-        inverse = [v[:s.q] for v in kernel.basis]
-        den = lcm(*(x.denominator for v in inverse for x in v))
         # the rows of den A_B^-1 as integers, and their sum, whose product with t is den |x|
-        rows = [[x.numerator * (den // x.denominator) for x in a] for a in zip(*inverse)]
+        den, rows = integer_transpose(kernel, s.q)
         ones = [sum(col) for col in zip(*rows)]
         for t in targets:
             total = sum(map(mul, ones, t))

@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from nfkit.fields import PolySeries, PolyVectorField, lie_bracket
+from nfkit.fields import PolySeries, PolyVectorField, lie_bracket, series_times_field
 from nfkit.linalg import RatMatrix, mat_kernel, mat_solve
 from nfkit.errors import CertificateFailure, RankMismatch, RewriteFailure, SearchCapReached
 from nfkit.spectrum import (
@@ -474,6 +474,36 @@ def commutant_coordinate_centralizer(s: EigenSpectrum, f: PolyVectorField, bound
         basis.append({key: c for key, c in terms.items() if c})
     r = len(resonances)
     return kernel.dimension, d, r, None if s.nilpotent else (d, d + r), basis
+
+
+def class0_normalizer_dimension(s: EigenSpectrum, f: PolyVectorField, D: int) -> int:
+    """Dimension of the class-0 part of the truncated normalizer kernel at degree D.
+
+    By the centralizer-normalizer splitting, class 0 is exactly the (h, alpha)
+    system: h over the resonant x^m e_j with 1 <= |m| <= D, alpha over the
+    invariant x^k with |k| <= D - 1, and [h, f] = alpha f mod degree > D.
+    Resonance and invariance are tested on `pairing`; each column is a
+    `Fraction` bracket or product with f, both cut at D (alpha f included,
+    since its terms of degree D meet those of [h, f]); sympy gives the rank.
+    """
+    import sympy
+
+    fD = f.truncated(D)
+    zero = pairing(s, (0,) * s.n)
+    columns = [
+        lie_bracket(PolyVectorField(s.n, {(j, m): 1}, D), fD).terms
+        for d in range(1, D + 1) for m in exponent_rows(d, s.n) for j in range(s.n)
+        if pairing(s, m) == s.lam[j]
+    ]
+    columns += [
+        series_times_field(PolySeries(s.n, {k: -1}, D), fD).terms
+        for d in range(D) for k in exponent_rows(d, s.n) if pairing(s, k) == zero
+    ]
+    keys = sorted({key for col in columns for key in col})
+    if not keys:
+        return len(columns)
+    matrix = sympy.Matrix([[col.get(key, 0) for col in columns] for key in keys])
+    return len(columns) - matrix.rank()
 
 
 def random_block_spectrum(rng: random.Random, n: int, q: int):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -34,9 +35,16 @@ from nfkit.fields import (
 )
 from nfkit.linalg import RatMatrix, SolutionSpace, mat_rank
 from nfkit.resonance import resonance_degree_bound
-from nfkit.spectrum import build_spectrum, c_matrix_basis, is_finite_linear_centralizer, unit_row
+from nfkit.spectrum import (
+    build_spectrum,
+    c_matrix_basis,
+    compositions,
+    is_finite_linear_centralizer,
+    unit_row,
+)
 
 from oracles import (
+    class0_normalizer_dimension,
     columns_of,
     commutant_coordinate_centralizer,
     linear_terms_of,
@@ -312,10 +320,8 @@ def test_exact_certificate_catches_a_dropped_vector(monkeypatch, dropped, label)
         # within-block linear unknowns and the r resonances
         if M.cols != sum(len(b) ** 2 for b in s.blocks()) + full.r:
             return space
-        kept = [k for k in range(space.dimension) if k != dropped]
-        return SolutionSpace(
-            tuple(space.basis[k] for k in kept), tuple(space.supports[k] for k in kept)
-        )
+        kept = space.vectors[:dropped] + space.vectors[dropped + 1:]
+        return SolutionSpace(kept, space.cols)
 
     monkeypatch.setattr(centralizer, "mat_kernel", without_vector)
     with pytest.raises(CertificateFailure) as info:
@@ -506,8 +512,7 @@ def test_normalizer_class_certificate_catches_an_extra_vector(monkeypatch):
 
     def with_extra_vector(M):
         space = real(M)
-        extra = tuple(F(int(t == 0)) for t in range(M.cols))
-        return SolutionSpace((extra,) + space.basis, ((0,),) + space.supports)
+        return SolutionSpace((((0, F(1)),),) + space.vectors, space.cols)
 
     monkeypatch.setattr(centralizer, "mat_kernel", with_extra_vector)
     with pytest.raises(CertificateFailure) as info:
@@ -522,10 +527,70 @@ def test_normalizer_class_certificate_catches_a_vector_across_classes():
     """x2 e_1 (class -2) and x1 e_1 (class 0) never share a kernel vector."""
     s = build_spectrum(2, 1, [[1], [-1]])
     g_keys = [(0, (0, 1)), (0, (1, 0))]
-    kernel = SolutionSpace(((F(1), F(1)),), ((0, 1),))
+    kernel = SolutionSpace((((0, F(1)), (1, F(1))),), 2)
     with pytest.raises(CertificateFailure) as info:
         centralizer._check_class_dimensions(s, g_keys, [], kernel)
     assert str(info.value) == "a truncated normalizer basis vector crosses class (0) and class (-2)"
+
+
+def _class0_count(s, res):
+    """Basis elements of a truncated normalizer in class 0, read off one term each
+    (every element lies in one class): x^m e_j has class <m, lambda> - lambda_j,
+    x^k has class <k, lambda>."""
+    zero = pairing(s, (0,) * s.n)
+    count = 0
+    for g, lam in res.basis:
+        if g.terms:
+            j, m = next(iter(g.terms))
+            count += pairing(s, m) == s.lam[j]
+        else:
+            count += pairing(s, next(iter(lam.terms))) == zero
+    return count
+
+
+@pytest.mark.parametrize("D, count", [(2, 2), (3, 3), (4, 3), (5, 5)])
+def test_normalizer_class0_dimension_matches_the_splitting_oracle_on_the_saddle(D, count):
+    s = build_spectrum(2, 1, [[1], [-1]])
+    f = saddle_field()
+    assert _class0_count(s, normalizer_truncated(s, f, D)) == count
+    assert class0_normalizer_dimension(s, f, D) == count
+
+
+@pytest.mark.parametrize(
+    "lam, D, seed",
+    [((1, -1), D, seed) for D in range(1, 6) for seed in (1, 2)]
+    + [((1, 1, -1), 3, seed) for seed in (1, 2, 3)],
+)
+def test_normalizer_class0_dimension_matches_the_splitting_oracle(lam, D, seed):
+    """The solver's class-0 count is the dimension of the (h, alpha) system, on the
+    linear field and on random normal forms."""
+    s = build_spectrum(len(lam), 1, [[x] for x in lam])
+    for f in (diag_field(*lam), random_pdnf(s, random.Random(seed), D, force_nonlinear=True)):
+        res = normalizer_truncated(s, f, D)
+        assert _class0_count(s, res) == class0_normalizer_dimension(s, f, D)
+
+
+def test_normalizer_class0_oracle_catches_an_emptied_scalar_column(monkeypatch):
+    """Emptying the column of the scalar unknown x1 x2 makes it free: the saddle's
+    normalizer at D = 3 then passes every runtime check with dimension 8, one
+    class-0 vector more than the splitting allows."""
+    s = build_spectrum(2, 1, [[1], [-1]])
+    f = saddle_field()
+    D = 3
+    ng = s.n * (comb(D + s.n, s.n) - 1)
+    lam_keys = [m for deg in range(D) for m in compositions(deg, s.n)]
+    emptied = ng + lam_keys.index((1, 1))
+    real = centralizer.RatMatrix
+
+    def without_column(columns):
+        assert len(columns) == ng + len(lam_keys)
+        return real([{} if t == emptied else col for t, col in enumerate(columns)])
+
+    monkeypatch.setattr(centralizer, "RatMatrix", without_column)
+    res = normalizer_truncated(s, f, D)
+    assert res.dimension == 8
+    assert _class0_count(s, res) == 4
+    assert class0_normalizer_dimension(s, f, D) == 3
 
 
 def test_normalizer_contains_counterexample_pair():

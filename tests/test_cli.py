@@ -538,7 +538,7 @@ def test_normalizer_too_large_is_refused_up_front(tmp_path, capsys, monkeypatch,
 
     def no_kernel(M):
         solved.append(M.cols)
-        return SolutionSpace(basis=(), supports=())
+        return SolutionSpace(vectors=(), cols=M.cols)
 
     def no_certificate(known, index, kernel, what):
         certified.append((len(known), len(index), kernel.dimension))
@@ -827,7 +827,7 @@ real_block_kernels = centralizer._block_kernels
 
 
 def no_kernel(M):
-    return SolutionSpace(basis=(), supports=())
+    return SolutionSpace(vectors=(), cols=M.cols)
 
 
 def block_kernels_with_real_kernel(s, blocks):
@@ -879,7 +879,7 @@ real_kernel = centralizer.mat_kernel
 
 def without_last_vector(M):
     space = real_kernel(M)
-    return SolutionSpace(space.basis[:-1], space.supports[:-1])
+    return SolutionSpace(space.vectors[:-1], space.cols)
 
 
 centralizer.mat_kernel = without_last_vector
@@ -973,10 +973,10 @@ spectrum_path, field_path, dropped = sys.argv[1:]
 
 def without_vector(M):
     space = real_kernel(M)
-    kept = [k for k, sup in enumerate(space.supports) if sup[-1] != int(dropped)]
-    if len(kept) != len(space.supports) - 1:
+    kept = tuple(pairs for pairs in space.vectors if pairs[-1][0] != int(dropped))
+    if len(kept) != space.dimension - 1:
         sys.exit(f"no kernel vector has the free column {dropped}")
-    return SolutionSpace(tuple(space.basis[k] for k in kept), tuple(space.supports[k] for k in kept))
+    return SolutionSpace(kept, space.cols)
 
 
 centralizer.mat_kernel = without_vector

@@ -321,33 +321,18 @@ def test_constructors_refuse_floats_and_booleans(build):
         lambda x: PolySeries.monomial(2, (1, 0), x),
         lambda x: PolyVectorField.monomial(2, 0, (1, 1), x),
         lambda x: PolySeries.monomial(2, (1, 0)).scale(x),
-        lambda x: PolyVectorField.linear_combination(2, [(x, PolyVectorField.monomial(2, 0, (1, 1)))]),
         lambda x: semiinvariant_degree_ladder([x, 1], 2),
         lambda x: semiinvariant_degree_ladder([1, 2], x),
     ],
     ids=[
         "spectrum-row", "spectrum-nilpotent", "series", "field", "series-monomial",
-        "field-monomial", "scale", "linear-combination", "ladder-mu", "ladder-value",
+        "field-monomial", "scale", "ladder-mu", "ladder-value",
     ],
 )
 def test_coefficients_refuse_floats_bools_and_strings(build, bad):
     """Exact coefficients are ints or Fractions, never coerced from anything else."""
     with pytest.raises(InputError, match="must be an int or a Fraction"):
         build(bad)
-
-
-def test_linear_combination():
-    rng = random.Random(23)
-    g = random_field(rng, 2, trunc=4)
-    h = random_field(rng, 2, trunc=6)
-    pairs = [(2, g), (0, PolyVectorField.zero(2, trunc=1)), (F(-1, 3), h)]
-    combo = PolyVectorField.linear_combination(2, pairs, 5)
-    assert combo == g.scale(2) + h.scale(F(-1, 3))
-    assert combo.trunc == 4  # zero coefficients contribute no budget
-    with pytest.raises(DimensionMismatch):
-        PolyVectorField.linear_combination(2, [(1, g), (1, PolySeries.monomial(2, (1, 0)))])
-    with pytest.raises(DimensionMismatch):
-        PolySeries.linear_combination(3, [(1, PolySeries.monomial(2, (1, 0)))])
 
 
 def _sympy_poly(sp, xs, terms):

@@ -26,6 +26,7 @@ from nfkit.errors import (
     ZeroEigenvalue,
 )
 from nfkit.fields import (
+    INF,
     PolySeries,
     PolyVectorField,
     lie_derivative,
@@ -414,7 +415,7 @@ def test_rewrite_needs_one_point_per_row(monkeypatch):
 
     def dropped(M):
         kernel = real_kernel(M)
-        return SolutionSpace(kernel.basis[:-1], kernel.supports[:-1])
+        return SolutionSpace(kernel.vectors[:-1], kernel.cols)
 
     monkeypatch.setattr(invariants, "mat_kernel", dropped)
     inv = InvariantAlgebra(generators=((1, 1),), independent=True)
@@ -455,12 +456,14 @@ real_kernel = invariants.mat_kernel
 def doubled(M):
     # every vector twice as long: no row's combination meets the row
     kernel = real_kernel(M)
-    return SolutionSpace(tuple(tuple(2 * x for x in v) for v in kernel.basis), kernel.supports)
+    return SolutionSpace(
+        tuple(tuple((t, 2 * x) for t, x in pairs) for pairs in kernel.vectors), kernel.cols
+    )
 
 
 def dropped(M):
     kernel = real_kernel(M)
-    return SolutionSpace(kernel.basis[:-1], kernel.supports[:-1])
+    return SolutionSpace(kernel.vectors[:-1], kernel.cols)
 
 
 for kernel in (doubled, dropped):
@@ -564,6 +567,22 @@ def test_reduce_without_generators_takes_any_truncation():
     inv = invariant_generators(s)
     red = reduce_vectorfield(s, inv, PolyVectorField(2, {}, trunc=0))
     assert red.r == 0 and red.nu == () and red.field.is_zero()
+
+
+def test_decompose_eta_refuses_a_field_truncated_at_0():
+    """eta_hat of a field truncated at t has budget (t - 1) // (largest generator
+    degree), so with generators t = 0 is refused up front, t = 1 gives budget 0,
+    and without generators any truncation goes through."""
+    s = build_spectrum(2, 1, [[1], [-1]])
+    inv = invariant_generators(s)
+    with pytest.raises(DimensionMismatch) as info:
+        decompose_eta(s, inv, PolyVectorField(2, {}, trunc=0))
+    assert str(info.value) == "field truncation 0 is below 1, which eta_hat over the generators needs"
+    etas = decompose_eta(s, inv, diag_field(1, -1).truncated(1))
+    assert [(eta.trunc, eta.terms) for eta in etas] == [(0, {}), (0, {})]
+    free = build_spectrum(2, 1, [[1], [2]])
+    etas = decompose_eta(free, invariant_generators(free), PolyVectorField(2, {}, trunc=0))
+    assert [eta.trunc for eta in etas] == [INF, INF]
 
 
 @pytest.mark.parametrize("trunc", [0, 2])

@@ -1,5 +1,6 @@
 """Exact linear algebra: kernels, solves, simplex."""
 
+import tracemalloc
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -43,6 +44,20 @@ def test_kernel_zero_matrix():
     empty = RatMatrix([{}, {}, {}])
     assert (empty.rows, empty.cols) == (0, 3)
     assert mat_kernel(empty).basis == tuple(IDENTITY_3)
+
+
+def test_kernel_builds_no_full_width_vector():
+    """The identity kernel of a 0 x 1000 system is 1000 one-pair vectors: none is
+    written out over all 1000 columns, which would take about 8 MB."""
+    M = RatMatrix([{}] * 1000)
+    tracemalloc.start()
+    try:
+        space = mat_kernel(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.vectors == tuple(((f, 1),) for f in range(1000))
+    assert peak < 10**6
 
 
 def test_kernel_identity():
@@ -200,7 +215,7 @@ def test_empty_free_columns_are_not_back_substituted(monkeypatch):
     columns = [{0: 1}, {}, {0: 1, 1: 1}, {0: F(0), 2: F(0)}, {0: 1, 1: 2, 2: 3}]
     space = mat_kernel(RatMatrix(columns))
     assert space.basis == ((0, 1, 0, 0, 0), (0, 0, 0, 1, 0))
-    assert space.supports == ((1,), (3,))
+    assert space.vectors == (((1, 1),), ((3, 1),))
     assert log == []
     # b = 0 is an empty last column of [A | -b]: the particular solution is 0 at no cost
     rows = [[1, 0, 1], [0, 0, 1]]
@@ -210,7 +225,7 @@ def test_empty_free_columns_are_not_back_substituted(monkeypatch):
     columns[3] = {0: F(1, 2)}
     space = mat_kernel(RatMatrix(columns))
     assert space.basis == ((0, 1, 0, 0, 0), (F(-1, 2), 0, 0, 1, 0))
-    assert space.supports == ((1,), (0, 3))
+    assert space.vectors == (((1, 1),), ((0, F(-1, 2)), (3, 1)))
     assert log
 
 
@@ -220,18 +235,18 @@ def test_solve_homogeneous():
     particular, space = mat_solve(rows, [0, 0])
     kernel = mat_kernel(RatMatrix(columns_of(rows)))
     assert particular == (0, 0, 0, 0)
-    assert (space.basis, space.supports) == (kernel.basis, kernel.supports)
+    assert space == kernel
     assert space.basis == ((-2, 1, 0, 0), (0, 0, 1, 0))
     # without rows there is no unknown: the solution set is the empty point
-    assert mat_solve([], []) == ((), SolutionSpace((), ()))
+    assert mat_solve([], []) == ((), SolutionSpace((), 0))
 
 
 def _with_rhs(rows):
     return st.tuples(st.just(rows), st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
 
 
-def _nonzero_positions(v):
-    return tuple(t for t, x in enumerate(v) if x != 0)
+def _nonzero_pairs(v):
+    return tuple((t, x) for t, x in enumerate(v) if x != 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -240,14 +255,14 @@ def _nonzero_positions(v):
     solved=RATIONAL_MATRICES.flatmap(_with_rhs),
 )
 def test_supports_are_the_nonzero_positions(system, solved):
-    """``supports[k]`` lists exactly the nonzero positions of ``basis[k]``, ascending,
-    for kernels and for the kernel part of a solve."""
+    """Each vector's pairs are exactly the nonzero entries of its dense view, by
+    ascending column, for kernels and for the kernel part of a solve."""
     space = mat_kernel(system[1])
-    assert space.supports == tuple(map(_nonzero_positions, space.basis))
+    assert space.vectors == tuple(map(_nonzero_pairs, space.basis))
     sol = mat_solve(*solved)
     if sol is not None:
         _, kernel = sol
-        assert kernel.supports == tuple(map(_nonzero_positions, kernel.basis))
+        assert kernel.vectors == tuple(map(_nonzero_pairs, kernel.basis))
 
 
 def _primitive(row):
@@ -333,8 +348,9 @@ def narrowed_systems(draw):
 )
 def test_kernel_and_rank_match_the_dense_bareiss_oracle(columns):
     """Over the touched columns, the elimination gives the dense echelon rows (the same
-    integers, untouched columns left out) and pivots, `mat_kernel` the dense basis and
-    supports, in the same order, and `mat_rank` the dense rank."""
+    integers, untouched columns left out) and pivots, `mat_kernel` the dense basis,
+    in the same order, and `mat_rank` the dense rank.  Each vector's pairs ascend by
+    column over the dense support, hold no zero, and end at (free column, 1)."""
     basis, supports, rank = dense_bareiss_kernel(columns)
     M = RatMatrix(columns)
     echelon, pivots = linalg._bareiss_echelon(M._ints)
@@ -342,8 +358,14 @@ def test_kernel_and_rank_match_the_dense_bareiss_oracle(columns):
     assert [M._touched[c] for c in pivots] == dense_pivots
     assert echelon == [[row[t] for t in M._touched] for row in dense_echelon]
     space = mat_kernel(M)
+    assert space.cols == len(columns)
     assert space.basis == basis
-    assert space.supports == supports
+    free = [t for t in range(len(columns)) if t not in dense_pivots]
+    assert len(space.vectors) == len(free)
+    for pairs, f, support in zip(space.vectors, free, supports):
+        assert [t for t, _ in pairs] == sorted({t for t, _ in pairs}) == list(support)
+        assert all(x != 0 for _, x in pairs)
+        assert pairs[-1] == (f, 1)
     assert mat_rank(M) == rank
 
 

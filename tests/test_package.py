@@ -17,9 +17,24 @@ from nfkit.centralizer import (
     normalizer_truncated,
 )
 from nfkit.fields import PolyVectorField
-from nfkit.jacobi import solve_multiplier
-from nfkit.linalg import RatMatrix, SolutionSpace
-from nfkit.serialize import centralizer_to_json, field_to_json, ladder_to_json, normalizer_to_json
+from nfkit.invariants import (
+    ReducedField,
+    invariant_generators,
+    quadratic_from_nu,
+    reduce_vectorfield,
+    triviality_certificate,
+)
+from nfkit.jacobi import reduced_multiplier_obstruction, solve_multiplier
+from nfkit.linalg import RatMatrix, SolutionSpace, mat_solve
+from nfkit.resonance import resonance_set
+from nfkit.serialize import (
+    centralizer_to_json,
+    field_to_json,
+    ladder_to_json,
+    normalizer_to_json,
+    reduced_to_json,
+    resonance_set_to_json,
+)
 from nfkit.spectrum import build_spectrum
 
 from oracles import random_pdnf
@@ -198,7 +213,7 @@ def test_linalg_has_one_way_in_and_one_way_out():
     methods = [node for node in _class(tree, "RatMatrix").body if isinstance(node, ast.FunctionDef)]
     assert [fn.name for fn in methods] == ["__init__"]
     assert [arg.arg for arg in methods[0].args.args] == ["self", "columns"]
-    assert [field.name for field in dataclasses.fields(SolutionSpace)] == ["basis", "supports"]
+    assert [field.name for field in dataclasses.fields(SolutionSpace)] == ["vectors", "cols"]
     called = {name for name, _ in _called_names(_function(tree, "mat_solve"))}
     assert "mat_kernel" in called
     assert not called & {"_bareiss_echelon", "_kernel_basis", "pivot_columns"}
@@ -337,7 +352,7 @@ def test_systems_are_assembled_in_integers_from_monomial_keys():
     `Fraction`, builds a monomial field, or combines fields into a basis element.
     The builder and the field algebra share one product rule, `_add_derivative`."""
     forbidden = {
-        "lie_bracket", "lie_derivative", "series_times_field", "linear_combination", "monomial",
+        "lie_bracket", "lie_derivative", "series_times_field", "monomial",
     }
     modules = _modules()
     for module, fn in sorted(ASSEMBLERS):
@@ -411,15 +426,8 @@ def test_matrices_keep_integer_rows_only():
     assert not calls
 
 
-class _UnscannableVector(tuple):
-    """A kernel vector that can be indexed and sliced, but not iterated whole."""
-
-    def __iter__(self):
-        raise AssertionError("a whole kernel vector was scanned")
-
-
 def _kernel_readers():
-    """(name, call giving a JSON-ready report) for each solver that reads kernel vectors."""
+    """(name, call giving a comparable report) for each caller that reads kernel vectors."""
     rng = random.Random(3)
     # Jordan blocks give the commutant blocks nontrivial kernels; 2 = 1 + 1 keeps it finite
     finite = build_spectrum(4, 1, [[2], [2], [1], [1]], [(0, 1, 1), (2, 3, F(1, 2))])
@@ -431,6 +439,15 @@ def _kernel_readers():
         (0, (1, 0, 0)): 1, (1, (0, 1, 0)): -1, (0, (1, 0, 1)): F(1, 2),
         (1, (0, 1, 1)): F(1, 3), (2, (0, 0, 2)): 1, (2, (1, 1, 0)): F(1, 5),
     })
+    # generators x1 x3 and x2 x3; every nonlinear term carries its component's coordinate
+    f_reduce = PolyVectorField(3, {
+        (0, (1, 0, 0)): 1, (1, (0, 1, 0)): 1, (2, (0, 0, 1)): -1, (0, (2, 0, 1)): F(1, 2),
+        (1, (1, 1, 1)): 3, (2, (0, 1, 2)): F(-2, 3),
+    })
+    # mu_12 = 2 - 1 and mu_21 = 3 - 1: the one condition leaves a line
+    nu = ((F(1), F(2)), (F(3), F(1)))
+    red = ReducedField(r=2, field=quadratic_from_nu(nu), nu=nu)
+    rows, b = [[1, 2, 0, F(-1, 3)], [0, 1, 1, 2]], [F(1, 2), 3]
     return [
         ("linear_commutant",
          lambda: [field_to_json(b) for b in linear_commutant(finite).basis]),
@@ -442,31 +459,44 @@ def _kernel_readers():
          lambda: normalizer_to_json(normalizer_truncated(infinite, f_infinite, 3))),
         ("solve_multiplier",
          lambda: ladder_to_json(solve_multiplier(ifac, f_ifac, 2, 6, 6))),
+        ("lp_degree_bound",
+         lambda: resonance_set_to_json(resonance_set(finite))),
+        ("_rewrite_in_generators",
+         lambda: reduced_to_json(reduce_vectorfield(
+             infinite, invariant_generators(infinite), f_reduce))),
+        ("reduced_multiplier_obstruction", lambda: reduced_multiplier_obstruction(red)),
+        ("triviality_certificate", lambda: triviality_certificate(red)),
+        ("mat_solve", lambda: mat_solve(rows, b)),
     ]
 
 
 def test_solvers_read_kernel_vectors_through_their_supports(monkeypatch):
-    """With `mat_kernel` patched at every binding so that its basis vectors refuse
-    whole iteration, every kernel reader gives the same report: it reads values
-    at the vector's support, or slices the vector where a dense view is kept."""
+    """With the dense view `SolutionSpace.basis` made to raise, every kernel reader
+    gives the same report: it reads each vector's (column, value) pairs only.  Each
+    reader is checked to take a kernel with at least one vector."""
     readers = _kernel_readers()
     expected = [run() for _, run in readers]
     real = linalg.mat_kernel
     handed = []
 
-    def unscannable(M):
+    def counted(M):
         space = real(M)
         handed.append(space.dimension)
-        basis = tuple(map(_UnscannableVector, space.basis))
-        return SolutionSpace(basis, space.supports)
+        return space
+
+    def no_dense_view(space):
+        raise AssertionError("a kernel was read through its dense basis")
 
     bindings = [
         module for name, module in list(sys.modules.items())
         if name.split(".")[0] == "nfkit" and getattr(module, "mat_kernel", None) is real
     ]
-    assert {m.__name__ for m in bindings} >= {"nfkit.linalg", "nfkit.centralizer", "nfkit.jacobi"}
+    assert {m.__name__ for m in bindings} >= {
+        "nfkit.linalg", "nfkit.centralizer", "nfkit.jacobi", "nfkit.resonance", "nfkit.invariants",
+    }
     for module in bindings:
-        monkeypatch.setattr(module, "mat_kernel", unscannable)
+        monkeypatch.setattr(module, "mat_kernel", counted)
+    monkeypatch.setattr(SolutionSpace, "basis", property(no_dense_view))
     for (name, run), report in zip(readers, expected):
         handed.clear()
         assert run() == report, name

@@ -131,7 +131,9 @@ real_kernel = resonance.mat_kernel
 def doubled(M):
     # every vector twice as long: no point satisfies its rows
     kernel = real_kernel(M)
-    return SolutionSpace(tuple(tuple(2 * x for x in v) for v in kernel.basis), kernel.supports)
+    return SolutionSpace(
+        tuple(tuple((t, 2 * x) for t, x in pairs) for pairs in kernel.vectors), kernel.cols
+    )
 
 
 resonance.mat_kernel = doubled
@@ -173,7 +175,7 @@ real_kernel = resonance.mat_kernel
 
 def without_last_vector(M):
     kernel = real_kernel(M)
-    return SolutionSpace(kernel.basis[:-1], kernel.supports[:-1])
+    return SolutionSpace(kernel.vectors[:-1], kernel.cols)
 
 
 resonance.mat_kernel = without_last_vector
