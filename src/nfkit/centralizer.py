@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .errors import (
@@ -414,51 +413,42 @@ def normalizer_reduce(
     """Split a normalizer pair: find beta with [g - beta f, f] = alpha f and
     X_{A_s}(alpha) = 0 at every degree <= D - 1.
 
-    Works degree by degree: the non-kernel eigencomponents of the running
-    multiplier are removed by solving X_A(beta_k) = -u on each eigenvalue-c
-    component, where X_A = c*I + X_{A_n} is inverted by a finite Neumann
-    sum.  Also checks that g - beta f commutes with the semisimple part.
+    Walks k = 1..D - 1 in rounds: each degree-k term c x^m of alpha off the kernel
+    of X_{A_s} adds the step -c / <m, lambda> x^m to beta and X_f(step) to alpha.
+    A step returns to degree k only through the nilpotent X_{A_n}, so more than
+    k (n - 1) + 1 rounds there is a certificate failure.  [g, f] = lambda f and the
+    resonance of g - beta f are checked through degree D, as f has no constant term.
     """
     if s.q == 0:
         raise ZeroSemisimplePart("the semisimple part vanishes")
     _require_explicit(s, f)
     if f.trunc < D or g.trunc < D or lam.trunc < D - 1:
         raise DimensionMismatch("truncation budgets below the requested degree")
-    residual = lie_bracket(g, f) - series_times_field(lam, f)
+    # f has no constant term, so lambda and beta cut at D - 1, times f, are complete
+    # through degree D
+    lam_cut = PolySeries(s.n, lam.truncated(D - 1).terms, D)
+    residual = lie_bracket(g, f) - series_times_field(lam_cut, f)
     if not residual.is_zero_mod(D):
         raise NotNormalizerPair("[g, f] - lambda*f does not vanish mod degree > D")
-
-    nilfield = PolyVectorField(s.n, {(i, unit_row(s.n, j)): c for i, j, c in s.nilpotent})
     beta = PolySeries.zero(s.n, trunc=D - 1)
     alpha = lam.truncated(D - 1)
     for k in range(1, D):
-        part = alpha.graded_part(k)
-        groups: dict[Fraction, dict] = {}
-        for m, c in part.terms.items():
+        rounds = k * (s.n - 1) + 1
+        for _ in range(rounds + 1):
             # q = 1 because the linear part is explicit: <m, lambda> is one rational
-            groups.setdefault(s.eigen_coords(m)[0], {})[m] = c
-        bk = PolySeries.zero(s.n, trunc=D - 1)
-        for ev, terms in groups.items():
-            if ev == 0:
-                continue
-            u = PolySeries(s.n, terms, trunc=D - 1)
-            comp = PolySeries.zero(s.n, trunc=D - 1)
-            coeff = Fraction(-1) / ev
-            power = u
-            while not power.is_zero():
-                comp = comp + power.scale(coeff)
-                power = lie_derivative(nilfield, power)
-                coeff = -coeff / ev
-            bk = bk + comp
-        if bk.is_zero():
-            continue
-        beta = beta + bk
-        alpha = (lam + lie_derivative(f, beta)).truncated(D - 1)
+            step = {m: -c / ev for m, c in alpha.terms.items()
+                    if sum(m) == k and (ev := s.eigen_coords(m)[0])}
+            if not step:
+                break
+            step = PolySeries(s.n, step, D - 1)
+            beta, alpha = beta + step, alpha + lie_derivative(f, step)
+        else:
+            raise CertificateFailure(f"the walk at degree {k} did not end within {rounds} rounds")
     if not all(s.is_integral_monomial(m) for m in alpha.terms):
         raise CertificateFailure("alpha must lie in the kernel of X_{A_s}")
     if alpha.coefficient(tuple(0 for _ in range(s.n))) != 0:
         raise CertificateFailure("alpha(0) must vanish")
-    h = (g - series_times_field(beta, f)).truncated(D)
+    h = (g - series_times_field(PolySeries(s.n, beta.terms, D), f)).truncated(D)
     if not all(s.is_resonant(m, j) for j, m in h.terms):
         raise CertificateFailure("g - beta f must commute with the semisimple part")
     return beta, alpha

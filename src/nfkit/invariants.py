@@ -226,7 +226,9 @@ def reduce_vectorfield(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorFie
     below 1 + the largest generator degree is refused up front.  The
     defining identity D(Psi) f = f_hat(Psi) is re-verified before
     returning: per generator, the terms of X_f(psi_i) must equal those of
-    f_hat_i at the generator monomials, cut at the field's budget.
+    f_hat_i at the generator monomials, cut at the field's budget.  That
+    f_hat_i is taken before its cut in y, which can drop terms of ambient
+    degree <= the budget when the generator degrees differ.
     """
     M = inv.generators
     need = 1 + max(map(sum, M), default=0)
@@ -235,7 +237,8 @@ def reduce_vectorfield(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorFie
             f"field truncation {f.trunc} is below {need}, one more than the largest"
             " generator degree, which nu at degree 2 of the reduced field needs"
         )
-    etas = decompose_eta(s, inv, f)
+    # eta_hat of f's terms read as a polynomial, so uncut; f_hat is cut below
+    etas = decompose_eta(s, inv, PolyVectorField(s.n, f.terms))
     r = inv.r
     terms = {}
     for i in range(r):
@@ -252,7 +255,7 @@ def reduce_vectorfield(s: EigenSpectrum, inv: InvariantAlgebra, f: PolyVectorFie
     )
     # X_{A_s} kills every generator monomial, so X_f and X_ftilde agree on them
     components = [{} for _ in range(r)]
-    for (i, k), c in fhat.terms.items():
+    for (i, k), c in terms.items():
         components[i][k] = c
     for i in range(r):
         lhs = lie_derivative(f, PolySeries.monomial(s.n, M[i], trunc=f.trunc))

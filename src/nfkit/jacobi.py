@@ -249,11 +249,14 @@ def _rewrite_series(inv: InvariantAlgebra, series: PolySeries) -> PolySeries:
     return PolySeries(inv.r, data, trunc=INF)
 
 
-def _verify_multiplier(field: PolyVectorField, phi: PolySeries, budget):
-    residual = lie_derivative(field, phi) - divergence(field) * phi
+def _verify_multiplier(field: PolyVectorField, phi: PolySeries):
+    # phi carries x_1...x_n, so div f, complete through the budget T - 1, times phi is
+    # complete through T
+    div = PolySeries(field.n, divergence(field).terms, field.trunc)
+    residual = lie_derivative(field, phi) - div * phi
     # with budget inf, is_zero_mod asks for an exact zero
-    if not residual.is_zero_mod(budget):
-        raise CertificateFailure(f"multiplier property failed up to degree {budget}")
+    if not residual.is_zero_mod(field.trunc):
+        raise CertificateFailure(f"multiplier property failed up to degree {field.trunc}")
 
 
 def transfer_reduced(
@@ -281,7 +284,7 @@ def transfer_reduced(
         rho, field = substitute_generators(rho, inv, size), ambient_field
     out = PolySeries.monomial(size, (1,) * size) * rho
     if field is not None:
-        _verify_multiplier(field, out, field.trunc)
+        _verify_multiplier(field, out)
     return out
 
 

@@ -629,6 +629,47 @@ def dim3_condition_a(d1, d2, d3, box=70):
     return all(decomposes_over((m1, m2), v) for v in sols)
 
 
+def free_module_resonance_count(n, generator_degrees, d):
+    """Resonances x^m e_j with |m| = d when the resonant fields are the free module
+    sum_j R x_j e_j over R = Q[phi_1..phi_k], with independent generators phi_i.
+
+    Each is x_j times an invariant monomial of degree d - 1, and those number
+    [t^(d-1)] prod_i 1 / (1 - t^|phi_i|): the ways to write d - 1 as a sum of
+    generator degrees, counted in integers by the coin-change recursion.
+    """
+    if d < 1:
+        return 0
+    ways = [1] + [0] * (d - 1)
+    for g in generator_degrees:
+        for t in range(g, d):
+            ways[t] += ways[t - g]
+    return n * ways[d - 1]
+
+
+def distinguished_spectra(lmax=6, cofactor_max=3):
+    """(d1, d2, l1, l2, generator degrees) for diag(d1, d2, -l1 l2) built by construction:
+    l1, l2 > 1 coprime, d1 = l2 a and d2 = l1 b with gcd(d1, d2, l1 l2) = 1.
+
+    Every invariant x1^p x2^q x3^c has l1 | p and l2 | q (read p d1 + q d2 = c l1 l2
+    mod l1 and mod l2), so the invariants are generated by x1^l1 x3^a and
+    x2^l2 x3^b, independent, of degrees l1 + a and l2 + b.  A resonance of
+    component 1 without x_1 would give l1 | d1 in the same way, which gcd 1
+    forbids (likewise for component 2), and one of
+    component 3 without x_3 a negative sum, so every resonant x^m e_j carries x_j.
+    """
+    out = []
+    for l1 in range(2, lmax + 1):
+        for l2 in range(2, lmax + 1):
+            if math.gcd(l1, l2) != 1:
+                continue
+            for a in range(1, cofactor_max + 1):
+                for b in range(1, cofactor_max + 1):
+                    d1, d2 = l2 * a, l1 * b
+                    if math.gcd(math.gcd(d1, d2), l1 * l2) == 1:
+                        out.append((d1, d2, l1, l2, (l1 + a, l2 + b)))
+    return out
+
+
 # random instance helpers -------------------------------------------------
 
 def rand_frac(rng: random.Random, lo=1, hi=6, den=4, sign=False):

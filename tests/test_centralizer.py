@@ -1,13 +1,18 @@
 """Commutants, exact/truncated centralizers, normalizers, and the splitting."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import nfkit
 from nfkit import centralizer
 from nfkit.centralizer import (
     centralizer_exact,
@@ -667,7 +672,7 @@ def test_normalizer_reduce_recovers_beta():
 
 
 def test_normalizer_reduce_with_nilpotent_inversion():
-    # nilpotent block forces the finite Neumann sum
+    # the nilpotent block hands each step back to its degree: the walk takes several rounds
     s = build_spectrum(2, 1, [[3], [3]], [(0, 1, 1)])
     f = PolyVectorField(2, {(0, (1, 0)): 3, (1, (0, 1)): 3, (0, (0, 1)): 1})
     D = 5
@@ -678,6 +683,86 @@ def test_normalizer_reduce_with_nilpotent_inversion():
     assert alpha.is_zero()
     resid = lie_bracket(g - series_times_field(beta, f), f) - series_times_field(alpha, f)
     assert resid.is_zero_mod(D)
+
+
+def test_normalizer_reduce_checks_the_pair_at_degree_D():
+    """[0, A] - x1 A = -x1^2 e_1 + x1 x2 e_2 sits at degree D = 2 exactly, which lambda
+    cut at D - 1 = 1 reaches times f."""
+    s = build_spectrum(2, 1, [[1], [-1]])
+    lam = PolySeries.monomial(2, (1, 0), trunc=1)
+    with pytest.raises(NotNormalizerPair):
+        normalizer_reduce(s, diag_field(1, -1), PolyVectorField.zero(2), lam, 2)
+
+
+SPLIT_SPECTRA = [
+    ([[1], [-1]], []), ([[1], [1], [-1]], []), ([[12], [6], [3]], []),
+    ([[2], [1]], []), ([[1], [-1], [2]], []), ([[3], [3]], [(0, 1, 1)]),
+]
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+@pytest.mark.parametrize("lam, nilpotent", SPLIT_SPECTRA)
+def test_normalizer_reduce_splits_every_basis_pair(lam, nilpotent, D):
+    """Each truncated normalizer pair splits with [h, f] = alpha f through degree D, h
+    resonant and alpha invariant; lambda + x1 no longer makes a normalizer pair."""
+    s = build_spectrum(len(lam), 1, lam, nilpotent)
+    rng = random.Random(D)
+    f = random_pdnf(s, rng, D)
+    x1 = PolySeries.monomial(s.n, unit_row(s.n, 0), trunc=D - 1)
+    for g, lam_g in normalizer_truncated(s, f, D).basis:
+        beta, alpha = normalizer_reduce(s, f, g, lam_g, D)
+        h = g - series_times_field(PolySeries(s.n, beta.terms), f.truncated(D))
+        resid = lie_bracket(h, f.truncated(D)) - series_times_field(PolySeries(s.n, alpha.terms), f)
+        assert resid.is_zero_mod(D)
+        assert all(s.is_resonant(m, j) for j, m in h.truncated(D).terms)
+        assert all(pairing(s, m) == (0,) for m in alpha.terms) and not alpha.coefficient((0,) * s.n)
+        with pytest.raises(NotNormalizerPair):
+            normalizer_reduce(s, f, g, lam_g + x1, D)
+
+
+WALK_STALL_SCRIPT = """
+import sys
+from nfkit import centralizer
+from nfkit.errors import CertificateFailure
+from nfkit.fields import PolySeries, PolyVectorField
+from nfkit.spectrum import build_spectrum
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+centralizer.lie_derivative = lambda g, phi: PolySeries.zero(phi.n, phi.trunc)
+s = build_spectrum(2, 1, [[1], [-1]])
+A = PolyVectorField(2, {(0, (1, 0)): 1, (1, (0, 1)): -1})
+g = PolyVectorField(2, {(0, (2, 0)): 1, (1, (1, 1)): -1})
+try:
+    centralizer.normalizer_reduce(s, A, g, PolySeries.monomial(2, (1, 0), c=-1, trunc=2), 3)
+except CertificateFailure as exc:
+    print(exc)
+"""
+
+
+def _stalled_walk_case():
+    """diag(1, -1), f = A, g = x1 A, lambda = -X_A(x1) = -x1: beta = x1 takes one round."""
+    s = build_spectrum(2, 1, [[1], [-1]])
+    A = diag_field(1, -1)
+    g = series_times_field(PolySeries.monomial(2, (1, 0)), A)
+    return s, A, g, PolySeries.monomial(2, (1, 0), c=-1, trunc=2), 3
+
+
+def test_a_stalled_walk_is_a_certificate_failure(monkeypatch):
+    # X_f that returns 0 never removes a term: past k (n - 1) + 1 = 2 rounds at degree 1
+    monkeypatch.setattr(centralizer, "lie_derivative", lambda g, phi: PolySeries.zero(phi.n, phi.trunc))
+    with pytest.raises(CertificateFailure, match="^the walk at degree 1 did not end within 2 rounds$"):
+        normalizer_reduce(*_stalled_walk_case())
+
+
+def test_a_stalled_walk_fails_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(nfkit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WALK_STALL_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["the walk at degree 1 did not end within 2 rounds"]
 
 
 def test_normalizer_reduce_error_paths():

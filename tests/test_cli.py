@@ -1088,24 +1088,16 @@ def test_resonances_with_cap(files, capsys):
     assert doc["finite"] is False and doc["r"] > 0
 
 
-def test_normalizer_command(files, capsys):
-    spectrum = {"n": 2, "q": 1, "lambda": [["2"], ["3"]], "nilpotent": []}
-    field = {
+def test_normalizer_command(tmp_path, capsys):
+    sp = tmp_path / "s.json"
+    fp = tmp_path / "f.json"
+    sp.write_text(json.dumps({"n": 2, "q": 1, "lambda": [["2"], ["3"]], "nilpotent": []}))
+    fp.write_text(json.dumps({
         "n": 2,
         "trunc": "inf",
         "terms": [{"j": 1, "m": [1, 0], "c": "2"}, {"j": 2, "m": [0, 1], "c": "3"}],
-    }
-    import json as j
-
-    code, out = None, None
-    import tempfile, os
-
-    with tempfile.TemporaryDirectory() as td:
-        sp = os.path.join(td, "s.json")
-        fp = os.path.join(td, "f.json")
-        open(sp, "w").write(j.dumps(spectrum))
-        open(fp, "w").write(j.dumps(field))
-        code, out = run(capsys, ["normalizer", "--spectrum", sp, "--field", fp, "--truncate", "2"])
+    }))
+    code, out = run(capsys, ["normalizer", "--spectrum", str(sp), "--field", str(fp), "--truncate", "2"])
     assert code == 0
     assert json.loads(out)["dimension"] == 4
 
@@ -1190,6 +1182,22 @@ def test_reduce_without_generators(tmp_path, capsys, trunc):
     code, out = run(capsys, ["reduce", "--spectrum", str(sp), "--field", str(fp)])
     assert code == 0
     assert json.loads(out) == {"n": 0, "nu": [], "terms": [], "trunc": "inf"}
+
+
+def test_reduce_with_generators_of_different_degrees(tmp_path, capsys):
+    """diag(3, 2, -6) has the generators y1 = x2^3 x3 and y2 = x1^2 x3, of degrees 4 and 3.
+    The reduced field is cut at 1 + (12 - 1) // 4 = 3 in y, which drops f_hat_2 = 2 y2^4 of
+    x1^7 x3^3 e_1, though its ambient degree 12 is within the truncation."""
+    sp = tmp_path / "diag326.json"
+    fp = tmp_path / "diag326_field.json"
+    sp.write_text(json.dumps({"n": 3, "q": 1, "lambda": [["3"], ["2"], ["-6"]]}))
+    fp.write_text(json.dumps({"n": 3, "trunc": 12, "terms": [
+        {"j": 1, "m": [1, 0, 0], "c": "3"}, {"j": 2, "m": [0, 1, 0], "c": "2"},
+        {"j": 3, "m": [0, 0, 1], "c": "-6"}, {"j": 1, "m": [7, 0, 3], "c": "1"},
+    ]}))
+    code, out = run(capsys, ["reduce", "--spectrum", str(sp), "--field", str(fp)])
+    assert code == 0
+    assert json.loads(out) == {"n": 2, "nu": [["0", "0"], ["0", "0"]], "terms": [], "trunc": 3}
 
 
 def test_text_format(files, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nfkit.errors import NotPDNF, WrongShape
+from nfkit.errors import CertificateFailure, NotPDNF, WrongShape
 from nfkit.fields import (
     PolySeries,
     PolyVectorField,
@@ -237,6 +237,21 @@ def test_transfer_ambient_first_round_trip():
     cand = sigma * rho
     reduced = transfer_reduced(inv, AMBIENT_TO_REDUCED, cand)
     assert transfer_reduced(inv, REDUCED_TO_AMBIENT, reduced) == cand
+
+
+def test_transfer_checks_the_multiplier_at_the_field_budget():
+    """diag(1, -1) with x1^2 x2 e_1, truncated at 4: X_f(x1 x2) = x1^2 x2^2 but div f x1 x2
+    = 2 x1^2 x2^2, a residual at degree 4 that div f, complete through degree 3, reaches
+    times x1 x2."""
+    s = build_spectrum(2, 1, [[1], [-1]])
+    inv = invariant_generators(s)
+    A = PolyVectorField(2, {(0, (1, 0)): 1, (1, (0, 1)): -1})
+    y = PolySeries.monomial(1, (1,))
+    f = (A + PolyVectorField.monomial(2, 0, (2, 1))).truncated(4)
+    with pytest.raises(CertificateFailure, match="^multiplier property failed up to degree 4$"):
+        transfer_reduced(inv, REDUCED_TO_AMBIENT, y, ambient_field=f)
+    # below the cubic term the field is linear, and x1 x2 is a multiplier of it
+    assert transfer_reduced(inv, REDUCED_TO_AMBIENT, y, ambient_field=f.truncated(2)).terms == {(1, 1): 1}
 
 
 def test_transfer_wrong_shapes():

@@ -11,11 +11,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nfkit import resonance
 from nfkit.centralizer import centralizer_exact, centralizer_truncated
 from nfkit.errors import InfiniteResonance, InfiniteResonanceWithoutCap, ScopeError
 from nfkit.fields import pdnf_basis
+from nfkit.invariants import check_free_module, invariant_generators
 from nfkit.resonance import (
     commuting_degree_ladder,
     resonance_degree_bound,
@@ -27,6 +30,7 @@ from nfkit.resonance import (
 from nfkit.linalg import OPTIMAL, RatMatrix, lp_max, mat_rank
 from nfkit.spectrum import (
     build_spectrum,
+    classify_dim3,
     count_eigen_monomials,
     eigen_monomials,
     eigen_system,
@@ -39,6 +43,8 @@ from oracles import (
     brute_resonances,
     brute_semiinvariant_ladder,
     columns_of,
+    distinguished_spectra,
+    free_module_resonance_count,
     pairing,
     per_coordinate_degree_bound,
     random_block_spectrum,
@@ -377,3 +383,34 @@ def test_ladders_match_brute_force():
         assert set(d for d in lad.degrees if d <= bound) == {
             d for d in brute_commuting_degrees(mu, bound)
         }
+
+
+DIAG_326 = (3, 2, 2, 3, (3, 4))
+
+
+def test_free_module_series_counts_by_hand():
+    # diag(3, 2, -6): one invariant of degree d - 1 per way to write it as 3a + 4b
+    assert [free_module_resonance_count(3, (3, 4), d) for d in range(1, 14)] == [
+        3, 0, 0, 3, 3, 0, 3, 3, 3, 3, 3, 3, 6,
+    ]
+    assert free_module_resonance_count(3, (3, 4), 0) == 0
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=st.sampled_from(distinguished_spectra()), d=st.integers(40, 64))
+@example(case=DIAG_326, d=60)
+def test_resonance_counts_match_the_free_module_series(case, d):
+    """On diag(d1, d2, -l1 l2) of `distinguished_spectra`, the resonances of degree d are
+    n [t^(d-1)] prod 1 / (1 - t^|phi_i|): counted through degree d at once, and listed
+    at degree d."""
+    d1, d2, l1, l2, degrees = case
+    s = build_spectrum(3, 1, [[d1], [d2], [-l1 * l2]])
+    verdict = classify_dim3(d1, d2, l1 * l2)
+    assert verdict.holds and (verdict.l1, verdict.l2) == (l1, l2)
+    inv = invariant_generators(s)
+    assert inv.independent and sorted(map(sum, inv.generators)) == sorted(degrees)
+    assert check_free_module(s).free
+    counted = sum(count_eigen_monomials(s, unit_row(3, j), 1, d) for j in range(3))
+    assert counted == sum(free_module_resonance_count(3, degrees, k) for k in range(1, d + 1))
+    listed = sum(len(eigen_monomials(s, unit_row(3, j), d)) for j in range(3))
+    assert listed == free_module_resonance_count(3, degrees, d)
